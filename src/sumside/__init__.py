@@ -12,26 +12,18 @@ from .partitions import (
     DiffDistRule,
     SmallestPartRule,
     count_sum_side,
-    count_with_cap,
     enumerate_sum_side,
 )
 from .products import ProductShape, describe, detect_period, symmetry_classify
 from .recursions import (
     BUILTIN_IDENTITIES,
     IdentitySpec,
-    RecursionState,
     VerificationReport,
-    advance,
     capped_polynomial,
     coefficient_digest,
     initial_state,
     product_side,
     step,
-    step_p,
-    step_q,
-    step_r,
-    step_s,
-    sum_side_via_recursion,
     verify_identity,
 )
 from .search import CandidateHit, CandidateReport, SearchGrid, run_search
@@ -56,16 +48,13 @@ __all__ = [
     "IdentitySpec",
     "IntegralityError",
     "ProductShape",
-    "RecursionState",
     "SearchGrid",
     "SmallestPartRule",
     "TruncatedSeries",
     "VerificationReport",
-    "advance",
     "capped_polynomial",
     "coefficient_digest",
     "count_sum_side",
-    "count_with_cap",
     "describe",
     "detect_period",
     "enumerate_sum_side",
@@ -77,11 +66,6 @@ __all__ = [
     "run_search",
     "series_mul",
     "step",
-    "step_p",
-    "step_q",
-    "step_r",
-    "step_s",
-    "sum_side_via_recursion",
     "symmetry_classify",
     "verify_identity",
 ]

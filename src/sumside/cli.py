@@ -49,6 +49,8 @@ def _cmd_search(args) -> int:
         raise _ConfigError(f"{args.config}: {exc}") from exc
     overrides = {}
     if args.order is not None:
+        if args.order < 1:
+            raise _ConfigError("--order must be >= 1")
         overrides["order"] = args.order
     if args.p_max is not None:
         overrides["p_max"] = args.p_max
@@ -81,6 +83,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.order < 1:
+        raise _ConfigError("--order must be >= 1")
     if args.identity == "all":
         names = sorted(BUILTIN_IDENTITIES)
     else:
@@ -104,12 +108,10 @@ def _cmd_verify(args) -> int:
             )
         else:
             any_mismatch = True
-            where = (
-                f"first mismatch at q^{report.first_mismatch}"
-                if report.first_mismatch is not None
-                else "sum-side routes disagree"
+            print(
+                f"{name}: MISMATCH, first mismatch at q^{report.first_mismatch} "
+                f"({report.method})"
             )
-            print(f"{name}: MISMATCH, {where} ({report.method})")
     if args.out is not None:
         payload = json.dumps(
             [r.to_json() for r in reports], indent=2, sort_keys=True

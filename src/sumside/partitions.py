@@ -16,10 +16,12 @@ Rules quantify over indices that exist; a partition too short to form a window
 satisfies that rule vacuously, and the empty partition of 0 satisfies every
 ConditionSet.
 
-Counting and enumeration share one depth-first descent over weakly decreasing
-part sequences.  Every internal node of that tree is itself a valid partition
-(conditions are prefix-closed in the order parts are appended largest-first),
-so a single walk to total n yields counts for all totals 0..n at once.
+Counts, capped counts (every part <= cap) and listings all come from one
+iterative depth-first walk over weakly decreasing part sequences.  Every
+internal node of that tree is itself a valid partition (conditions are
+prefix-closed in the order parts are appended largest-first), so a single
+walk to total n yields counts for all totals 0..n at once, and a listing of
+total n keeps the nodes that reach n.
 """
 
 from __future__ import annotations
@@ -207,71 +209,74 @@ class ConditionSet:
         return True
 
 
-def _window_len(conditions: ConditionSet) -> int:
-    """How many trailing parts the DFS must remember to test a new part."""
-    w = 1
-    for r in conditions.diffs:
-        w = max(w, r.distance)
-    for r in conditions.congruences:
-        w = max(w, r.span)
-    return w
-
-
-def _admits(conditions: ConditionSet, window: list[int], v: int) -> bool:
-    """Can v be appended after the trailing parts in window?
+def _admits(conditions: ConditionSet, parts: tuple[int, ...], v: int) -> bool:
+    """Can v be appended after parts?
 
     Only the rules whose newest index lands on v need rechecking; all earlier
     windows were validated when their own last part was appended.
     """
     for r in conditions.diffs:
-        if len(window) >= r.distance:
-            if window[-r.distance] - v < r.min_diff:
+        if len(parts) >= r.distance:
+            if parts[-r.distance] - v < r.min_diff:
                 return False
     for r in conditions.congruences:
-        if len(window) >= r.span:
-            first = window[-r.span]
+        if len(parts) >= r.span:
+            first = parts[-r.span]
             if first <= v + r.gap:
-                total = sum(window[-r.span :]) + v
+                total = sum(parts[-r.span :]) + v
                 if total % r.modulus != r.residue:
                     return False
     return True
 
 
-def count_sum_side(conditions: ConditionSet, n: int) -> TruncatedSeries:
-    """Generating function sum_s (#partitions of s satisfying conditions) q^s
-    for s = 0..n, as an exact integer series.
+def _walk(
+    conditions: ConditionSet, n: int, cap: int | None = None
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (total, parts) for every admissible partition with total <= n
+    and every part <= cap (None = no cap).
 
-    Iterative DFS over weakly decreasing part sequences, largest part first.
-    Each stack frame remembers only the running total, the trailing window of
-    parts, and the multiplicity of min_part so far; every frame contributes 1
-    to the count at its own total because rule windows never reach forward.
+    Iterative DFS from the empty partition, largest part first: children
+    v = min_part..bound are pushed in increasing order and popped largest
+    first, so partitions of any one total come out in decreasing
+    lexicographic order.  A frame holds the running total, the full part
+    tuple, and the multiplicity of min_part so far.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    if n == 0:
-        return TruncatedSeries(counts)
-    wlen = _window_len(conditions)
     sm = conditions.smallest
     min_part = conditions.min_part
     max_mult = None if sm is None else sm.max_mult
-    # Frame: (total, window tuple, multiplicity of min_part so far).
-    stack: list[tuple[int, tuple[int, ...], int]] = []
-    for v in range(min_part, n + 1):
-        stack.append((v, (v,), 1 if v == min_part else 0))
+    top = n if cap is None else min(cap, n)
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     while stack:
-        total, window, mcount = stack.pop()
-        counts[total] += 1
-        bound = min(window[-1], n - total)
+        total, parts, mcount = stack.pop()
+        yield total, parts
+        bound = min(parts[-1], n - total) if parts else top
         for v in range(min_part, bound + 1):
             if v == min_part and max_mult is not None and mcount >= max_mult:
                 continue
-            if _admits(conditions, list(window), v):
-                new_window = (window + (v,))[-wlen:]
+            if _admits(conditions, parts, v):
                 stack.append(
-                    (total + v, new_window, mcount + (1 if v == min_part else 0))
+                    (total + v, parts + (v,), mcount + (1 if v == min_part else 0))
                 )
+
+
+def count_sum_side(
+    conditions: ConditionSet, n: int, cap: int | None = None
+) -> TruncatedSeries:
+    """Generating function sum_s (#partitions of s satisfying conditions) q^s
+    for s = 0..n, as an exact integer series.
+
+    With cap, every part must also be <= cap; cap=0 admits only the empty
+    partition, giving the constant series 1.  These capped counts are the
+    finitizations that the recursion families compute; matching them against
+    this independent walk is the main cross-check on both sides.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be >= 0")
+    counts = [0] * (n + 1)
+    for total, _ in _walk(conditions, n, cap):
+        counts[total] += 1
     return TruncatedSeries(counts)
 
 
@@ -282,69 +287,4 @@ def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    wlen = _window_len(conditions)
-    sm = conditions.smallest
-    min_part = conditions.min_part
-    max_mult = None if sm is None else sm.max_mult
-
-    def descend(prefix: list[int], total: int, window: tuple[int, ...], mcount: int):
-        if total == n:
-            out.append(tuple(prefix))
-            return
-        bound = min(window[-1], n - total) if window else n - total
-        for v in range(bound, min_part - 1, -1):
-            if v == min_part and max_mult is not None and mcount >= max_mult:
-                continue
-            if not window or _admits(conditions, list(window), v):
-                prefix.append(v)
-                descend(
-                    prefix,
-                    total + v,
-                    (window + (v,))[-wlen:],
-                    mcount + (1 if v == min_part else 0),
-                )
-                prefix.pop()
-
-    descend([], 0, (), 0)
-    return out
-
-
-def count_with_cap(conditions: ConditionSet, n: int, cap: int) -> TruncatedSeries:
-    """Like count_sum_side but additionally requiring every part <= cap.
-
-    cap=0 admits only the empty partition, giving the constant series 1.
-    These capped counts are the finitizations that the recursion families
-    compute; matching them against this independent walk is the main
-    cross-check on both sides.
-    """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    if n == 0 or cap == 0:
-        return TruncatedSeries(counts)
-    wlen = _window_len(conditions)
-    sm = conditions.smallest
-    min_part = conditions.min_part
-    max_mult = None if sm is None else sm.max_mult
-    stack: list[tuple[int, tuple[int, ...], int]] = []
-    for v in range(min_part, min(cap, n) + 1):
-        stack.append((v, (v,), 1 if v == min_part else 0))
-    while stack:
-        total, window, mcount = stack.pop()
-        counts[total] += 1
-        bound = min(window[-1], n - total)
-        for v in range(min_part, bound + 1):
-            if v == min_part and max_mult is not None and mcount >= max_mult:
-                continue
-            if _admits(conditions, list(window), v):
-                new_window = (window + (v,))[-wlen:]
-                stack.append(
-                    (total + v, new_window, mcount + (1 if v == min_part else 0))
-                )
-    return TruncatedSeries(counts)
+    return [parts for total, parts in _walk(conditions, n) if total == n]

@@ -321,31 +321,6 @@ def advance(state: RecursionState, to_index: int) -> RecursionState:
     return state
 
 
-def step_p(state: RecursionState, j: int) -> RecursionState:
-    """One step of the mod 9 sibling family for identity index j in 1..3."""
-    if state.family != f"P{j}":
-        raise ValueError(f"state belongs to family {state.family}, not P{j}")
-    return step(state)
-
-
-def step_q(state: RecursionState) -> RecursionState:
-    if state.family != "Q":
-        raise ValueError(f"state belongs to family {state.family}, not Q")
-    return step(state)
-
-
-def step_r(state: RecursionState) -> RecursionState:
-    if state.family != "R":
-        raise ValueError(f"state belongs to family {state.family}, not R")
-    return step(state)
-
-
-def step_s(state: RecursionState) -> RecursionState:
-    if state.family != "S":
-        raise ValueError(f"state belongs to family {state.family}, not S")
-    return step(state)
-
-
 def capped_polynomial(family: str, cap: int, order: int | None = None):
     """All registers of a family at the given cap, as exact polynomials.
 
@@ -361,13 +336,6 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
         order = max(1, 2 * cap * (cap + 1))
     state = advance(initial_state(family, order), cap)
     return state.registers[-1]
-
-
-def sum_side_via_recursion(family: str, order: int) -> TruncatedSeries:
-    """The full sum side through q^order, by advancing the family until the
-    cap reaches order (partitions of n <= order have all parts <= order, so
-    later caps cannot change these coefficients)."""
-    return _recursion_sum_side(family, order)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +484,11 @@ def verify_identity(
 
     sums: list[TruncatedSeries] = []
     if method in ("recursion", "both"):
+        # partitions of n <= order have every part <= order, so the family
+        # at cap `order` carries the full sum side through q^order
+        family = spec.recursion_family
         sums.append(
-            _recursion_sum_side(spec.recursion_family, order)
+            capped_polynomial(family, order, order=order)[FAMILIES[family].sum_register]
         )
     if method in ("enumeration", "both"):
         sums.append(count_sum_side(spec.conditions, order))
@@ -532,7 +503,9 @@ def verify_identity(
     mismatch = _first_mismatch(sum_series, product)
     if mismatch is None and len(sums) == 2:
         mismatch = _first_mismatch(sums[1], product)
-    match = mismatch is None and not any("disagree" in w for w in warn)
+    # routes that disagree cannot both equal the product, so a disagreement
+    # always leaves a mismatch here
+    match = mismatch is None
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity=spec.name,
@@ -545,10 +518,3 @@ def verify_identity(
         elapsed_ms=elapsed,
         warnings=tuple(warn),
     )
-
-
-def _recursion_sum_side(family: str, order: int) -> TruncatedSeries:
-    fam = FAMILIES[family]
-    target = max(order, max(fam.initial))
-    state = advance(initial_state(family, order), target)
-    return state.current(fam.sum_register)

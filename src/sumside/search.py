@@ -199,6 +199,15 @@ def _sift_cell(args: tuple[str, int, int, int]):
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def _sift_all(tasks: list, jobs: int) -> list:
+    """_sift_cell over tasks, in task order: inline for jobs == 1, otherwise
+    on a pool of jobs worker processes."""
+    if jobs == 1:
+        return [_sift_cell(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_sift_cell, tasks))
+
+
 def run_search(
     grid: SearchGrid, jobs: int = 1, refine_order: int | None = None
 ) -> CandidateReport:
@@ -218,11 +227,7 @@ def run_search(
     tasks = [
         (c.dumps(), grid.order, grid.p_max, grid.min_repeats) for c in cells
     ]
-    if jobs == 1:
-        results = [_sift_cell(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sift_cell, tasks))
+    results = _sift_all(tasks, jobs)
 
     hits: list[CandidateHit] = []
     failures: list[tuple[str, str]] = []
@@ -240,11 +245,7 @@ def run_search(
             (h.conditions.dumps(), refine_order, grid.p_max, grid.min_repeats)
             for h in hits
         ]
-        if jobs == 1:
-            refined = [_sift_cell(t) for t in refine_tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                refined = list(pool.map(_sift_cell, refine_tasks))
+        refined = _sift_all(refine_tasks, jobs)
         updated: list[CandidateHit] = []
         for hit, (found, error) in zip(hits, refined):
             if error is not None:

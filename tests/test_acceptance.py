@@ -26,7 +26,6 @@ from sumside import (
     TruncatedSeries,
     capped_polynomial,
     count_sum_side,
-    count_with_cap,
     euler_factorize,
     expand_product,
     prefix_stability_check,
@@ -107,7 +106,7 @@ def test_criterion_4_initial_polynomials_against_enumeration(criterion):
         for name in ("P1", "P2", "P3", "Q"):
             conds = FAMILY_IDENTITY[name].conditions
             for cap, (coeffs,) in FAMILIES[name].initial.items():
-                got = count_with_cap(conds, len(coeffs) - 1, cap)
+                got = count_sum_side(conds, len(coeffs) - 1, cap=cap)
                 assert list(got) == list(coeffs), (name, cap)
         for name, key in (("R", "I5"), ("S", "I6")):
             rules = oracles.IDENTITY_RULES[key]
@@ -140,7 +139,7 @@ def test_criterion_5_recursion_polynomials_match_capped_enumeration(criterion):
                         n_cmp = n - 1
                         break
                 assert n_cmp >= cap, (name, cap)
-                got = count_with_cap(conds, n_cmp, cap)
+                got = count_sum_side(conds, n_cmp, cap=cap)
                 assert got == poly.truncate(n_cmp), (name, cap, n_cmp)
 
 

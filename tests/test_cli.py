@@ -78,6 +78,11 @@ class TestVerifyCommand:
         assert rc == 2
         assert "unknown identity" in capsys.readouterr().err
 
+    def test_order_zero_exits_two(self, capsys):
+        rc = cli.main(["verify", "--identity", "I1", "--order", "0"])
+        assert rc == 2
+        assert "--order" in capsys.readouterr().err
+
 
 class TestFactorCommand:
     def test_plain_text_coefficients(self, tmp_path, capsys):
@@ -199,6 +204,11 @@ class TestSearchCommand:
         rc = cli.main(["search", "--config", grid_config, "--refine", "10"])
         assert rc == 2
         assert "refine" in capsys.readouterr().err
+
+    def test_order_zero_exits_two(self, grid_config, capsys):
+        rc = cli.main(["search", "--config", grid_config, "--order", "0"])
+        assert rc == 2
+        assert "--order" in capsys.readouterr().err
 
 
 class TestParser:

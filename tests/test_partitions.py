@@ -12,7 +12,6 @@ from sumside import (
     DiffDistRule,
     SmallestPartRule,
     count_sum_side,
-    count_with_cap,
     enumerate_sum_side,
     euler_factorize,
 )
@@ -168,7 +167,10 @@ class TestCountSumSide:
             assert got == want, name
 
     def test_random_rule_sets_match_oracle(self):
+        # each drawn rule set is checked uncapped, capped and listed; caps come
+        # from their own generator so the rule-set draws stay as they were
         rng = random.Random(60322)
+        caps = random.Random(60323)
         for _ in range(25):
             rules = {
                 "min_part": rng.randrange(1, 3),
@@ -185,6 +187,12 @@ class TestCountSumSide:
             }
             cs = conditions_from_rules(rules)
             assert list(count_sum_side(cs, 13)) == oracles.oracle_counts(13, **rules), rules
+            c = caps.randrange(0, 10)
+            got = list(count_sum_side(cs, 13, cap=c))
+            assert got == oracles.oracle_counts(13, cap=c, **rules), (rules, c)
+            for n in range(14):
+                want = oracles.oracle_partitions(n, **rules)
+                assert enumerate_sum_side(cs, n) == want, (rules, n)
 
     def test_monotone_under_added_rules(self):
         base = list(count_sum_side(I1, 14))
@@ -235,22 +243,24 @@ class TestEnumerateSumSide:
 
 
 class TestCountWithCap:
+    """count_sum_side with cap: the finitizations the recursions compute."""
+
     def test_cap_zero_is_constant_one(self):
-        assert count_with_cap(I1, 6, 0).coeffs == (1, 0, 0, 0, 0, 0, 0)
+        assert count_sum_side(I1, 6, cap=0).coeffs == (1, 0, 0, 0, 0, 0, 0)
 
     def test_sibling_fixture_caps(self):
         i2 = conditions_from_rules(oracles.IDENTITY_RULES["I2"])
-        assert list(count_with_cap(i2, 6, 3)) == [1, 0, 1, 1, 0, 0, 1]
-        assert list(count_with_cap(I3, 6, 3)) == [1, 0, 0, 1, 0, 0, 1]
+        assert list(count_sum_side(i2, 6, cap=3)) == [1, 0, 1, 1, 0, 0, 1]
+        assert list(count_sum_side(I3, 6, cap=3)) == [1, 0, 0, 1, 0, 0, 1]
 
     def test_first_family_cap_three(self):
         # enumeration puts the pair 3+3 at q^6; nothing reaches q^7 with
         # parts at most 3, so the top coefficient sits at q^6
-        assert list(count_with_cap(I1, 7, 3)) == [1, 1, 1, 2, 1, 0, 1, 0]
+        assert list(count_sum_side(I1, 7, cap=3)) == [1, 1, 1, 2, 1, 0, 1, 0]
 
     def test_agrees_with_uncapped_through_cap(self):
         for cap in range(0, 9):
-            capped = count_with_cap(I1, 14, cap)
+            capped = count_sum_side(I1, 14, cap=cap)
             full = count_sum_side(I1, 14)
             for n in range(min(cap, 14) + 1):
                 assert capped[n] == full[n]
@@ -265,7 +275,7 @@ class TestCountWithCap:
             }
             cs = conditions_from_rules(rules)
             cap = rng.randrange(0, 7)
-            got = list(count_with_cap(cs, 12, cap))
+            got = list(count_sum_side(cs, 12, cap=cap))
             want = oracles.oracle_counts(12, cap=cap or None, **rules)
             if cap == 0:
                 want = [1] + [0] * 12
@@ -273,4 +283,4 @@ class TestCountWithCap:
 
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError):
-            count_with_cap(I1, 5, -1)
+            count_sum_side(I1, 5, cap=-1)

@@ -5,28 +5,21 @@ import hashlib
 import pytest
 
 import oracles
+import sumside.recursions
 from sumside import (
     BUILTIN_IDENTITIES,
     ConditionSet,
     IdentitySpec,
-    RecursionState,
     TruncatedSeries,
-    advance,
     capped_polynomial,
     coefficient_digest,
     count_sum_side,
-    count_with_cap,
     initial_state,
     product_side,
     step,
-    step_p,
-    step_q,
-    step_r,
-    step_s,
-    sum_side_via_recursion,
     verify_identity,
 )
-from sumside.recursions import FAMILIES
+from sumside.recursions import FAMILIES, RecursionState, advance
 
 FAMILY_IDENTITY = {
     spec.recursion_family: spec for spec in BUILTIN_IDENTITIES.values()
@@ -63,20 +56,11 @@ class TestFamilyGeometry:
 
 
 class TestStepGuards:
-    def test_wrapper_family_checks(self):
-        p1 = initial_state("P1", 10)
-        assert step_p(p1, 1).index == 4
-        with pytest.raises(ValueError):
-            step_p(p1, 2)
-        with pytest.raises(ValueError):
-            step_q(p1)
-        with pytest.raises(ValueError):
-            step_r(initial_state("S", 10))
-        with pytest.raises(ValueError):
-            step_s(initial_state("R", 10))
-        assert step_q(initial_state("Q", 10)).index == 4
-        assert step_r(initial_state("R", 10)).index == 5
-        assert step_s(initial_state("S", 10)).index == 4
+    def test_first_step_index_per_family(self):
+        assert step(initial_state("P1", 10)).index == 4
+        assert step(initial_state("Q", 10)).index == 4
+        assert step(initial_state("R", 10)).index == 5
+        assert step(initial_state("S", 10)).index == 4
 
     def test_step_below_first_index(self):
         fake = RecursionState(
@@ -98,7 +82,7 @@ class TestInitialPolynomials:
             conds = FAMILY_IDENTITY[name].conditions
             for cap, (coeffs,) in FAMILIES[name].initial.items():
                 deg = len(coeffs) - 1
-                assert list(count_with_cap(conds, deg, cap)) == list(coeffs), (name, cap)
+                assert list(count_sum_side(conds, deg, cap=cap)) == list(coeffs), (name, cap)
 
     def test_two_register_families_match_oracle(self):
         for name, rules_key in (("R", "I5"), ("S", "I6")):
@@ -116,14 +100,14 @@ class TestRecursionVsEnumeration:
             conds = FAMILY_IDENTITY[name].conditions
             for cap in range(4, 13):
                 poly = capped_polynomial(name, cap)[0]
-                assert poly == count_with_cap(conds, poly.order, cap), (name, cap)
+                assert poly == count_sum_side(conds, poly.order, cap=cap), (name, cap)
 
     def test_two_register_sum_register(self):
         for name in ("R", "S"):
             conds = FAMILY_IDENTITY[name].conditions
             for cap in range(FAMILIES[name].first_step, 11):
                 poly = capped_polynomial(name, cap)[1]
-                assert poly == count_with_cap(conds, poly.order, cap), (name, cap)
+                assert poly == count_sum_side(conds, poly.order, cap=cap), (name, cap)
 
     def test_two_register_restricted_register(self):
         # register 0 admits the largest part at most once
@@ -196,9 +180,11 @@ class TestFrozenPolynomials:
 
 class TestSumSideViaRecursion:
     def test_matches_direct_count(self):
+        # the family at cap 25 carries the full sum side through q^25
         for name in FAMILIES:
             conds = FAMILY_IDENTITY[name].conditions
-            assert sum_side_via_recursion(name, 25) == count_sum_side(conds, 25), name
+            poly = capped_polynomial(name, 25, order=25)[FAMILIES[name].sum_register]
+            assert poly == count_sum_side(conds, 25), name
 
 
 class TestIdentitySpecs:
@@ -241,6 +227,19 @@ class TestVerifyIdentity:
         assert report.method == "both"
         assert report.sum_digest == report.product_digest
         assert report.warnings == ()
+
+    def test_both_methods_flag_disagreeing_routes(self, monkeypatch):
+        # perturb only the enumeration route; the recursion route still
+        # equals the product, so the mismatch is the enumeration's
+        def perturbed(conditions, n, cap=None):
+            series = count_sum_side(conditions, n, cap=cap)
+            return series + TruncatedSeries([0] * 11 + [1], order=n)
+
+        monkeypatch.setattr(sumside.recursions, "count_sum_side", perturbed)
+        report = verify_identity(BUILTIN_IDENTITIES["I1"], 30, method="both")
+        assert not report.match
+        assert report.first_mismatch == 11
+        assert any("disagree first at q^11" in w for w in report.warnings)
 
     def test_mismatch_is_reported_not_raised(self):
         wrong = IdentitySpec(
