@@ -9,6 +9,7 @@ to stderr so piped output stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,23 +49,15 @@ def _cmd_search(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise _ConfigError(f"{args.config}: {exc}") from exc
     overrides = {}
-    if args.order is not None:
-        if args.order < 1:
-            raise _ConfigError("--order must be >= 1")
-        overrides["order"] = args.order
-    if args.p_max is not None:
-        overrides["p_max"] = args.p_max
-    if args.min_repeats is not None:
-        overrides["min_repeats"] = args.min_repeats
-    if overrides:
-        grid = SearchGrid(
-            grid.smallest_options,
-            grid.diff_options,
-            grid.congruence_options,
-            order=overrides.get("order", grid.order),
-            p_max=overrides.get("p_max", grid.p_max),
-            min_repeats=overrides.get("min_repeats", grid.min_repeats),
-        )
+    for name, flag in (
+        ("order", "--order"), ("p_max", "--p-max"), ("min_repeats", "--min-repeats")
+    ):
+        value = getattr(args, name)
+        if value is not None:
+            if value < 1:
+                raise _ConfigError(f"{flag} must be >= 1")
+            overrides[name] = value
+    grid = dataclasses.replace(grid, **overrides)
     cells = grid.cells()
     print(
         f"grid: {grid.size} cells ({len(cells)} after dedup), order {grid.order}",

@@ -16,21 +16,31 @@ Rules quantify over indices that exist; a partition too short to form a window
 satisfies that rule vacuously, and the empty partition of 0 satisfies every
 ConditionSet.
 
-Counts, capped counts (every part <= cap) and listings all come from one
-iterative depth-first walk over weakly decreasing part sequences.  Every
-internal node of that tree is itself a valid partition (conditions are
-prefix-closed in the order parts are appended largest-first), so a single
-walk to total n yields counts for all totals 0..n at once, and a listing of
-total n keeps the nodes that reach n.
+Counting and listing take two routes that share one admissibility test,
+_admits, which checks a new smallest part against the parts already chosen.
+
+  count_sum_side      a transfer sweep over part values, largest first.  Only
+                      the last few parts can still trigger a rule, so the
+                      state is a short tuple of them, and every state carries
+                      the whole series of the partitions that reach it.  The
+                      work grows polynomially in n, not with the number of
+                      partitions counted.  A cap on the largest part is just
+                      the value the sweep starts from.
+  enumerate_sum_side  an iterative depth-first walk over weakly decreasing
+                      part sequences, which must visit every partition it
+                      lists.  Every internal node of that tree is itself a
+                      valid partition (conditions are prefix-closed in the
+                      order parts are appended largest-first).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .series import TruncatedSeries
+from .series import IntegralityError, TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -230,10 +240,9 @@ def _admits(conditions: ConditionSet, parts: tuple[int, ...], v: int) -> bool:
 
 
 def _walk(
-    conditions: ConditionSet, n: int, cap: int | None = None
+    conditions: ConditionSet, n: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (total, parts) for every admissible partition with total <= n
-    and every part <= cap (None = no cap).
+    """Yield (total, parts) for every admissible partition with total <= n.
 
     Iterative DFS from the empty partition, largest part first: children
     v = min_part..bound are pushed in increasing order and popped largest
@@ -244,12 +253,11 @@ def _walk(
     sm = conditions.smallest
     min_part = conditions.min_part
     max_mult = None if sm is None else sm.max_mult
-    top = n if cap is None else min(cap, n)
     stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
     while stack:
         total, parts, mcount = stack.pop()
         yield total, parts
-        bound = min(parts[-1], n - total) if parts else top
+        bound = min(parts[-1], n - total) if parts else n
         for v in range(min_part, bound + 1):
             if v == min_part and max_mult is not None and mcount >= max_mult:
                 continue
@@ -268,16 +276,70 @@ def count_sum_side(
     With cap, every part must also be <= cap; cap=0 admits only the empty
     partition, giving the constant series 1.  These capped counts are the
     finitizations that the recursion families compute; matching them against
-    this independent walk is the main cross-check on both sides.
+    this independent sweep is the main cross-check on both sides.
+
+    Transfer sweep over part values v = top, top-1, ..., min_part, where
+    top = min(cap, n).  A state is the tuple of the smallest parts chosen so
+    far, cut to the ones a later, smaller part can still trigger a rule on;
+    each state carries the series of the part sets that reach it, packed into
+    one int with B bits per coefficient.  Adding a copy of v shifts that int
+    by v*B bits, and states that reach the same tuple are merged by adding.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if cap is not None and cap < 0:
         raise ValueError("cap must be >= 0")
-    counts = [0] * (n + 1)
-    for total, _ in _walk(conditions, n, cap):
-        counts[total] += 1
-    return TruncatedSeries(counts)
+    sm = conditions.smallest
+    min_part = conditions.min_part
+    max_mult = None if sm is None else sm.max_mult
+    top = n if cap is None else min(cap, n)
+    # a state keeps its last `width` parts, and of those only the ones a
+    # rule can still fire on: a part p meets a later part u <= v - 1 only
+    # when p - u < min_diff or p <= u + gap, so p > v - 1 + reach is inert
+    width = max(
+        [r.distance for r in conditions.diffs]
+        + [r.span for r in conditions.congruences],
+        default=0,
+    )
+    reach = max(
+        [r.min_diff - 1 for r in conditions.diffs]
+        + [r.gap for r in conditions.congruences],
+        default=-1,
+    )
+    # every coefficient met along the way counts a set of partitions of s,
+    # so it is at most p(n) < exp(pi*sqrt(2n/3)); one more bit is the margin
+    # checked when unpacking
+    bits = int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 2
+    mask = (1 << (n + 1) * bits) - 1
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for v in range(top, min_part - 1, -1):
+        shift = v * bits
+        kmax = n // v
+        if v == min_part and max_mult is not None:
+            kmax = min(kmax, max_mult)
+        limit = v - 1 + reach
+        step: dict[tuple[int, ...], int] = {}
+        for parts, x in states.items():
+            k = 0
+            while True:
+                key = parts[-width:] if width else ()
+                i = 0
+                while i < len(key) and key[i] > limit:
+                    i += 1
+                key = key[i:]
+                step[key] = step.get(key, 0) + x
+                if k == kmax or not _admits(conditions, parts, v):
+                    break
+                k += 1
+                parts += (v,)
+                x = (x << shift) & mask
+        states = step
+    total = sum(states.values())
+    margins = mask // ((1 << bits) - 1) << (bits - 1)
+    if total & margins:
+        raise IntegralityError("packed sum-side coefficient overflowed its width")
+    digit = (1 << bits) - 1
+    return TruncatedSeries((total >> (s * bits)) & digit for s in range(n + 1))
 
 
 def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]]:

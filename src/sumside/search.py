@@ -49,6 +49,10 @@ class SearchGrid:
             raise ValueError("every grid axis needs at least one option")
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if self.p_max < 1:
+            raise ValueError("p_max must be >= 1")
+        if self.min_repeats < 1:
+            raise ValueError("min_repeats must be >= 1")
 
     @property
     def size(self) -> int:

@@ -27,7 +27,8 @@ from typing import Iterable, Sequence
 
 class IntegralityError(ArithmeticError):
     """An exactness postcondition failed: a division that is provably exact
-    over integer input left a remainder.  Signals a bug, not bad input."""
+    over integer input left a remainder, or a packed coefficient outgrew its
+    bit width.  Signals a bug, not bad input."""
 
 
 class TruncatedSeries:

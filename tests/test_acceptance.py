@@ -39,12 +39,6 @@ FAMILY_IDENTITY = {
     spec.recursion_family: spec for spec in BUILTIN_IDENTITIES.values()
 }
 
-# cap on brute-force partitions walked per (family, cap) cell in criterion 5;
-# the full sweep to cap 25 without a budget would need over 1e9 partitions
-# for the mod 12 families
-ENUMERATION_BUDGET = 200_000
-
-
 @pytest.fixture
 def criterion(capfd):
     """Context manager that prints one uncaptured verdict line per criterion."""
@@ -84,11 +78,11 @@ def test_criterion_1_rogers_ramanujan_products(criterion):
 
 
 def test_criterion_2_identities_by_enumeration(criterion):
-    with criterion(2, "all six identities: enumerated counts equal the product to q^30"):
+    with criterion(2, "all six identities: swept sum-side counts equal the product to q^500"):
         t0 = time.perf_counter()
         for name in sorted(BUILTIN_IDENTITIES):
             spec = BUILTIN_IDENTITIES[name]
-            assert count_sum_side(spec.conditions, 30) == product_side(spec, 30), name
+            assert count_sum_side(spec.conditions, 500) == product_side(spec, 500), name
         assert time.perf_counter() - t0 < 30.0
 
 
@@ -121,26 +115,21 @@ def test_criterion_4_initial_polynomials_against_enumeration(criterion):
 def test_criterion_5_recursion_polynomials_match_capped_enumeration(criterion):
     with criterion(
         5,
-        "recursion-built capped polynomials equal brute-force enumeration, "
-        "caps up to 25",
+        "recursion-built capped polynomials equal the swept counts in full, "
+        "caps up to 25, and the brute-force oracle to q^29, caps up to 8",
     ):
         for name, fam in FAMILIES.items():
-            conds = FAMILY_IDENTITY[name].conditions
+            spec = FAMILY_IDENTITY[name]
             for cap in range(fam.first_step, 26):
                 poly = capped_polynomial(name, cap)[fam.sum_register]
-                # walk no more than the budget's worth of partitions: the
-                # enumeration visits one node per counted partition, and the
-                # polynomial's own coefficients say how many that is
-                cum = 0
-                n_cmp = poly.order
-                for n, c in enumerate(poly):
-                    cum += c
-                    if cum > ENUMERATION_BUDGET:
-                        n_cmp = n - 1
-                        break
-                assert n_cmp >= cap, (name, cap)
-                got = count_sum_side(conds, n_cmp, cap=cap)
-                assert got == poly.truncate(n_cmp), (name, cap, n_cmp)
+                got = count_sum_side(spec.conditions, poly.order, cap=cap)
+                assert got == poly, (name, cap)
+                if cap <= 8:
+                    n = min(29, poly.order)
+                    want = oracles.oracle_counts(
+                        n, cap=cap, **oracles.IDENTITY_RULES[spec.name]
+                    )
+                    assert list(poly.truncate(n)) == want, (name, cap)
 
 
 def test_criterion_6_factorization_round_trips(criterion):

@@ -14,6 +14,7 @@ from sumside import (
     IdentitySpec,
     SearchGrid,
     SmallestPartRule,
+    product_side,
 )
 
 I1_CONDITIONS = BUILTIN_IDENTITIES["I1"].conditions
@@ -83,6 +84,15 @@ class TestVerifyCommand:
         assert rc == 2
         assert "--order" in capsys.readouterr().err
 
+    def test_both_methods_agree_for_all_identities(self, capsys):
+        rc = cli.main(
+            ["verify", "--identity", "all", "--order", "200", "--method", "both"]
+        )
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 0
+        assert len(lines) == 6
+        assert all("match through q^200 (both" in line for line in lines)
+
 
 class TestFactorCommand:
     def test_plain_text_coefficients(self, tmp_path, capsys):
@@ -147,6 +157,12 @@ class TestEnumerateCommand:
         assert rc == 0
         assert capsys.readouterr().out == "1\n0\n"
 
+    def test_count_beyond_listing_reach(self, i1_conditions_file, capsys):
+        rc = cli.main(["enumerate", "--conditions", i1_conditions_file, "--n", "400"])
+        assert rc == 0
+        want = product_side(BUILTIN_IDENTITIES["I1"], 400)[400]
+        assert capsys.readouterr().out == f"{want}\n"
+
     def test_negative_n(self, i1_conditions_file, capsys):
         rc = cli.main(["enumerate", "--conditions", i1_conditions_file, "--n", "-1"])
         assert rc == 2
@@ -209,6 +225,26 @@ class TestSearchCommand:
         rc = cli.main(["search", "--config", grid_config, "--order", "0"])
         assert rc == 2
         assert "--order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p-max", "0"), ("--p-max", "-3"), ("--min-repeats", "0")],
+    )
+    def test_bad_period_flags_exit_two(self, grid_config, capsys, flag, value):
+        rc = cli.main(["search", "--config", grid_config, flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{flag} must be >= 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["p_max", "min_repeats"])
+    def test_bad_period_in_config_exits_two(self, grid_config, capsys, key):
+        obj = json.loads(Path(grid_config).read_text())
+        obj[key] = 0
+        Path(grid_config).write_text(json.dumps(obj))
+        rc = cli.main(["search", "--config", grid_config])
+        assert rc == 2
+        assert f"{grid_config}: {key} must be >= 1" in capsys.readouterr().err
 
 
 class TestParser:

@@ -194,6 +194,36 @@ class TestCountSumSide:
                 want = oracles.oracle_partitions(n, **rules)
                 assert enumerate_sum_side(cs, n) == want, (rules, n)
 
+    def test_wide_rule_sets_match_oracle_and_listing(self):
+        # wider windows, negative and large gaps, min_diff 0 and large caps:
+        # the counts must match the oracle and, coefficient by coefficient,
+        # the length of the DFS listing restricted to the cap
+        rng = random.Random(71129)
+        for _ in range(100):
+            rules = {
+                "min_part": rng.randrange(1, 4),
+                "max_mult": rng.choice([None, 1, 2, 3]),
+                "diffs": [
+                    (rng.randrange(1, 5), rng.randrange(0, 5))
+                    for _ in range(rng.randrange(0, 3))
+                ],
+                "congruences": [
+                    (rng.randrange(1, 5), rng.randrange(-2, 6), rng.randrange(0, mod), mod)
+                    for mod in (rng.randrange(2, 5),)
+                    for _ in range(rng.randrange(0, 3))
+                ],
+            }
+            cap = rng.choice([None, 0, 1, 5, 30])
+            cs = conditions_from_rules(rules)
+            got = list(count_sum_side(cs, 16, cap=cap))
+            assert got == oracles.oracle_counts(16, cap=cap, **rules), (rules, cap)
+            for k, c in enumerate(got):
+                listed = [
+                    p for p in enumerate_sum_side(cs, k)
+                    if cap is None or max(p, default=0) <= cap
+                ]
+                assert c == len(listed), (rules, cap, k)
+
     def test_monotone_under_added_rules(self):
         base = list(count_sum_side(I1, 14))
         tightened = ConditionSet(

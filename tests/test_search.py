@@ -44,6 +44,12 @@ class TestSearchGrid:
         with pytest.raises(ValueError):
             tiny_grid(diff_options=())
 
+    def test_period_thresholds_rejected_below_one(self):
+        for key in ("p_max", "min_repeats"):
+            for value in (0, -3):
+                with pytest.raises(ValueError, match=key):
+                    tiny_grid(**{key: value})
+
     def test_json_round_trip(self):
         grid = tiny_grid(
             congruence_options=((), (CongruenceRule(1, 1, 0, 3),)),
