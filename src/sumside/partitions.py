@@ -323,10 +323,8 @@ def count_sum_side(
             k = 0
             while True:
                 key = parts[-width:] if width else ()
-                i = 0
-                while i < len(key) and key[i] > limit:
-                    i += 1
-                key = key[i:]
+                while key and key[0] > limit:
+                    key = key[1:]
                 step[key] = step.get(key, 0) + x
                 if k == kmax or not _admits(conditions, parts, v):
                     break
