@@ -34,7 +34,6 @@ from .series import (
     euler_factorize,
     expand_product,
     prefix_stability_check,
-    series_mul,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "prefix_stability_check",
     "product_side",
     "run_search",
-    "series_mul",
     "step",
     "symmetry_classify",
     "verify_identity",

@@ -36,11 +36,10 @@ _admits, which checks a new smallest part against the parts already chosen.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .series import IntegralityError, TruncatedSeries
+from .series import TruncatedSeries, packed_bits, unpack
 
 
 @dataclass(frozen=True)
@@ -306,10 +305,7 @@ def count_sum_side(
         + [r.gap for r in conditions.congruences],
         default=-1,
     )
-    # every coefficient met along the way counts a set of partitions of s,
-    # so it is at most p(n) < exp(pi*sqrt(2n/3)); one more bit is the margin
-    # checked when unpacking
-    bits = int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 2
+    bits = packed_bits(n)
     mask = (1 << (n + 1) * bits) - 1
     states: dict[tuple[int, ...], int] = {(): 1}
     for v in range(top, min_part - 1, -1):
@@ -332,12 +328,7 @@ def count_sum_side(
                 parts += (v,)
                 x = (x << shift) & mask
         states = step
-    total = sum(states.values())
-    margins = mask // ((1 << bits) - 1) << (bits - 1)
-    if total & margins:
-        raise IntegralityError("packed sum-side coefficient overflowed its width")
-    digit = (1 << bits) - 1
-    return TruncatedSeries((total >> (s * bits)) & digit for s in range(n + 1))
+    return unpack(sum(states.values()), n, bits)
 
 
 def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]]:

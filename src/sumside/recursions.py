@@ -32,7 +32,7 @@ from .partitions import (
     count_sum_side,
 )
 from .products import ProductShape
-from .series import TruncatedSeries, expand_product
+from .series import TruncatedSeries, check_packed, expand_product, pack, packed_bits, unpack
 
 
 @dataclass(frozen=True)
@@ -256,16 +256,17 @@ class RecursionState:
     """A recursion family's window of most recent register values.
 
     registers is oldest-first: registers[-1] belongs to `index`,
-    registers[-2] to index-1, and so on.  All series share `order`.
+    registers[-2] to index-1, and so on.  Each register is a series through
+    q^order packed with packed_bits(order) bits per coefficient.
     """
 
     family: str
     index: int
-    registers: tuple[tuple[TruncatedSeries, ...], ...]
+    registers: tuple[tuple[int, ...], ...]
     order: int
 
     def current(self, register: int = 0) -> TruncatedSeries:
-        return self.registers[-1][register]
+        return unpack(self.registers[-1][register], self.order, packed_bits(self.order))
 
 
 def initial_state(family: str, order: int) -> RecursionState:
@@ -273,18 +274,20 @@ def initial_state(family: str, order: int) -> RecursionState:
     fam = FAMILIES[family]
     if order < 0:
         raise ValueError("order must be >= 0")
+    bits = packed_bits(order)
     window = tuple(
-        tuple(
-            TruncatedSeries(coeffs[: order + 1], order=order)
-            for coeffs in fam.initial[idx]
-        )
+        tuple(pack(coeffs[: order + 1], bits) for coeffs in fam.initial[idx])
         for idx in sorted(fam.initial)
     )
     return RecursionState(family, max(fam.initial), window, order)
 
 
 def step(state: RecursionState) -> RecursionState:
-    """Advance one index, computing every register at index+1."""
+    """Advance one index, computing every register at index+1.
+
+    Every new register is checked before it is stored: packing is linear, so
+    a minus term is exact as long as each result is a valid packed series.
+    """
     fam = FAMILIES[state.family]
     idx = state.index + 1
     if idx < fam.first_step:
@@ -302,14 +305,17 @@ def step(state: RecursionState) -> RecursionState:
         tables = fam.tables
         m = idx
     window = state.registers
-    new: list[TruncatedSeries] = []
+    bits = packed_bits(state.order)
+    mask = (1 << (state.order + 1) * bits) - 1
+    new: list[int] = []
     for table in tables:
-        acc = TruncatedSeries([0], order=state.order)
+        acc = 0
         for t in table:
             src = new[t.register] if t.back == 0 else window[-t.back][t.register]
             c, d = t.exponent
-            shifted = src.shift(c * m + d)
-            acc = acc + shifted if t.sign > 0 else acc - shifted
+            term = (src << (c * m + d) * bits) & mask
+            acc = acc + term if t.sign > 0 else acc - term
+        check_packed(acc, state.order, bits)
         new.append(acc)
     registers = (window + (tuple(new),))[-fam.window :]
     return RecursionState(state.family, idx, registers, state.order)
@@ -335,7 +341,7 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
     if order is None:
         order = max(1, 2 * cap * (cap + 1))
     state = advance(initial_state(family, order), cap)
-    return state.registers[-1]
+    return tuple(state.current(r) for r in range(fam.registers))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,18 @@ with integer exponents a_m, computed from the recurrence
 where sigma_a(j) = sum_{d|j} d*a_d.  The key property exploited downstream is
 that a_1..a_k depend only on b_1..b_k, so a polynomial prefix of a generating
 function pins down the leading product factors exactly.
+
+Inside the package, series of partition counts are also carried packed into
+one int, B bits per coefficient (Kronecker substitution): multiplying by q^k
+and truncating at q^N is one shift and one mask, and adding two series is one
+big-int addition.  packed_bits, pack, check_packed and unpack are that kernel;
+TruncatedSeries stays the type at every module boundary.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Iterable
 
 
 class IntegralityError(ArithmeticError):
@@ -34,9 +41,8 @@ class IntegralityError(ArithmeticError):
 class TruncatedSeries:
     """Immutable integer power series truncated at q^order (inclusive).
 
-    Mixed-order arithmetic truncates to the smaller order; that is the only
-    place coefficients are ever dropped implicitly, and it is the documented
-    rule rather than silent loss.  Use ``truncate`` for explicit shortening.
+    Coefficients are never dropped implicitly; use ``truncate`` for explicit
+    shortening.
     """
 
     __slots__ = ("coeffs",)
@@ -83,38 +89,50 @@ class TruncatedSeries:
             raise ValueError(f"cannot truncate order-{self.order} series to {k}")
         return TruncatedSeries(self.coeffs[: k + 1])
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by q^k at the same truncation order (top k terms fall off)."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        n = len(self.coeffs)
-        if k >= n:
-            return TruncatedSeries([0] * n)
-        return TruncatedSeries((0,) * k + self.coeffs[: n - k])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n)]
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order=order)
+
+def packed_bits(n: int) -> int:
+    """Bits per coefficient for packing partition counts through q^n.
+
+    Every coefficient counts a set of partitions of some s <= n, so it is at
+    most p(n) < exp(pi*sqrt(2n/3)); one more bit is the margin that
+    check_packed requires to stay clear.
+    """
+    return int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 2
+
+
+def pack(series: Iterable[int], bits: int) -> int:
+    """The coefficients packed into one int, the constant term lowest."""
+    x = 0
+    for c in reversed(tuple(series)):
+        if not 0 <= c < 1 << (bits - 1):
+            raise IntegralityError(f"coefficient {c} outside 0..2^{bits - 1}-1")
+        x = x << bits | c
+    return x
+
+
+def check_packed(x: int, n: int, bits: int) -> None:
+    """Raise IntegralityError unless x is a valid packed series through q^n.
+
+    A negative coefficient borrows from the one above it, and one that
+    outgrows bits - 1 bits sets its margin bit, so both show up here instead
+    of silently corrupting a neighbour.
+    """
+    width = (n + 1) * bits
+    margins = ((1 << width) - 1) // ((1 << bits) - 1) << (bits - 1)
+    if x < 0 or x >> width or x & margins:
+        raise IntegralityError("packed series coefficient left its bit width")
+
+
+def unpack(x: int, n: int, bits: int) -> TruncatedSeries:
+    """The series through q^n that x packs, checked first."""
+    check_packed(x, n, bits)
+    digit = (1 << bits) - 1
+    return TruncatedSeries((x >> (s * bits)) & digit for s in range(n + 1))
 
 
 class ExponentSequence:
@@ -163,19 +181,6 @@ class ExponentSequence:
         head = ", ".join(str(e) for e in self.exps[:10])
         tail = ", ..." if len(self.exps) > 10 else ""
         return f"ExponentSequence([{head}{tail}], order={self.order})"
-
-
-def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise-exact product modulo q^(N+1), N the smaller order."""
-    n = min(len(f.coeffs), len(g.coeffs))
-    fc, gc = f.coeffs, g.coeffs
-    out = [0] * n
-    for i in range(n):
-        ci = fc[i]
-        if ci:
-            for j in range(n - i):
-                out[i + j] += ci * gc[j]
-    return TruncatedSeries(out)
 
 
 def euler_factorize(b: TruncatedSeries) -> ExponentSequence:

@@ -1,5 +1,6 @@
 """Recursion families against direct enumeration, and identity verification."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -10,6 +11,7 @@ from sumside import (
     BUILTIN_IDENTITIES,
     ConditionSet,
     IdentitySpec,
+    IntegralityError,
     TruncatedSeries,
     capped_polynomial,
     coefficient_digest,
@@ -24,6 +26,16 @@ from sumside.recursions import FAMILIES, RecursionState, advance
 FAMILY_IDENTITY = {
     spec.recursion_family: spec for spec in BUILTIN_IDENTITIES.values()
 }
+
+
+def combine(order, *terms) -> list[int]:
+    """Coefficients through q^order of sum(sign * q^shift * f) over the
+    (f, shift, sign) terms, worked out on coefficient lists."""
+    out = [0] * (order + 1)
+    for f, shift, sign in terms:
+        for i, c in enumerate(list(f)[: order + 1 - shift]):
+            out[i + shift] += sign * c
+    return out
 
 
 def trim(series: TruncatedSeries) -> list[int]:
@@ -63,17 +75,24 @@ class TestStepGuards:
         assert step(initial_state("S", 10)).index == 4
 
     def test_step_below_first_index(self):
-        fake = RecursionState(
-            "P1", 1, ((TruncatedSeries([1], 5),),) * 4, 5
-        )
+        fake = RecursionState("P1", 1, ((1,),) * 4, 5)
         with pytest.raises(ValueError, match="steps from"):
             step(fake)
 
     def test_step_with_short_window(self):
-        one = (TruncatedSeries([1], 5),)
+        one = (1,)
         fake = RecursionState("P1", 7, (one, one), 5)
         with pytest.raises(ValueError, match="window"):
             step(fake)
+
+    def test_negative_minus_term_raises(self, monkeypatch):
+        # R's register 0 at index 5 subtracts q^15 times its cap 1 value;
+        # inflating that value drives the q^15 coefficient to 3 - 5 < 0
+        fam = FAMILIES["R"]
+        bad = dataclasses.replace(fam, initial={**fam.initial, 1: ((5, 1), (1, 1))})
+        monkeypatch.setitem(FAMILIES, "R", bad)
+        with pytest.raises(IntegralityError):
+            step(initial_state("R", 20))
 
 
 class TestInitialPolynomials:
@@ -143,7 +162,7 @@ class TestRecursionVsEnumeration:
             small = advance(initial_state(name, 15), 10)
             exact = capped_polynomial(name, 10)
             for reg in range(fam.registers):
-                assert small.registers[-1][reg] == exact[reg].truncate(15), name
+                assert small.current(reg) == exact[reg].truncate(15), name
 
 
 class TestFrozenPolynomials:
@@ -164,18 +183,17 @@ class TestFrozenPolynomials:
         state = advance(initial_state("Q", order), 5)
         q5 = state.current()
         q4 = advance(initial_state("Q", order), 4).current()
-        q3 = initial_state("Q", order).registers[-1][0]
-        assert q5 == q4 + q3.shift(5)
+        q3 = initial_state("Q", order).current()
+        assert q5 == TruncatedSeries(combine(order, (q4, 0, +1), (q3, 5, +1)))
 
     def test_minus_term_step(self):
         # register 0 at index 5 subtracts a q^15 multiple of the cap 1 value
         order = 40
         state = advance(initial_state("R", order), 5)
-        r4 = initial_state("R", order)
-        r42 = r4.registers[-1][1]
-        r11 = r4.registers[0][0]
-        want = r42 + r42.shift(5) - r11.shift(15)
-        assert state.current(0) == want
+        r42 = initial_state("R", order).current(1)
+        r11 = FAMILIES["R"].initial[1][0]
+        want = combine(order, (r42, 0, +1), (r42, 5, +1), (r11, 15, -1))
+        assert state.current(0) == TruncatedSeries(want)
 
 
 class TestSumSideViaRecursion:
@@ -232,8 +250,9 @@ class TestVerifyIdentity:
         # perturb only the enumeration route; the recursion route still
         # equals the product, so the mismatch is the enumeration's
         def perturbed(conditions, n, cap=None):
-            series = count_sum_side(conditions, n, cap=cap)
-            return series + TruncatedSeries([0] * 11 + [1], order=n)
+            coeffs = list(count_sum_side(conditions, n, cap=cap))
+            coeffs[11] += 1
+            return TruncatedSeries(coeffs)
 
         monkeypatch.setattr(sumside.recursions, "count_sum_side", perturbed)
         report = verify_identity(BUILTIN_IDENTITIES["I1"], 30, method="both")

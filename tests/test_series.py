@@ -1,4 +1,4 @@
-"""Truncated series arithmetic and Euler factorization."""
+"""Truncated series, the packed series kernel, and Euler factorization."""
 
 import random
 
@@ -11,8 +11,8 @@ from sumside import (
     euler_factorize,
     expand_product,
     prefix_stability_check,
-    series_mul,
 )
+from sumside.series import check_packed, pack, packed_bits, unpack
 
 
 class TestTruncatedSeries:
@@ -50,51 +50,43 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             s.truncate(4)
 
-    def test_shift(self):
-        s = TruncatedSeries([1, 2, 3])
-        assert s.shift(1).coeffs == (0, 1, 2)
-        assert s.shift(0) == s
-        assert s.shift(5).coeffs == (0, 0, 0)
-        with pytest.raises(ValueError):
-            s.shift(-1)
 
-    def test_add_sub_truncate_to_smaller_order(self):
-        a = TruncatedSeries([1, 1, 1, 1])
-        b = TruncatedSeries([1, 2])
-        assert (a + b).coeffs == (2, 3)
-        assert (a - b).coeffs == (0, -1)
+class TestPackedKernel:
+    def test_round_trip_seeded_sample(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            n = rng.randrange(0, 40)
+            bits = packed_bits(n)
+            top = (1 << (bits - 1)) - 1
+            coeffs = [rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(n + 1)]
+            coeffs[rng.randrange(n + 1)] = top
+            x = pack(coeffs, bits)
+            check_packed(x, n, bits)
+            assert unpack(x, n, bits) == TruncatedSeries(coeffs)
 
-    def test_one(self):
-        assert TruncatedSeries.one(3).coeffs == (1, 0, 0, 0)
+    def test_bits_bound_partition_counts(self):
+        # p(n) for n = 0, 10, 100, 200 fits below the margin bit
+        for n, p in ((0, 1), (10, 42), (100, 190569292), (200, 3972999029388)):
+            assert p < 1 << (packed_bits(n) - 1)
 
+    def test_check_packed_rejects_bad_ints(self):
+        n, bits = 4, packed_bits(4)
+        good = pack([1, 2, 3, 4, 5], bits)
+        with pytest.raises(IntegralityError):
+            check_packed(-good, n, bits)
+        with pytest.raises(IntegralityError):
+            check_packed(good | 1 << (2 * bits + bits - 1), n, bits)
+        with pytest.raises(IntegralityError):
+            check_packed(good | 1 << (n + 1) * bits, n, bits)
+        with pytest.raises(IntegralityError):
+            unpack(good - (6 << bits), n, bits)
 
-class TestSeriesMul:
-    def test_small_fixed_products(self):
-        assert series_mul(TruncatedSeries([1, 1]), TruncatedSeries([1, -1])).coeffs == (1, 0)
-        assert series_mul(
-            TruncatedSeries([1, 1, 1]), TruncatedSeries([1, 1, 1])
-        ).coeffs == (1, 2, 3)
-
-    def test_monomial_shift(self):
-        f = TruncatedSeries([5, 6, 7, 8])
-        q2 = TruncatedSeries([0, 0, 1, 0])
-        assert series_mul(q2, f) == f.shift(2)
-
-    def test_matches_naive_convolution(self):
-        rng = random.Random(20260822)
-        for _ in range(50):
-            n = rng.randrange(1, 12)
-            fc = [rng.randrange(-9, 10) for _ in range(n)]
-            gc = [rng.randrange(-9, 10) for _ in range(n)]
-            got = series_mul(TruncatedSeries(fc), TruncatedSeries(gc))
-            want = [
-                sum(fc[i] * gc[k - i] for i in range(k + 1)) for k in range(n)
-            ]
-            assert list(got) == want
-
-    def test_operator_form(self):
-        a = TruncatedSeries([1, 1])
-        assert (a * a).coeffs == (1, 2)
+    def test_pack_rejects_out_of_range_coefficients(self):
+        bits = packed_bits(4)
+        with pytest.raises(IntegralityError):
+            pack([1, -1, 0], bits)
+        with pytest.raises(IntegralityError):
+            pack([1, 1 << (bits - 1), 0], bits)
 
 
 class TestExponentSequence:
