@@ -38,8 +38,11 @@ def _load_json(path: str):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise _ConfigError(f"{out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_search(args) -> int:
@@ -109,7 +112,7 @@ def _cmd_verify(args) -> int:
         payload = json.dumps(
             [r.to_json() for r in reports], indent=2, sort_keys=True
         ) + "\n"
-        Path(args.out).write_text(payload)
+        _emit(payload, args.out)
     return 1 if any_mismatch else 0
 
 

@@ -42,6 +42,43 @@ from typing import Iterator, Sequence
 from .series import TruncatedSeries, packed_bits, unpack
 
 
+def _json_fail(where: str, what: str, value) -> ValueError:
+    prefix = f"{where}: " if where else ""
+    return ValueError(f"{prefix}expected {what}, got {json.dumps(value, default=repr)}")
+
+
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise _json_fail(where, "a JSON object", value)
+    return value
+
+
+def _json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise _json_fail(where, "a JSON array", value)
+    return value
+
+
+def _json_int(obj: dict, key: str, where: str = "", default: int | None = None) -> int:
+    """obj[key] as a JSON integer; booleans and floats are rejected."""
+    name = f"{where}.{key}" if where else key
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"{name}: missing")
+        return default
+    value = obj[key]
+    if type(value) is not int:
+        raise _json_fail(name, "an integer", value)
+    return value
+
+
+def _json_rules(items, where: str, rule) -> tuple:
+    """The rules a JSON array of rule objects describes, each error naming
+    its index, as in diffs[0]."""
+    items = _json_list(items, where)
+    return tuple(rule.from_json(r, f"{where}[{i}]") for i, r in enumerate(items))
+
+
 @dataclass(frozen=True)
 class SmallestPartRule:
     """Parts are >= min_part; at most max_mult parts equal min_part exactly.
@@ -66,11 +103,12 @@ class SmallestPartRule:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SmallestPartRule":
-        mm = obj.get("max_mult", "unbounded")
+    def from_json(cls, obj: dict, where: str = "") -> "SmallestPartRule":
+        obj = _json_object(obj, where)
+        unbounded = obj.get("max_mult", "unbounded") == "unbounded"
         return cls(
-            min_part=int(obj["min_part"]),
-            max_mult=None if mm == "unbounded" else int(mm),
+            min_part=_json_int(obj, "min_part", where),
+            max_mult=None if unbounded else _json_int(obj, "max_mult", where),
         )
 
 
@@ -95,8 +133,12 @@ class DiffDistRule:
         return {"distance": self.distance, "min_diff": self.min_diff}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DiffDistRule":
-        return cls(distance=int(obj["distance"]), min_diff=int(obj["min_diff"]))
+    def from_json(cls, obj: dict, where: str = "") -> "DiffDistRule":
+        obj = _json_object(obj, where)
+        return cls(
+            distance=_json_int(obj, "distance", where),
+            min_diff=_json_int(obj, "min_diff", where),
+        )
 
 
 @dataclass(frozen=True)
@@ -132,12 +174,10 @@ class CongruenceRule:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "CongruenceRule":
+    def from_json(cls, obj: dict, where: str = "") -> "CongruenceRule":
+        obj = _json_object(obj, where)
         return cls(
-            span=int(obj["span"]),
-            gap=int(obj["gap"]),
-            residue=int(obj["residue"]),
-            modulus=int(obj["modulus"]),
+            *(_json_int(obj, k, where) for k in ("span", "gap", "residue", "modulus"))
         )
 
 
@@ -163,16 +203,18 @@ class ConditionSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConditionSet":
+        """Raises ValueError naming the key path of the first bad entry."""
+        obj = _json_object(obj, "")
         known = {"smallest", "diffs", "congruences"}
         extra = set(obj) - known
         if extra:
             raise ValueError(f"unknown condition keys: {sorted(extra)}")
         sm = obj.get("smallest")
         return cls(
-            smallest=None if sm is None else SmallestPartRule.from_json(sm),
-            diffs=tuple(DiffDistRule.from_json(r) for r in obj.get("diffs", ())),
-            congruences=tuple(
-                CongruenceRule.from_json(r) for r in obj.get("congruences", ())
+            smallest=None if sm is None else SmallestPartRule.from_json(sm, "smallest"),
+            diffs=_json_rules(obj.get("diffs", []), "diffs", DiffDistRule),
+            congruences=_json_rules(
+                obj.get("congruences", []), "congruences", CongruenceRule
             ),
         )
 
@@ -189,8 +231,8 @@ class ConditionSet:
 
     def satisfies(self, parts: Sequence[int]) -> bool:
         """Check a complete partition (weakly decreasing parts) against every
-        rule.  Reference implementation: direct quantifier evaluation, used by
-        the search/verify paths only for spot checks, never for bulk counting.
+        rule by direct quantifier evaluation.  A reference for spot checks in
+        tests and scripts; counting and listing never call it.
         """
         m = len(parts)
         for j in range(m - 1):

@@ -470,8 +470,9 @@ def verify_identity(
 
     method "recursion" advances the identity's recursion family (falling back
     to enumeration, with a warning, if the spec has none); "enumeration"
-    counts partitions directly; "both" runs the two independently, requires
-    them to agree with each other, and compares against the product.  A
+    counts the sum side with count_sum_side's transfer sweep; "both" runs the
+    two independently, requires them to agree with each other, and compares
+    against the product.  A
     mismatch is an outcome, not an error: the report carries the first
     differing power.
     """

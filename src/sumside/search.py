@@ -20,6 +20,10 @@ from .partitions import (
     CongruenceRule,
     DiffDistRule,
     SmallestPartRule,
+    _json_int,
+    _json_list,
+    _json_object,
+    _json_rules,
     count_sum_side,
 )
 from .products import ProductShape, detect_period, describe, symmetry_classify
@@ -96,8 +100,10 @@ class SearchGrid:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchGrid":
+        """Raises ValueError naming the key path of the first bad entry."""
+        obj = _json_object(obj, "")
         version = obj.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported grid schema_version {version!r} (expected {SCHEMA_VERSION})"
             )
@@ -108,22 +114,24 @@ class SearchGrid:
         extra = set(obj) - known
         if extra:
             raise ValueError(f"unknown grid keys: {sorted(extra)}")
+        smallest = _json_list(obj.get("smallest", [None]), "smallest")
+
+        def combos(key, rule):
+            options = _json_list(obj.get(key, [[]]), key)
+            return tuple(
+                _json_rules(combo, f"{key}[{i}]", rule) for i, combo in enumerate(options)
+            )
+
         return cls(
             smallest_options=tuple(
-                None if sm is None else SmallestPartRule.from_json(sm)
-                for sm in obj.get("smallest", [None])
+                None if sm is None else SmallestPartRule.from_json(sm, f"smallest[{i}]")
+                for i, sm in enumerate(smallest)
             ),
-            diff_options=tuple(
-                tuple(DiffDistRule.from_json(r) for r in combo)
-                for combo in obj.get("diffs", [[]])
-            ),
-            congruence_options=tuple(
-                tuple(CongruenceRule.from_json(r) for r in combo)
-                for combo in obj.get("congruences", [[]])
-            ),
-            order=int(obj.get("order", 30)),
-            p_max=int(obj.get("p_max", 64)),
-            min_repeats=int(obj.get("min_repeats", 2)),
+            diff_options=combos("diffs", DiffDistRule),
+            congruence_options=combos("congruences", CongruenceRule),
+            order=_json_int(obj, "order", default=30),
+            p_max=_json_int(obj, "p_max", default=64),
+            min_repeats=_json_int(obj, "min_repeats", default=2),
         )
 
 

@@ -84,6 +84,12 @@ class TestVerifyCommand:
         assert rc == 2
         assert "--order" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.json"
+        rc = cli.main(["verify", "--identity", "I1", "--order", "10", "--out", str(out)])
+        assert rc == 2
+        assert f"error: {out}: " in capsys.readouterr().err
+
     def test_both_methods_agree_for_all_identities(self, capsys):
         rc = cli.main(
             ["verify", "--identity", "all", "--order", "200", "--method", "both"]
@@ -174,6 +180,24 @@ class TestEnumerateCommand:
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[]", "expected a JSON object, got []"),
+            ('{"smallest": 5}', "smallest: expected a JSON object"),
+            ('{"diffs": [3]}', "diffs[0]: expected a JSON object"),
+            ('{"smallest": {"min_part": 2.9}}', "smallest.min_part: expected an integer"),
+            ('{"smallest": {"min_part": true}}', "smallest.min_part: expected an integer"),
+            ('{"diffs": [{"distance": 1}]}', "diffs[0].min_diff: missing"),
+        ],
+    )
+    def test_malformed_conditions_exit_two(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = cli.main(["enumerate", "--conditions", str(path), "--n", "3"])
+        assert rc == 2
+        assert f"error: {path}: {where}" in capsys.readouterr().err
+
 
 class TestSearchCommand:
     def test_report_to_stdout(self, grid_config, capsys):
@@ -245,6 +269,32 @@ class TestSearchCommand:
         rc = cli.main(["search", "--config", grid_config])
         assert rc == 2
         assert f"{grid_config}: {key} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[1, 2]", "expected a JSON object, got [1, 2]"),
+            ('{"schema_version": 1, "smallest": [5]}', "smallest[0]: expected a JSON object"),
+            ('{"schema_version": 1, "diffs": [[7]]}', "diffs[0][0]: expected a JSON object"),
+            ('{"schema_version": 1, "order": true}', "order: expected an integer, got true"),
+            (
+                '{"schema_version": 1, "smallest": [{"min_part": 2.9}]}',
+                "smallest[0].min_part: expected an integer, got 2.9",
+            ),
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, text, where):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        rc = cli.main(["search", "--config", str(path)])
+        assert rc == 2
+        assert f"error: {path}: {where}" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_two(self, grid_config, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.json"
+        rc = cli.main(["search", "--config", grid_config, "--out", str(out)])
+        assert rc == 2
+        assert f"error: {out}: " in capsys.readouterr().err
 
 
 class TestParser:
