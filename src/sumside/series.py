@@ -118,9 +118,9 @@ def pack(series: Iterable[int], bits: int) -> int:
 def check_packed(x: int, n: int, bits: int) -> None:
     """Raise IntegralityError unless x is a valid packed series through q^n.
 
-    A negative coefficient borrows from the one above it, and one that
-    outgrows bits - 1 bits sets its margin bit, so both show up here instead
-    of silently corrupting a neighbour.
+    Each coefficient must lie in 0..2^(bits-1)-1; one that leaves that range
+    by less than 2^(bits-1) sets its margin bit (a negative one borrows from
+    the one above), and a negative top coefficient makes x negative.
     """
     width = (n + 1) * bits
     margins = ((1 << width) - 1) // ((1 << bits) - 1) << (bits - 1)

@@ -33,8 +33,9 @@ def combine(order, *terms) -> list[int]:
     (f, shift, sign) terms, worked out on coefficient lists."""
     out = [0] * (order + 1)
     for f, shift, sign in terms:
-        for i, c in enumerate(list(f)[: order + 1 - shift]):
-            out[i + shift] += sign * c
+        for i, c in enumerate(f):
+            if i + shift <= order:
+                out[i + shift] += sign * c
     return out
 
 

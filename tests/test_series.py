@@ -58,7 +58,9 @@ class TestPackedKernel:
             n = rng.randrange(0, 40)
             bits = packed_bits(n)
             top = (1 << (bits - 1)) - 1
-            coeffs = [rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(n + 1)]
+            coeffs = [
+                rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(n + 1)
+            ]
             coeffs[rng.randrange(n + 1)] = top
             x = pack(coeffs, bits)
             check_packed(x, n, bits)
