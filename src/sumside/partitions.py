@@ -72,6 +72,15 @@ def _json_int(obj: dict, key: str, where: str = "", default: int | None = None) 
     return value
 
 
+def _json_build(cls, where: str, **fields):
+    """cls(**fields), with a range error from its constructor prefixed by
+    where, as in diffs[0]: distance must be >= 1."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+
+
 def _json_rules(items, where: str, rule) -> tuple:
     """The rules a JSON array of rule objects describes, each error naming
     its index, as in diffs[0]."""
@@ -106,7 +115,9 @@ class SmallestPartRule:
     def from_json(cls, obj: dict, where: str = "") -> "SmallestPartRule":
         obj = _json_object(obj, where)
         unbounded = obj.get("max_mult", "unbounded") == "unbounded"
-        return cls(
+        return _json_build(
+            cls,
+            where,
             min_part=_json_int(obj, "min_part", where),
             max_mult=None if unbounded else _json_int(obj, "max_mult", where),
         )
@@ -135,7 +146,9 @@ class DiffDistRule:
     @classmethod
     def from_json(cls, obj: dict, where: str = "") -> "DiffDistRule":
         obj = _json_object(obj, where)
-        return cls(
+        return _json_build(
+            cls,
+            where,
             distance=_json_int(obj, "distance", where),
             min_diff=_json_int(obj, "min_diff", where),
         )
@@ -176,8 +189,10 @@ class CongruenceRule:
     @classmethod
     def from_json(cls, obj: dict, where: str = "") -> "CongruenceRule":
         obj = _json_object(obj, where)
-        return cls(
-            *(_json_int(obj, k, where) for k in ("span", "gap", "residue", "modulus"))
+        return _json_build(
+            cls,
+            where,
+            **{k: _json_int(obj, k, where) for k in ("span", "gap", "residue", "modulus")},
         )
 
 

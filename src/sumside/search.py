@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .partitions import (
@@ -216,6 +215,8 @@ def _sift_all(tasks: list, jobs: int) -> list:
     on a pool of jobs worker processes."""
     if jobs == 1:
         return [_sift_cell(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_sift_cell, tasks))
 

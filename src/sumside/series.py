@@ -9,27 +9,40 @@ ints are the coefficient type throughout.
 
 Euler's algorithm writes any integer series with constant term 1 as
 
-    f(q) = prod_{m>=1} (1 - q^m)^(-a_m)
+    b(q) = prod_{m>=1} (1 - q^m)^(-a_m)
 
-with integer exponents a_m, computed from the recurrence
+with integer exponents a_m.  Taking q*d/dq of the logarithm gives
 
-    n*b_n = n*a_n + sum_{d|n, d<n} d*a_d + sum_{j=1}^{n-1} sigma_a(j) * b_{n-j}
+    c(q) = q*b'(q)/b(q),   c_n = sum_{d|n} d*a_d,
 
-where sigma_a(j) = sum_{d|j} d*a_d.  The key property exploited downstream is
-that a_1..a_k depend only on b_1..b_k, so a polynomial prefix of a generating
-function pins down the leading product factors exactly.
+so euler_factorize divides q*b' by b and then peels each c_n's proper
+divisors off with a sieve over multiples.  The division takes Newton steps
+that double the precision of 1/b, seeded by the direct recurrence for the
+first few terms; each step is a few products of whole series.  The key
+property exploited downstream is that a_1..a_k depend only on b_1..b_k, so a
+polynomial prefix of a generating function pins down the leading product
+factors exactly.
 
-Inside the package, series of partition counts are also carried packed into
-one int, B bits per coefficient (Kronecker substitution): multiplying by q^k
-and truncating at q^N is one shift and one mask, and adding two series is one
-big-int addition.  packed_bits, pack, check_packed and unpack are that kernel;
-TruncatedSeries stays the type at every module boundary.
+Inside the package, series are also carried packed into one int, B bits per
+coefficient (Kronecker substitution).  For partition counts (packed_bits,
+pack, check_packed, unpack), multiplying by q^k and truncating at q^N is one
+shift and one mask, and adding two series is one big-int addition.  For the
+signed series of the factorization (_mul), multiplying two series is one
+big-int multiplication.  TruncatedSeries stays the type at every module
+boundary.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from functools import lru_cache
+from operator import mul
+from typing import Iterable, Sequence
+
+# Series divisions up to this many terms run the direct recurrence; longer
+# ones take Newton steps.  Above the orders grid searches run at (30 to 40),
+# whose cells are faster without a step.
+_SEED = 64
 
 
 class IntegralityError(ArithmeticError):
@@ -123,9 +136,16 @@ def check_packed(x: int, n: int, bits: int) -> None:
     the one above), and a negative top coefficient makes x negative.
     """
     width = (n + 1) * bits
-    margins = ((1 << width) - 1) // ((1 << bits) - 1) << (bits - 1)
-    if x < 0 or x >> width or x & margins:
+    if x < 0 or x >> width or x & _margins(n, bits):
         raise IntegralityError("packed series coefficient left its bit width")
+
+
+@lru_cache(maxsize=16)
+def _margins(n: int, bits: int) -> int:
+    """The margin bit of every coefficient through q^n.  Cached: recursion
+    stepping checks every register against one (n, bits), and this division
+    costs more than the check."""
+    return ((1 << (n + 1) * bits) - 1) // ((1 << bits) - 1) << (bits - 1)
 
 
 def unpack(x: int, n: int, bits: int) -> TruncatedSeries:
@@ -133,6 +153,56 @@ def unpack(x: int, n: int, bits: int) -> TruncatedSeries:
     check_packed(x, n, bits)
     digit = (1 << bits) - 1
     return TruncatedSeries((x >> (s * bits)) & digit for s in range(n + 1))
+
+
+def _mul(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of f*g, for signed integer coefficient lists.
+
+    One big-int multiplication: each operand is packed B bits per
+    coefficient, B the bit length of the exact bound
+    min(len f, len g)*max|f|*max|g| on a product coefficient plus a sign
+    bit, rounded up to whole bytes.  A maximum of 0 counts as 1 in the bound,
+    which then also covers every operand coefficient.  Digits are stored
+    offset by 2^(B-1), so they are never negative; the offset pattern comes
+    off after packing and goes back on before unpacking.
+    """
+    f, g = f[: n + 1], g[: n + 1]
+    bound = min(len(f), len(g)) * (max(map(abs, f)) or 1) * (max(map(abs, g)) or 1)
+    size = bound.bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    offsets = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
+
+    def packed(p):
+        digits = bytearray()
+        for x in p:
+            digits += (x + half).to_bytes(size, "little")
+        return int.from_bytes(digits, "little") - (offsets & (1 << 8 * size * len(p)) - 1)
+
+    width = size * (n + 1)
+    h = ((packed(f) * packed(g) + offsets) & (1 << 8 * width) - 1).to_bytes(width, "little")
+    return [int.from_bytes(h[i : i + size], "little") - half for i in range(0, width, size)]
+
+
+def _divide(y: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Terms 0..n-1 of y/b, for b_0 = 1; y may stop short (missing terms 0).
+
+    Up to _SEED terms, by the direct recurrence
+    x_k = y_k - sum_{j=1..k} b_j x_(k-j).  Above that, by one Newton step
+    from g = 1/b and x = y/b to p = ceil(n/2) terms: b*x - y = q^p*e mod q^n,
+    so y/b = x - q^p*g*e mod q^n.  The recursion halves n each time, so the
+    work is a constant number of products of the full size.
+    """
+    if n <= _SEED:
+        x: list[int] = []
+        for k in range(n):
+            x.append((y[k] if k < len(y) else 0) - sum(map(mul, b[k:0:-1], x)))
+        return x
+    p = (n + 1) // 2
+    g = _divide((1,), b, p)
+    x = g if y == (1,) else _mul(y, g, p - 1)
+    e = _mul(b, x, n - 1)
+    e = [e[k] - (y[k] if k < len(y) else 0) for k in range(p, n)]
+    return x + [-t for t in _mul(g, e, n - p - 1)]
 
 
 class ExponentSequence:
@@ -186,37 +256,32 @@ class ExponentSequence:
 def euler_factorize(b: TruncatedSeries) -> ExponentSequence:
     """Exponents a_1..a_N with b(q) = prod (1 - q^m)^(-a_m) mod q^(N+1).
 
-    Runs the recurrence solved for a_n, keeping a running table
-    sigma[j] = sum_{d|j, a_d known} d*a_d that is updated on the multiples of
-    each new index, so the whole factorization is O(N^2) integer operations.
+    Takes the logarithmic derivative: c = q*b'/b has c_n = sum_{d|n} d*a_d.
+    _divide computes c with O(log N) big-int products, and a sieve over
+    multiples peels the proper divisors off each c_n in O(N log N).
 
     Raises ValueError unless b has constant term 1, and IntegralityError if
     the division by n is ever inexact (it cannot be, for integer input).
     """
     if b.order < 1:
         raise ValueError("factorization needs order >= 1")
-    if b.coeffs[0] != 1:
-        raise ValueError(f"constant term must be 1, got {b.coeffs[0]}")
-    n_max = b.order
     bc = b.coeffs
-    a = [0] * (n_max + 1)
-    sigma = [0] * (n_max + 1)
+    if bc[0] != 1:
+        raise ValueError(f"constant term must be 1, got {bc[0]}")
+    n_max = b.order
+    c = _divide([n * x for n, x in enumerate(bc)], bc, n_max + 1)
     for n in range(1, n_max + 1):
-        # sigma[n] currently holds sum over proper divisors only: a_n itself
-        # has not been folded in yet.
-        total = n * bc[n] - sigma[n]
-        total -= sum(sigma[j] * bc[n - j] for j in range(1, n))
-        a_n, rem = divmod(total, n)
+        a_n, rem = divmod(c[n], n)
         if rem:
             raise IntegralityError(
-                f"exponent a_{n} came out non-integral ({total}/{n})"
+                f"exponent a_{n} came out non-integral ({c[n]}/{n})"
             )
-        a[n] = a_n
+        c[n] = a_n
         if a_n:
             na = n * a_n
-            for j in range(n, n_max + 1, n):
-                sigma[j] += na
-    return ExponentSequence(a[1:])
+            for j in range(2 * n, n_max + 1, n):
+                c[j] -= na
+    return ExponentSequence(c[1:])
 
 
 def expand_product(a: ExponentSequence) -> TruncatedSeries:

@@ -1,12 +1,12 @@
-"""Brute-force partition oracles, independent of the package under test.
+"""Brute-force oracles, independent of the package under test.
 
 Everything here regenerates expected values from first principles: partitions
 are produced by a plain recursive generator and rules are checked by direct
-quantifier evaluation over complete part lists.  Nothing imports from the
-package, so agreement between these oracles and the package's counting or
-recursion paths is evidence, not circularity.  Only practical for small
-totals; the frozen literals in the test modules were produced by these
-functions.
+quantifier evaluation over complete part lists; Euler factorization runs the
+plain O(N^2) recurrence.  Nothing imports from the package, so agreement
+between these oracles and the package's counting, recursion or factorization
+paths is evidence, not circularity.  Only practical for small totals; the
+frozen literals in the test modules were produced by these functions.
 """
 
 from __future__ import annotations
@@ -117,3 +117,32 @@ IDENTITY_RULES = {
     "I5": dict(min_part=1, max_mult=1, diffs=[(3, 3)], congruences=[(2, 1, 1, 3)]),
     "I6": dict(min_part=2, max_mult=1, diffs=[(3, 3)], congruences=[(2, 1, 2, 3)]),
 }
+
+
+def oracle_factorize(coeffs: Sequence[int]) -> list[int]:
+    """Exponents a_1..a_N with prod (1 - q^m)^(-a_m) equal to the series
+    coeffs (constant term 1) mod q^(N+1), from the recurrence
+
+        n*b_n = n*a_n + sum_{d|n, d<n} d*a_d + sum_{j=1}^{n-1} sigma_a(j)*b_{n-j}
+
+    with sigma_a(j) = sum_{d|j} d*a_d, kept as a running table that is
+    updated on the multiples of each new index: O(N^2) integer operations.
+    """
+    n_max = len(coeffs) - 1
+    bc = coeffs
+    a = [0] * (n_max + 1)
+    sigma = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        # sigma[n] currently holds sum over proper divisors only: a_n itself
+        # has not been folded in yet.
+        total = n * bc[n] - sigma[n]
+        total -= sum(sigma[j] * bc[n - j] for j in range(1, n))
+        a_n, rem = divmod(total, n)
+        if rem:
+            raise ArithmeticError(f"exponent a_{n} came out non-integral ({total}/{n})")
+        a[n] = a_n
+        if a_n:
+            na = n * a_n
+            for j in range(n, n_max + 1, n):
+                sigma[j] += na
+    return a[1:]

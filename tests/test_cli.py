@@ -189,6 +189,12 @@ class TestEnumerateCommand:
             ('{"smallest": {"min_part": 2.9}}', "smallest.min_part: expected an integer"),
             ('{"smallest": {"min_part": true}}', "smallest.min_part: expected an integer"),
             ('{"diffs": [{"distance": 1}]}', "diffs[0].min_diff: missing"),
+            ('{"smallest": {"min_part": 0}}', "smallest: min_part must be >= 1"),
+            ('{"diffs": [{"distance": 0, "min_diff": 1}]}', "diffs[0]: distance must be >= 1"),
+            (
+                '{"congruences": [{"span": 1, "gap": 1, "residue": 3, "modulus": 3}]}',
+                "congruences[0]: residue must lie in 0..modulus-1",
+            ),
         ],
     )
     def test_malformed_conditions_exit_two(self, tmp_path, capsys, text, where):
@@ -280,6 +286,19 @@ class TestSearchCommand:
             (
                 '{"schema_version": 1, "smallest": [{"min_part": 2.9}]}',
                 "smallest[0].min_part: expected an integer, got 2.9",
+            ),
+            (
+                '{"schema_version": 1, "smallest": [null, {"min_part": 1, "max_mult": 0}]}',
+                "smallest[1]: max_mult must be >= 1 or None",
+            ),
+            (
+                '{"schema_version": 1, "diffs": [[{"distance": 1, "min_diff": -1}]]}',
+                "diffs[0][0]: min_diff must be >= 0",
+            ),
+            (
+                '{"schema_version": 1, "congruences": '
+                '[[], [{"span": 0, "gap": 1, "residue": 0, "modulus": 3}]]}',
+                "congruences[1][0]: span must be >= 1",
             ),
         ],
     )

@@ -2,6 +2,7 @@
 
 import random
 
+import oracles
 import pytest
 
 from sumside import (
@@ -12,7 +13,7 @@ from sumside import (
     expand_product,
     prefix_stability_check,
 )
-from sumside.series import check_packed, pack, packed_bits, unpack
+from sumside.series import _mul, check_packed, pack, packed_bits, unpack
 
 
 class TestTruncatedSeries:
@@ -83,6 +84,15 @@ class TestPackedKernel:
         with pytest.raises(IntegralityError):
             unpack(good - (6 << bits), n, bits)
 
+    def test_check_packed_margins_follow_n_and_bits(self):
+        # the margin mask is cached per (n, bits); each pair needs its own
+        for n in (4, 5, 9):
+            for bits in (packed_bits(n), packed_bits(n) + 3):
+                good = pack(range(1, n + 2), bits)
+                check_packed(good, n, bits)
+                with pytest.raises(IntegralityError):
+                    check_packed(good | 1 << (n * bits + bits - 1), n, bits)
+
     def test_pack_rejects_out_of_range_coefficients(self):
         bits = packed_bits(4)
         with pytest.raises(IntegralityError):
@@ -146,6 +156,77 @@ class TestEulerFactorize:
 
     def test_integrality_error_is_arithmetic_error(self):
         assert issubclass(IntegralityError, ArithmeticError)
+
+
+def _naive_product(f, g, n):
+    return [
+        sum(f[i] * g[k - i] for i in range(max(0, k - len(g) + 1), min(k, len(f) - 1) + 1))
+        for k in range(n + 1)
+    ]
+
+
+class TestSignedProduct:
+    def test_products_at_the_width_bound(self):
+        # Equal coefficients of equal sign make the middle product coefficient
+        # reach the width bound min(len f, len g)*max|f|*max|g| exactly, so a
+        # narrower digit or a missing sign bit corrupts it.  The magnitudes
+        # put that bound's bit length on every residue mod 8.
+        for k in range(0, 40):
+            for m in ((1 << k) - 1, 1 << k):
+                for lf, lg in ((1, 1), (2, 3), (7, 7), (33, 12)):
+                    for sf, sg in ((1, 1), (1, -1), (-1, -1)):
+                        f, g = [sf * m] * lf, [sg * (m + 1)] * lg
+                        n = lf + lg - 2
+                        assert _mul(f, g, n) == _naive_product(f, g, n)
+
+    def test_zero_operand(self):
+        big = 10**40
+        assert _mul([big, -big, big], [0, 0], 4) == [0] * 5
+        assert _mul([0], [-big, big], 1) == [0, 0]
+
+    def test_seeded_signed_products(self):
+        rng = random.Random(5150)
+        for _ in range(200):
+            lf, lg = rng.randrange(1, 40), rng.randrange(1, 40)
+            mag = 10 ** rng.randrange(0, 41)
+            f = [rng.randrange(-mag, mag + 1) for _ in range(lf)]
+            g = [rng.choice((0, 1, -1, mag, -mag, rng.randrange(-mag, mag + 1))) for _ in range(lg)]
+            n = rng.randrange(0, lf + lg + 3)
+            assert _mul(f, g, n) == _naive_product(f, g, n)
+
+
+class TestFactorizeAgainstOracle:
+    """The Newton route against the O(N^2) recurrence it replaced."""
+
+    def test_every_order_to_140(self):
+        # crosses the direct-recurrence size (64 terms) and the first
+        # Newton doublings (65..128 and 129..140 terms)
+        rng = random.Random(140)
+        for order in range(1, 141):
+            counts = [1] + [rng.randrange(0, 2 + order) for _ in range(order)]
+            signed = [1] + [rng.randrange(-6, 7) for _ in range(order)]
+            for coeffs in (counts, signed):
+                got = euler_factorize(TruncatedSeries(coeffs))
+                assert list(got) == oracles.oracle_factorize(coeffs), order
+
+    def test_forty_digit_signed_coefficients(self):
+        rng = random.Random(1040)
+        big = 10**40
+        cases = [
+            [1] + [rng.randrange(-big, big + 1) for _ in range(order)]
+            for order in (1, 2, 3, 40, 64, 65, 100)
+        ] + [
+            [1] + [rng.choice((0, 1, -1, 2, big, -big)) for _ in range(order)]
+            for order in (63, 64, 65, 128, 129, 140)
+        ]
+        for coeffs in cases:
+            got = euler_factorize(TruncatedSeries(coeffs))
+            assert list(got) == oracles.oracle_factorize(coeffs), len(coeffs)
+
+    def test_periodic_profile_round_trips_at_order_2000(self):
+        profile = [2, -1, 0, 1, 1, 0, -1, 2, 0, 1, 0, 2]
+        a = ExponentSequence(profile[(m - 1) % len(profile)] for m in range(1, 2001))
+        assert euler_factorize(expand_product(a)) == a
 
 
 class TestExpandProduct:
