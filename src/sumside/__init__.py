@@ -23,7 +23,6 @@ from .recursions import (
     coefficient_digest,
     initial_state,
     product_side,
-    step,
     verify_identity,
 )
 from .search import CandidateHit, CandidateReport, SearchGrid, run_search
@@ -33,7 +32,6 @@ from .series import (
     TruncatedSeries,
     euler_factorize,
     expand_product,
-    prefix_stability_check,
 )
 
 __all__ = [
@@ -60,10 +58,8 @@ __all__ = [
     "euler_factorize",
     "expand_product",
     "initial_state",
-    "prefix_stability_check",
     "product_side",
     "run_search",
-    "step",
     "symmetry_classify",
     "verify_identity",
 ]

@@ -256,6 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # coefficients and exponents may run past the int-to-str digit limit
+    # (4300 by default), which older Python 3.10 builds do not have
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except _ConfigError as exc:

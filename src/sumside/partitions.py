@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .series import TruncatedSeries, packed_bits, unpack
 
@@ -243,36 +243,6 @@ class ConditionSet:
     @property
     def min_part(self) -> int:
         return 1 if self.smallest is None else self.smallest.min_part
-
-    def satisfies(self, parts: Sequence[int]) -> bool:
-        """Check a complete partition (weakly decreasing parts) against every
-        rule by direct quantifier evaluation.  A reference for spot checks in
-        tests and scripts; counting and listing never call it.
-        """
-        m = len(parts)
-        for j in range(m - 1):
-            if parts[j] < parts[j + 1]:
-                raise ValueError("parts must be weakly decreasing")
-        if any(p < 1 for p in parts):
-            raise ValueError("parts must be positive")
-        if self.smallest is not None:
-            s = self.smallest
-            if any(p < s.min_part for p in parts):
-                return False
-            if s.max_mult is not None:
-                if sum(1 for p in parts if p == s.min_part) > s.max_mult:
-                    return False
-        for r in self.diffs:
-            for j in range(m - r.distance):
-                if parts[j] - parts[j + r.distance] < r.min_diff:
-                    return False
-        for r in self.congruences:
-            for j in range(m - r.span):
-                window = parts[j : j + r.span + 1]
-                if window[0] <= window[-1] + r.gap:
-                    if sum(window) % r.modulus != r.residue:
-                        return False
-        return True
 
 
 def _admits(conditions: ConditionSet, parts: tuple[int, ...], v: int) -> bool:

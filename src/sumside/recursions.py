@@ -4,10 +4,16 @@ Each identity's sum side has a finitized polynomial family indexed by a cap on
 the largest part (and, for the mod 12 identities, a bound on how often that
 largest part may appear).  The families satisfy short linear recursions with
 q-power coefficients, so the sum side can be pushed to order 500 and beyond in
-seconds: advance the recursion with all arithmetic modulo q^(N+1) until the
-cap passes N, at which point the polynomial's first N+1 coefficients are those
-of the full sum side.  The product side is expanded independently from its
-residue classes, and the two are compared coefficientwise.
+seconds: capped_polynomial steps the recursion with all arithmetic modulo
+q^(N+1) until the cap reaches N, at which point the polynomial's first N+1
+coefficients are those of the full sum side.  The product side is expanded
+independently from its residue classes, and the two are compared
+coefficientwise.
+
+A family is plain data (_Family): step tables in phases, one term table per
+register in each phase, and initial polynomials.  The window, the first step
+and the register carrying the full capped sum side (the last) follow from
+that data.
 
 The recursion coefficients appear below in their factored form, exactly as
 each q-power arises from the combinatorial step, alongside the simplified
@@ -63,11 +69,11 @@ class _Term:
     """One summand: sign * q^(exponent) * <register at index - back>.
 
     Exponents are linear forms (c, d) meaning c*m + d, where m is the step
-    parameter: for the mod 9 families the index is k = 3m + phase, for the
-    mod 12 families m is the index itself.  `factors` lists the q-powers in
-    the factored presentation; their sum must equal `exponent`.
-    `back == 0` refers to a register already computed at the current index
-    (only meaningful for a later register in the same step).
+    parameter index // (number of phases): for the mod 9 families the index
+    is k = 3m + phase, for the mod 12 families m is the index itself.
+    `factors` lists the q-powers in the factored presentation; their sum must
+    equal `exponent`.  `back == 0` refers to a register already computed at
+    the current index (only meaningful for a later register in the same step).
     """
 
     back: int
@@ -77,93 +83,89 @@ class _Term:
     exponent: tuple[int, int]
 
 
-def _t(back, register, sign, factors, exponent) -> _Term:
-    return _Term(back, register, sign, tuple(factors), exponent)
-
-
 @dataclass(frozen=True)
 class _Family:
-    """Recursion family: step tables, initial conditions, window geometry.
+    """Recursion family as plain data: step tables and initial polynomials.
 
-    `initial` maps index -> per-register coefficient tuples.  `phased` families
-    choose the term table by index mod 3; others use one table per register,
-    registers computed in listed order within a step.
+    `tables` holds one entry per phase; index k steps with phase
+    k % len(tables) and step parameter m = k // len(tables).  A phase holds
+    one term table per register, computed in listed order.  `initial` maps
+    each of a contiguous run of indices to per-register coefficient tuples.
+    Everything else follows from these two fields: the window is
+    len(initial) indices, the register count is the width of an initial
+    entry, stepping starts at max(initial) + 1, and the last register carries
+    the full capped sum side.
     """
 
-    name: str
-    registers: int
-    window: int
-    first_step: int
-    phased: bool
-    tables: dict
+    tables: tuple[tuple[tuple[_Term, ...], ...], ...]
     initial: dict[int, tuple[tuple[int, ...], ...]]
-    sum_register: int  # which register carries the full capped sum side
 
 
-# The three mod 9 sibling identities share one recursion; k = 3m, 3m+1, 3m+2.
-_P_TABLES = {
-    0: (  # index k = 3m
-        _t(1, 0, +1, (), (0, 0)),
-        _t(2, 0, +1, ((3, 0),), (3, 0)),
-        _t(3, 0, +1, ((3, 0), (3, 0)), (6, 0)),
-    ),
-    1: (  # k = 3m + 1
-        _t(1, 0, +1, (), (0, 0)),
-        _t(2, 0, +1, ((3, 1),), (3, 1)),
-    ),
-    2: (  # k = 3m + 2
-        _t(1, 0, +1, (), (0, 0)),
-        _t(3, 0, +1, ((3, 2), (3, 1)), (6, 3)),
-        _t(4, 0, +1, ((3, 2), (3, 0)), (6, 2)),
-        _t(3, 0, +1, ((3, 2),), (3, 2)),
-    ),
-}
+# The three mod 9 sibling identities share one recursion of three phases,
+# one register each; k = 3m, 3m+1, 3m+2.
+_P_TABLES = (
+    ((  # index k = 3m
+        _Term(1, 0, +1, (), (0, 0)),
+        _Term(2, 0, +1, ((3, 0),), (3, 0)),
+        _Term(3, 0, +1, ((3, 0), (3, 0)), (6, 0)),
+    ),),
+    ((  # k = 3m + 1
+        _Term(1, 0, +1, (), (0, 0)),
+        _Term(2, 0, +1, ((3, 1),), (3, 1)),
+    ),),
+    ((  # k = 3m + 2
+        _Term(1, 0, +1, (), (0, 0)),
+        _Term(3, 0, +1, ((3, 2), (3, 1)), (6, 3)),
+        _Term(4, 0, +1, ((3, 2), (3, 0)), (6, 2)),
+        _Term(3, 0, +1, ((3, 2),), (3, 2)),
+    ),),
+)
 
-_Q_TABLES = {
-    0: (
-        _t(1, 0, +1, (), (0, 0)),
-        _t(3, 0, +1, ((3, 0), (3, -1)), (6, -1)),
-        _t(4, 0, +1, ((3, 0), (3, -2)), (6, -2)),
-        _t(3, 0, +1, ((3, 0),), (3, 0)),
-    ),
-    1: (
-        _t(1, 0, +1, (), (0, 0)),
-        _t(3, 0, +1, ((3, 1), (3, 1)), (6, 2)),
-        _t(2, 0, +1, ((3, 1),), (3, 1)),
-    ),
-    2: (
-        _t(1, 0, +1, (), (0, 0)),
-        _t(2, 0, +1, ((3, 2),), (3, 2)),
-    ),
-}
+_Q_TABLES = (
+    ((
+        _Term(1, 0, +1, (), (0, 0)),
+        _Term(3, 0, +1, ((3, 0), (3, -1)), (6, -1)),
+        _Term(4, 0, +1, ((3, 0), (3, -2)), (6, -2)),
+        _Term(3, 0, +1, ((3, 0),), (3, 0)),
+    ),),
+    ((
+        _Term(1, 0, +1, (), (0, 0)),
+        _Term(3, 0, +1, ((3, 1), (3, 1)), (6, 2)),
+        _Term(2, 0, +1, ((3, 1),), (3, 1)),
+    ),),
+    ((
+        _Term(1, 0, +1, (), (0, 0)),
+        _Term(2, 0, +1, ((3, 2),), (3, 2)),
+    ),),
+)
 
-# Two-register families: register 0 allows the largest part at most once,
-# register 1 at most twice.  Twice is already the full capped sum side: three
-# equal parts form a window whose sum is divisible by 3, which the congruence
-# condition (residue 1 or 2) forbids.
-_R_TABLES = (
+# Two-register families, one phase: register 0 allows the largest part at
+# most once, register 1 at most twice.  Twice is already the full capped sum
+# side: three equal parts form a window whose sum is divisible by 3, which the
+# congruence condition (residue 1 or 2) forbids.
+_R_TABLES = ((
     (  # register 0 (at most one copy of the largest part); note the minus term
-        _t(1, 1, +1, ((1, 0),), (1, 0)),
-        _t(4, 0, -1, ((1, 0), (1, -1), (1, -2), (1, -2)), (4, -5)),
-        _t(1, 1, +1, (), (0, 0)),
+        _Term(1, 1, +1, ((1, 0),), (1, 0)),
+        _Term(4, 0, -1, ((1, 0), (1, -1), (1, -2), (1, -2)), (4, -5)),
+        _Term(1, 1, +1, (), (0, 0)),
     ),
     (  # register 1
-        _t(2, 0, +1, ((1, 0), (1, 0)), (2, 0)),
-        _t(0, 0, +1, (), (0, 0)),
+        _Term(2, 0, +1, ((1, 0), (1, 0)), (2, 0)),
+        _Term(0, 0, +1, (), (0, 0)),
     ),
-)
+),)
 
-_S_TABLES = (
+_S_TABLES = ((
     (
-        _t(1, 0, +1, ((1, 0),), (1, 0)),
-        _t(1, 1, +1, (), (0, 0)),
+        _Term(1, 0, +1, ((1, 0),), (1, 0)),
+        _Term(1, 1, +1, (), (0, 0)),
     ),
     (
-        _t(3, 1, +1, ((1, 0), (1, 0), (1, -1)), (3, -1)),
-        _t(2, 0, +1, ((1, 0), (1, 0)), (2, 0)),
-        _t(0, 0, +1, (), (0, 0)),
+        _Term(3, 1, +1, ((1, 0), (1, 0), (1, -1)), (3, -1)),
+        _Term(2, 0, +1, ((1, 0), (1, 0)), (2, 0)),
+        _Term(0, 0, +1, (), (0, 0)),
     ),
-)
+),)
 
 # Initial polynomials, as coefficient tuples, verified against direct
 # enumeration by the test suite.  The value at cap 3 for the first family was
@@ -212,36 +214,41 @@ _S_INITIAL = {
 }
 
 FAMILIES: dict[str, _Family] = {
-    "P1": _Family("P1", 1, 4, 4, True, _P_TABLES, _P1_INITIAL, 0),
-    "P2": _Family("P2", 1, 4, 4, True, _P_TABLES, _P2_INITIAL, 0),
-    "P3": _Family("P3", 1, 4, 4, True, _P_TABLES, _P3_INITIAL, 0),
-    "Q": _Family("Q", 1, 4, 4, True, _Q_TABLES, _Q_INITIAL, 0),
-    "R": _Family("R", 2, 4, 5, False, _R_TABLES, _R_INITIAL, 1),
-    "S": _Family("S", 2, 3, 4, False, _S_TABLES, _S_INITIAL, 1),
+    "P1": _Family(_P_TABLES, _P1_INITIAL),
+    "P2": _Family(_P_TABLES, _P2_INITIAL),
+    "P3": _Family(_P_TABLES, _P3_INITIAL),
+    "Q": _Family(_Q_TABLES, _Q_INITIAL),
+    "R": _Family(_R_TABLES, _R_INITIAL),
+    "S": _Family(_S_TABLES, _S_INITIAL),
 }
 
 
 def _check_tables():
-    # factored exponents must simplify to the exponent actually applied, and
-    # back-references must stay inside the window
-    for fam in FAMILIES.values():
-        tables = fam.tables.values() if fam.phased else fam.tables
-        for table in tables:
-            for t in table:
-                c = sum(f[0] for f in t.factors)
-                d = sum(f[1] for f in t.factors)
-                if (c, d) != t.exponent:
-                    raise AssertionError(
-                        f"{fam.name}: factored exponent {t.factors} simplifies "
-                        f"to {(c, d)}, table says {t.exponent}"
-                    )
-                if not 0 <= t.back <= fam.window:
-                    raise AssertionError(f"{fam.name}: back-reference {t.back}")
-                if not 0 <= t.register < fam.registers:
-                    raise AssertionError(f"{fam.name}: register {t.register}")
-        start = min(fam.initial)
-        if sorted(fam.initial) != list(range(start, fam.first_step)):
-            raise AssertionError(f"{fam.name}: initial conditions not contiguous")
+    # factored exponents must simplify to the exponent actually applied,
+    # back-references must stay inside the window, and every initial entry
+    # and every phase must have the register count that stepping assumes
+    for name, fam in FAMILIES.items():
+        widths = {len(regs) for regs in fam.initial.values()}
+        widths |= {len(phase) for phase in fam.tables}
+        if len(widths) != 1:
+            raise AssertionError(f"{name}: register counts {sorted(widths)} differ")
+        (registers,) = widths
+        for phase in fam.tables:
+            for table in phase:
+                for t in table:
+                    c = sum(f[0] for f in t.factors)
+                    d = sum(f[1] for f in t.factors)
+                    if (c, d) != t.exponent:
+                        raise AssertionError(
+                            f"{name}: factored exponent {t.factors} simplifies "
+                            f"to {(c, d)}, table says {t.exponent}"
+                        )
+                    if not 0 <= t.back <= len(fam.initial):
+                        raise AssertionError(f"{name}: back-reference {t.back}")
+                    if not 0 <= t.register < registers:
+                        raise AssertionError(f"{name}: register {t.register}")
+        if max(fam.initial) - min(fam.initial) + 1 != len(fam.initial):
+            raise AssertionError(f"{name}: initial conditions not contiguous")
 
 
 _check_tables()
@@ -260,7 +267,6 @@ class RecursionState:
     q^order packed with packed_bits(order) bits per coefficient.
     """
 
-    family: str
     index: int
     registers: tuple[tuple[int, ...], ...]
     order: int
@@ -279,69 +285,47 @@ def initial_state(family: str, order: int) -> RecursionState:
         tuple(pack(coeffs[: order + 1], bits) for coeffs in fam.initial[idx])
         for idx in sorted(fam.initial)
     )
-    return RecursionState(family, max(fam.initial), window, order)
-
-
-def step(state: RecursionState) -> RecursionState:
-    """Advance one index, computing every register at index+1.
-
-    Every new register is checked before it is stored: packing is linear, so
-    a minus term is exact as long as each result is a valid packed series.
-    """
-    fam = FAMILIES[state.family]
-    idx = state.index + 1
-    if idx < fam.first_step:
-        raise ValueError(
-            f"{fam.name} steps from {fam.first_step}; cannot compute index {idx}"
-        )
-    if len(state.registers) < fam.window:
-        raise ValueError(
-            f"{fam.name} needs a window of {fam.window}, got {len(state.registers)}"
-        )
-    if fam.phased:
-        tables = (fam.tables[idx % 3],)
-        m = idx // 3
-    else:
-        tables = fam.tables
-        m = idx
-    window = state.registers
-    bits = packed_bits(state.order)
-    mask = (1 << (state.order + 1) * bits) - 1
-    new: list[int] = []
-    for table in tables:
-        acc = 0
-        for t in table:
-            src = new[t.register] if t.back == 0 else window[-t.back][t.register]
-            c, d = t.exponent
-            term = (src << (c * m + d) * bits) & mask
-            acc = acc + term if t.sign > 0 else acc - term
-        check_packed(acc, state.order, bits)
-        new.append(acc)
-    registers = (window + (tuple(new),))[-fam.window :]
-    return RecursionState(state.family, idx, registers, state.order)
-
-
-def advance(state: RecursionState, to_index: int) -> RecursionState:
-    while state.index < to_index:
-        state = step(state)
-    return state
+    return RecursionState(max(fam.initial), window, order)
 
 
 def capped_polynomial(family: str, cap: int, order: int | None = None):
-    """All registers of a family at the given cap, as exact polynomials.
+    """All registers of a family at the given cap, as exact polynomials; the
+    last register is the full capped sum side.
 
-    The default order, 2*cap*(cap+1), dominates the degree of every register
-    (a part value can repeat at most distance-many times, so the total is at
-    most 3 * cap*(cap+1)/2 here), making the result the untruncated
-    polynomial padded with zeros.
+    Steps the window of initial polynomials up to the cap, one index at a
+    time.  Every new register is checked before it is stored: packing is
+    linear, so a minus term is exact as long as each result is a valid packed
+    series.  The default order, 2*cap*(cap+1), dominates the degree of every
+    register (a part value can repeat at most distance-many times, so the
+    total is at most 3 * cap*(cap+1)/2 here), making the result the
+    untruncated polynomial padded with zeros.
     """
     fam = FAMILIES[family]
     if cap < min(fam.initial):
         raise ValueError(f"{family} is defined from cap {min(fam.initial)}")
     if order is None:
         order = max(1, 2 * cap * (cap + 1))
-    state = advance(initial_state(family, order), cap)
-    return tuple(state.current(r) for r in range(fam.registers))
+    state = initial_state(family, order)
+    bits = packed_bits(order)
+    mask = (1 << (order + 1) * bits) - 1
+    phases = len(fam.tables)
+    window = state.registers
+    for idx in range(state.index + 1, cap + 1):
+        m = idx // phases
+        new: list[int] = []
+        for table in fam.tables[idx % phases]:
+            acc = 0
+            for t in table:
+                src = new[t.register] if t.back == 0 else window[-t.back][t.register]
+                c, d = t.exponent
+                term = (src << (c * m + d) * bits) & mask
+                acc = acc + term if t.sign > 0 else acc - term
+            check_packed(acc, order, bits)
+            new.append(acc)
+        window = window[1:] + (tuple(new),)
+    # a cap below the first step is one of the initial entries
+    registers = window[cap - max(cap, state.index) - 1]
+    return tuple(unpack(r, order, bits) for r in registers)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +477,7 @@ def verify_identity(
     if method in ("recursion", "both"):
         # partitions of n <= order have every part <= order, so the family
         # at cap `order` carries the full sum side through q^order
-        family = spec.recursion_family
-        sums.append(
-            capped_polynomial(family, order, order=order)[FAMILIES[family].sum_register]
-        )
+        sums.append(capped_polynomial(spec.recursion_family, order, order=order)[-1])
     if method in ("enumeration", "both"):
         sums.append(count_sum_side(spec.conditions, order))
     if method == "both" and sums[0] != sums[1]:

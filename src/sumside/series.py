@@ -304,17 +304,3 @@ def expand_product(a: ExponentSequence) -> TruncatedSeries:
                 c[i] -= c[i - m]
     return TruncatedSeries(c)
 
-
-def prefix_stability_check(b: TruncatedSeries, k: int) -> bool:
-    """True iff factoring the k-prefix of b matches the first k exponents of
-    factoring all of b.
-
-    This holds identically (a_n depends only on b_1..b_n), so a False return
-    would expose a defect in the factorization itself; the check exists as a
-    cheap self-test hook, not as a filter.
-    """
-    if not 1 <= k <= b.order:
-        raise ValueError(f"prefix index {k} outside 1..{b.order}")
-    full = euler_factorize(b)
-    prefix = euler_factorize(b.truncate(k))
-    return prefix.exps == full.exps[:k]

@@ -142,6 +142,17 @@ class TestFactorCommand:
         assert rc == 2
         assert "outside 1..1" in capsys.readouterr().err
 
+    def test_exponents_past_the_int_to_str_digit_limit(self, tmp_path, capsys):
+        # 1 + 10^50 q: a_m grows like 10^(50 m) / m, so a_87 is the first
+        # exponent with more than 4300 decimal digits
+        path = tmp_path / "c.txt"
+        path.write_text(", ".join(["1", str(10**50)] + ["0"] * 99))
+        rc = cli.main(["factor", "--coeffs", str(path)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [f"a_{m}" for m in range(1, 101)]
+        assert len(lines[86].split(" = ")[1].lstrip("-")) > 4300
+
 
 class TestEnumerateCommand:
     def test_count(self, i1_conditions_file, capsys):

@@ -18,10 +18,9 @@ from sumside import (
     count_sum_side,
     initial_state,
     product_side,
-    step,
     verify_identity,
 )
-from sumside.recursions import FAMILIES, RecursionState, advance
+from sumside.recursions import FAMILIES, _check_tables
 
 FAMILY_IDENTITY = {
     spec.recursion_family: spec for spec in BUILTIN_IDENTITIES.values()
@@ -39,6 +38,10 @@ def combine(order, *terms) -> list[int]:
     return out
 
 
+def first_step(name: str) -> int:
+    return max(FAMILIES[name].initial) + 1
+
+
 def trim(series: TruncatedSeries) -> list[int]:
     coeffs = list(series)
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -48,12 +51,24 @@ def trim(series: TruncatedSeries) -> list[int]:
 
 class TestFamilyGeometry:
     def test_registry(self):
-        assert set(FAMILIES) == {"P1", "P2", "P3", "Q", "R", "S"}
-        for name in ("P1", "P2", "P3", "Q"):
-            fam = FAMILIES[name]
-            assert (fam.registers, fam.window, fam.first_step) == (1, 4, 4)
-        assert (FAMILIES["R"].registers, FAMILIES["R"].window) == (2, 4)
-        assert (FAMILIES["S"].registers, FAMILIES["S"].window) == (2, 3)
+        # (phases, registers, window, first step), all derived from the data
+        geometry = {
+            name: (
+                len(fam.tables),
+                len(fam.initial[min(fam.initial)]),
+                len(fam.initial),
+                first_step(name),
+            )
+            for name, fam in FAMILIES.items()
+        }
+        assert geometry == {
+            "P1": (3, 1, 4, 4),
+            "P2": (3, 1, 4, 4),
+            "P3": (3, 1, 4, 4),
+            "Q": (3, 1, 4, 4),
+            "R": (1, 2, 4, 5),
+            "S": (1, 2, 3, 4),
+        }
 
     def test_every_family_is_wired_to_an_identity(self):
         assert set(FAMILY_IDENTITY) == set(FAMILIES)
@@ -63,28 +78,48 @@ class TestFamilyGeometry:
         assert state.index == 3
         assert state.current().coeffs == (1, 1, 1, 2)
 
-    def test_advance_to_current_index_is_noop(self):
-        state = initial_state("Q", 10)
-        assert advance(state, state.index) is state
+    @pytest.mark.parametrize(
+        "defect",
+        ["initial-width", "phase-width", "initial-gap", "register"],
+    )
+    def test_check_tables_rejects_inconsistent_families(self, monkeypatch, defect):
+        # the window, register count and first step are derived from the
+        # data, so _check_tables must hold the data to them
+        fam = FAMILIES["S"]
+        ((reg0, reg1),) = fam.tables
+        change, message = {
+            "initial-width": ({"initial": {**fam.initial, 1: ((1,),)}}, "register counts"),
+            "phase-width": ({"tables": ((reg0,),)}, "register counts"),
+            "initial-gap": ({"initial": {**fam.initial, 9: fam.initial[3]}}, "not contiguous"),
+            "register": (
+                {"tables": ((reg0 + (dataclasses.replace(reg0[0], register=2),), reg1),)},
+                "register 2",
+            ),
+        }[defect]
+        monkeypatch.setitem(FAMILIES, "S", dataclasses.replace(fam, **change))
+        with pytest.raises(AssertionError, match=message):
+            _check_tables()
 
 
 class TestStepGuards:
     def test_first_step_index_per_family(self):
-        assert step(initial_state("P1", 10)).index == 4
-        assert step(initial_state("Q", 10)).index == 4
-        assert step(initial_state("R", 10)).index == 5
-        assert step(initial_state("S", 10)).index == 4
+        assert initial_state("P1", 10).index + 1 == first_step("P1") == 4
+        assert initial_state("Q", 10).index + 1 == first_step("Q") == 4
+        assert initial_state("R", 10).index + 1 == first_step("R") == 5
+        assert initial_state("S", 10).index + 1 == first_step("S") == 4
 
     def test_step_below_first_index(self):
-        fake = RecursionState("P1", 1, ((1,),) * 4, 5)
-        with pytest.raises(ValueError, match="steps from"):
-            step(fake)
+        with pytest.raises(ValueError, match="defined from cap 1"):
+            capped_polynomial("R", 0)
 
-    def test_step_with_short_window(self):
-        one = (1,)
-        fake = RecursionState("P1", 7, (one, one), 5)
-        with pytest.raises(ValueError, match="window"):
-            step(fake)
+    def test_step_with_short_window(self, monkeypatch):
+        # S keeps three indices; a term reaching back four is refused
+        fam = FAMILIES["S"]
+        ((reg0, reg1),) = fam.tables
+        far = reg0 + (dataclasses.replace(reg0[0], back=4),)
+        monkeypatch.setitem(FAMILIES, "S", dataclasses.replace(fam, tables=((far, reg1),)))
+        with pytest.raises(AssertionError, match="back-reference 4"):
+            _check_tables()
 
     def test_negative_minus_term_raises(self, monkeypatch):
         # R's register 0 at index 5 subtracts q^15 times its cap 1 value;
@@ -93,7 +128,7 @@ class TestStepGuards:
         bad = dataclasses.replace(fam, initial={**fam.initial, 1: ((5, 1), (1, 1))})
         monkeypatch.setitem(FAMILIES, "R", bad)
         with pytest.raises(IntegralityError):
-            step(initial_state("R", 20))
+            capped_polynomial("R", 5, order=20)
 
 
 class TestInitialPolynomials:
@@ -125,7 +160,7 @@ class TestRecursionVsEnumeration:
     def test_two_register_sum_register(self):
         for name in ("R", "S"):
             conds = FAMILY_IDENTITY[name].conditions
-            for cap in range(FAMILIES[name].first_step, 11):
+            for cap in range(first_step(name), 11):
                 poly = capped_polynomial(name, cap)[1]
                 assert poly == count_sum_side(conds, poly.order, cap=cap), (name, cap)
 
@@ -133,7 +168,7 @@ class TestRecursionVsEnumeration:
         # register 0 admits the largest part at most once
         for name, rules_key in (("R", "I5"), ("S", "I6")):
             rules = oracles.IDENTITY_RULES[rules_key]
-            for cap in range(FAMILIES[name].first_step, 9):
+            for cap in range(first_step(name), 9):
                 poly = capped_polynomial(name, cap)[0]
                 want = oracles.oracle_counts(24, cap=cap, mult_of_cap=1, **rules)
                 assert list(poly.truncate(24)) == want, (name, cap)
@@ -141,17 +176,16 @@ class TestRecursionVsEnumeration:
     def test_register_domination(self):
         # allowing the largest part twice can only add partitions
         for name in ("R", "S"):
-            for cap in range(FAMILIES[name].first_step, 11):
+            for cap in range(first_step(name), 11):
                 once, twice = capped_polynomial(name, cap)
                 assert all(a <= b for a, b in zip(once, twice)), (name, cap)
 
     def test_stabilization(self):
         # coefficients below the cap are settled and never move again
         for name in FAMILIES:
-            fam = FAMILIES[name]
             prev = None
-            for cap in range(fam.first_step, 14):
-                cur = capped_polynomial(name, cap, order=20)[fam.sum_register]
+            for cap in range(first_step(name), 14):
+                cur = capped_polynomial(name, cap, order=20)[-1]
                 if prev is not None:
                     k = min(cap - 1, 20)
                     assert prev.truncate(k) == cur.truncate(k), (name, cap)
@@ -159,11 +193,22 @@ class TestRecursionVsEnumeration:
 
     def test_truncated_advance_matches_exact(self):
         for name in FAMILIES:
-            fam = FAMILIES[name]
-            small = advance(initial_state(name, 15), 10)
+            small = capped_polynomial(name, 10, order=15)
             exact = capped_polynomial(name, 10)
-            for reg in range(fam.registers):
-                assert small.current(reg) == exact[reg].truncate(15), name
+            assert small == tuple(reg.truncate(15) for reg in exact), name
+
+    def test_every_cap_from_the_first_initial_index(self):
+        # caps below the first step are the initial polynomials themselves
+        for name, fam in FAMILIES.items():
+            spec = FAMILY_IDENTITY[name]
+            for cap in range(min(fam.initial), 13):
+                registers = capped_polynomial(name, cap, order=30)
+                want = count_sum_side(spec.conditions, 30, cap=cap)
+                assert registers[-1] == want, (name, cap)
+                if len(registers) == 2:
+                    rules = oracles.IDENTITY_RULES[spec.name]
+                    want = oracles.oracle_counts(30, cap=cap, mult_of_cap=1, **rules)
+                    assert list(registers[0]) == want, (name, cap)
 
 
 class TestFrozenPolynomials:
@@ -181,20 +226,16 @@ class TestFrozenPolynomials:
     def test_phase_two_step_combines_two_predecessors(self):
         # at index 5 the new polynomial is built from indices 4 and 3 only
         order = 40
-        state = advance(initial_state("Q", order), 5)
-        q5 = state.current()
-        q4 = advance(initial_state("Q", order), 4).current()
-        q3 = initial_state("Q", order).current()
+        q5, q4, q3 = (capped_polynomial("Q", cap, order=order)[0] for cap in (5, 4, 3))
         assert q5 == TruncatedSeries(combine(order, (q4, 0, +1), (q3, 5, +1)))
 
     def test_minus_term_step(self):
         # register 0 at index 5 subtracts a q^15 multiple of the cap 1 value
         order = 40
-        state = advance(initial_state("R", order), 5)
-        r42 = initial_state("R", order).current(1)
+        r42 = capped_polynomial("R", 4, order=order)[1]
         r11 = FAMILIES["R"].initial[1][0]
         want = combine(order, (r42, 0, +1), (r42, 5, +1), (r11, 15, -1))
-        assert state.current(0) == TruncatedSeries(want)
+        assert capped_polynomial("R", 5, order=order)[0] == TruncatedSeries(want)
 
 
 class TestSumSideViaRecursion:
@@ -202,7 +243,7 @@ class TestSumSideViaRecursion:
         # the family at cap 25 carries the full sum side through q^25
         for name in FAMILIES:
             conds = FAMILY_IDENTITY[name].conditions
-            poly = capped_polynomial(name, 25, order=25)[FAMILIES[name].sum_register]
+            poly = capped_polynomial(name, 25, order=25)[-1]
             assert poly == count_sum_side(conds, 25), name
 
 
