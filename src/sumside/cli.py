@@ -163,7 +163,7 @@ def _cmd_factor(args) -> int:
 
 
 def _format_partition(parts: tuple[int, ...]) -> str:
-    return "+".join(str(p) for p in parts) if parts else "0"
+    return "+".join(map(str, parts)) if parts else "0"
 
 
 def _cmd_enumerate(args) -> int:
@@ -177,8 +177,7 @@ def _cmd_enumerate(args) -> int:
     if args.list:
         parts_list = enumerate_sum_side(conds, args.n)
         print(len(parts_list))
-        for parts in parts_list:
-            print(_format_partition(parts))
+        sys.stdout.write("".join(_format_partition(p) + "\n" for p in parts_list))
     else:
         series = count_sum_side(conds, args.n)
         print(series[args.n])

@@ -16,8 +16,9 @@ Rules quantify over indices that exist; a partition too short to form a window
 satisfies that rule vacuously, and the empty partition of 0 satisfies every
 ConditionSet.
 
-Counting and listing take two routes that share one admissibility test,
-_admits, which checks a new smallest part against the parts already chosen.
+Counting and listing share one admissibility test, _admits, which checks a
+new smallest part against the parts already chosen, and one rule for which
+of those parts it can still see, _Window.
 
   count_sum_side      a transfer sweep over part values, largest first.  Only
                       the last few parts can still trigger a rule, so the
@@ -26,18 +27,18 @@ _admits, which checks a new smallest part against the parts already chosen.
                       work grows polynomially in n, not with the number of
                       partitions counted.  A cap on the largest part is just
                       the value the sweep starts from.
-  enumerate_sum_side  an iterative depth-first walk over weakly decreasing
-                      part sequences, which must visit every partition it
-                      lists.  Every internal node of that tree is itself a
-                      valid partition (conditions are prefix-closed in the
-                      order parts are appended largest-first).
+  enumerate_sum_side  a depth-first walk over weakly decreasing part
+                      sequences, steered by a table over the same kind of
+                      states: for each state, the remainders that its
+                      admissible tails can still reach.  The walk enters
+                      only nodes that lead to a listed partition, so its
+                      work is about the size of the listing.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 from .series import TruncatedSeries, packed_bits, unpack
 
@@ -265,32 +266,40 @@ def _admits(conditions: ConditionSet, parts: tuple[int, ...], v: int) -> bool:
     return True
 
 
-def _walk(
-    conditions: ConditionSet, n: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (total, parts) for every admissible partition with total <= n.
+class _Window:
+    """What a new smallest part can still see of the parts chosen before it.
 
-    Iterative DFS from the empty partition, largest part first: children
-    v = min_part..bound are pushed in increasing order and popped largest
-    first, so partitions of any one total come out in decreasing
-    lexicographic order.  A frame holds the running total, the full part
-    tuple, and the multiplicity of min_part so far.
+    A rule window reaches back at most width parts.  A part p meets a later
+    part u only when p - u < min_diff or p <= u + gap, that is when
+    p <= u + reach; so once every later part is <= top, a part
+    p > top + reach is inert.  Counting and listing key their states by
+    key(parts, top) and differ only in the top they pass.
     """
-    sm = conditions.smallest
-    min_part = conditions.min_part
-    max_mult = None if sm is None else sm.max_mult
-    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]
-    while stack:
-        total, parts, mcount = stack.pop()
-        yield total, parts
-        bound = min(parts[-1], n - total) if parts else n
-        for v in range(min_part, bound + 1):
-            if v == min_part and max_mult is not None and mcount >= max_mult:
-                continue
-            if _admits(conditions, parts, v):
-                stack.append(
-                    (total + v, parts + (v,), mcount + (1 if v == min_part else 0))
-                )
+
+    __slots__ = ("min_part", "max_mult", "width", "reach")
+
+    def __init__(self, conditions: ConditionSet):
+        sm = conditions.smallest
+        self.min_part = conditions.min_part
+        self.max_mult = None if sm is None else sm.max_mult
+        self.width = max(
+            [r.distance for r in conditions.diffs]
+            + [r.span for r in conditions.congruences],
+            default=0,
+        )
+        self.reach = max(
+            [r.min_diff - 1 for r in conditions.diffs]
+            + [r.gap for r in conditions.congruences],
+            default=-1,
+        )
+
+    def key(self, parts: tuple[int, ...], top: int) -> tuple[int, ...]:
+        """The last parts that a later part <= top can still trigger a rule on."""
+        key = parts[-self.width :] if self.width else ()
+        limit = top + self.reach
+        while key and key[0] > limit:
+            key = key[1:]
+        return key
 
 
 def count_sum_side(
@@ -315,39 +324,23 @@ def count_sum_side(
         raise ValueError("n must be >= 0")
     if cap is not None and cap < 0:
         raise ValueError("cap must be >= 0")
-    sm = conditions.smallest
-    min_part = conditions.min_part
-    max_mult = None if sm is None else sm.max_mult
+    window = _Window(conditions)
+    trim = window.key
     top = n if cap is None else min(cap, n)
-    # a state keeps its last `width` parts, and of those only the ones a
-    # rule can still fire on: a part p meets a later part u <= v - 1 only
-    # when p - u < min_diff or p <= u + gap, so p > v - 1 + reach is inert
-    width = max(
-        [r.distance for r in conditions.diffs]
-        + [r.span for r in conditions.congruences],
-        default=0,
-    )
-    reach = max(
-        [r.min_diff - 1 for r in conditions.diffs]
-        + [r.gap for r in conditions.congruences],
-        default=-1,
-    )
     bits = packed_bits(n)
     mask = (1 << (n + 1) * bits) - 1
     states: dict[tuple[int, ...], int] = {(): 1}
-    for v in range(top, min_part - 1, -1):
+    for v in range(top, window.min_part - 1, -1):
         shift = v * bits
         kmax = n // v
-        if v == min_part and max_mult is not None:
-            kmax = min(kmax, max_mult)
-        limit = v - 1 + reach
+        if v == window.min_part and window.max_mult is not None:
+            kmax = min(kmax, window.max_mult)
         step: dict[tuple[int, ...], int] = {}
         for parts, x in states.items():
             k = 0
             while True:
-                key = parts[-width:] if width else ()
-                while key and key[0] > limit:
-                    key = key[1:]
+                # every part still to come is <= v - 1
+                key = trim(parts, v - 1)
                 step[key] = step.get(key, 0) + x
                 if k == kmax or not _admits(conditions, parts, v):
                     break
@@ -358,11 +351,100 @@ def count_sum_side(
     return unpack(sum(states.values()), n, bits)
 
 
+def _listing_graph(conditions: ConditionSet, n: int) -> list:
+    """The lister's state graph, each edge marked with the remainders its
+    child can still complete.
+
+    A DFS node's state is (key, v, c): _Window.key of its parts with top v
+    (not the sweep's v - 1, since the node may take another copy of v), its
+    last part v, and its count c of min_part copies when max_mult is set.
+    Uncapped, c stays 0, or the states would grow without end.  A node's
+    admissible children, and the totals its tails can reach, depend on its
+    state alone.  The empty partition is the state ((), n, 0): it takes
+    every part up to n, as does any state with an empty key and last part n.
+
+    A sweep over last parts from n down finds the states, each stage also
+    collecting what its own members reach by another copy of v.  A sweep
+    from min_part up then gives each state an (n+1)-bit int whose bit r says
+    some admissible tail of parts <= v sums to r: the OR of its children's
+    ints, each shifted by the child's part.  A child with part v is either
+    the state itself, a self-loop closed by x |= x << v, or a state with one
+    more trailing v or min_part, found later in the stage; so each stage is
+    built in reverse.
+
+    Returns the empty partition's edges as (u, bits, edges of the child)
+    triples in increasing u; the nodes of one state share its list.
+    """
+    window = _Window(conditions)
+    min_part, max_mult = window.min_part, window.max_mult
+    root = ((), n, 0)
+    stages: list[list[tuple]] = [[] for _ in range(n + 1)]
+    stages[n].append(root)
+    edges: dict[tuple, list] = {root: []}
+    for v in range(n, min_part - 1, -1):
+        for state in stages[v]:  # also visits the states appended below
+            key, _, c = state
+            for u in range(min_part, v + 1):
+                cu = 0
+                if u == min_part and max_mult is not None:
+                    if c == max_mult:
+                        continue
+                    cu = c + 1
+                if not _admits(conditions, key, u):
+                    continue
+                child = (window.key(key + (u,), u), u, cu)
+                if child not in edges:
+                    edges[child] = []
+                    stages[u].append(child)
+                edges[state].append((u, child))
+    mask = (1 << n + 1) - 1
+    table: dict[tuple, int] = {}
+    for v in range(min_part, n + 1):
+        for state in reversed(stages[v]):
+            x = 1
+            loop = False
+            for u, child in edges[state]:
+                if child == state:
+                    loop = True
+                else:
+                    x |= table[child] << u
+            x &= mask
+            if loop:
+                shift = v
+                while shift <= n:
+                    x |= (x << shift) & mask
+                    shift <<= 1
+            table[state] = x
+    # rewritten in place, so every list keeps its identity for its parents
+    for out in edges.values():
+        out[:] = [(u, table[child], edges[child]) for u, child in out]
+    return edges[root]
+
+
 def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]]:
     """All partitions of exactly n satisfying conditions, in decreasing
-    lexicographic order of part tuples.  Intended for small n (listings,
-    spot checks); counting should go through count_sum_side.
+    lexicographic order of part tuples.
+
+    A depth-first walk appends parts largest first and pops the largest
+    child first.  It steps into a child only when the child's state can
+    still complete the remaining total (_listing_graph), so every node it
+    visits lies on the way to a listed partition.  Its time is about the
+    size of the listing times the number of parts, plus the graph, which
+    grows polynomially in n; counting should still go through
+    count_sum_side.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [parts for total, parts in _walk(conditions, n) if total == n]
+    found: list[tuple[int, ...]] = []
+    stack = [(n, (), _listing_graph(conditions, n))]
+    while stack:
+        rest, parts, children = stack.pop()
+        if rest == 0:
+            found.append(parts)
+            continue
+        for u, bits, grandchildren in children:
+            if u > rest:
+                break
+            if bits >> rest - u & 1:
+                stack.append((rest - u, parts + (u,), grandchildren))
+    return found

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import sumside.cli as cli
 from sumside import (
     BUILTIN_IDENTITIES,
@@ -173,6 +174,16 @@ class TestEnumerateCommand:
         )
         assert rc == 0
         assert capsys.readouterr().out == "1\n0\n"
+
+    @pytest.mark.parametrize("name", sorted(oracles.IDENTITY_RULES))
+    def test_list_matches_oracle(self, name, capsys):
+        root = Path(__file__).resolve().parents[1]
+        path = root / "configs" / "identities" / f"{name}.json"
+        rc = cli.main(["enumerate", "--conditions", str(path), "--n", "20", "--list"])
+        assert rc == 0
+        want = oracles.oracle_partitions(20, **oracles.IDENTITY_RULES[name])
+        lines = [str(len(want))] + ["+".join(map(str, p)) for p in want]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_count_beyond_listing_reach(self, i1_conditions_file, capsys):
         rc = cli.main(["enumerate", "--conditions", i1_conditions_file, "--n", "400"])
