@@ -18,7 +18,7 @@ ConditionSet.
 
 Counting and listing share one admissibility test, _admits, which checks a
 new smallest part against the parts already chosen, and one rule for which
-of those parts it can still see, _Window.
+of those parts it can still see, _window and _trim.
 
   count_sum_side      a transfer sweep over part values, largest first.  Only
                       the last few parts can still trigger a rule, so the
@@ -32,7 +32,9 @@ of those parts it can still see, _Window.
                       states: for each state, the remainders that its
                       admissible tails can still reach.  The walk enters
                       only nodes that lead to a listed partition, so its
-                      work is about the size of the listing.
+                      work is the size of the listing plus that of the
+                      table, whose states, like the sweep's, grow
+                      polynomially in n.
 """
 
 from __future__ import annotations
@@ -266,40 +268,34 @@ def _admits(conditions: ConditionSet, parts: tuple[int, ...], v: int) -> bool:
     return True
 
 
-class _Window:
-    """What a new smallest part can still see of the parts chosen before it.
+def _window(conditions: ConditionSet) -> tuple[int, int]:
+    """(width, reach): how far back a rule window looks from a new part.
 
-    A rule window reaches back at most width parts.  A part p meets a later
-    part u only when p - u < min_diff or p <= u + gap, that is when
+    A window reaches back at most width parts.  A part p meets a later part
+    u only when p - u < min_diff or p <= u + gap, that is when
     p <= u + reach; so once every later part is <= top, a part
-    p > top + reach is inert.  Counting and listing key their states by
-    key(parts, top) and differ only in the top they pass.
+    p > top + reach is inert.
     """
+    width = max(
+        [r.distance for r in conditions.diffs]
+        + [r.span for r in conditions.congruences],
+        default=0,
+    )
+    reach = max(
+        [r.min_diff - 1 for r in conditions.diffs]
+        + [r.gap for r in conditions.congruences],
+        default=-1,
+    )
+    return width, reach
 
-    __slots__ = ("min_part", "max_mult", "width", "reach")
 
-    def __init__(self, conditions: ConditionSet):
-        sm = conditions.smallest
-        self.min_part = conditions.min_part
-        self.max_mult = None if sm is None else sm.max_mult
-        self.width = max(
-            [r.distance for r in conditions.diffs]
-            + [r.span for r in conditions.congruences],
-            default=0,
-        )
-        self.reach = max(
-            [r.min_diff - 1 for r in conditions.diffs]
-            + [r.gap for r in conditions.congruences],
-            default=-1,
-        )
-
-    def key(self, parts: tuple[int, ...], top: int) -> tuple[int, ...]:
-        """The last parts that a later part <= top can still trigger a rule on."""
-        key = parts[-self.width :] if self.width else ()
-        limit = top + self.reach
-        while key and key[0] > limit:
-            key = key[1:]
-        return key
+def _trim(parts: tuple[int, ...], width: int, limit: int) -> tuple[int, ...]:
+    """The last parts a later part can still trigger a rule on, where limit
+    is top + reach for the largest part top still to come (_window)."""
+    key = parts[-width:] if width else ()
+    while key and key[0] > limit:
+        key = key[1:]
+    return key
 
 
 def count_sum_side(
@@ -324,23 +320,25 @@ def count_sum_side(
         raise ValueError("n must be >= 0")
     if cap is not None and cap < 0:
         raise ValueError("cap must be >= 0")
-    window = _Window(conditions)
-    trim = window.key
+    sm = conditions.smallest
+    min_part = conditions.min_part
+    max_mult = None if sm is None else sm.max_mult
     top = n if cap is None else min(cap, n)
+    width, reach = _window(conditions)
     bits = packed_bits(n)
     mask = (1 << (n + 1) * bits) - 1
     states: dict[tuple[int, ...], int] = {(): 1}
-    for v in range(top, window.min_part - 1, -1):
+    for v in range(top, min_part - 1, -1):
         shift = v * bits
         kmax = n // v
-        if v == window.min_part and window.max_mult is not None:
-            kmax = min(kmax, window.max_mult)
+        if v == min_part and max_mult is not None:
+            kmax = min(kmax, max_mult)
+        limit = v - 1 + reach  # every part still to come is <= v - 1
         step: dict[tuple[int, ...], int] = {}
         for parts, x in states.items():
             k = 0
             while True:
-                # every part still to come is <= v - 1
-                key = trim(parts, v - 1)
+                key = _trim(parts, width, limit)
                 step[key] = step.get(key, 0) + x
                 if k == kmax or not _admits(conditions, parts, v):
                     break
@@ -351,17 +349,19 @@ def count_sum_side(
     return unpack(sum(states.values()), n, bits)
 
 
-def _listing_graph(conditions: ConditionSet, n: int) -> list:
-    """The lister's state graph, each edge marked with the remainders its
-    child can still complete.
+def _listing_graph(conditions: ConditionSet, n: int) -> tuple[dict, dict, tuple]:
+    """The lister's state graph and, per state, the remainders it can still
+    complete.
 
-    A DFS node's state is (key, v, c): _Window.key of its parts with top v
-    (not the sweep's v - 1, since the node may take another copy of v), its
-    last part v, and its count c of min_part copies when max_mult is set.
-    Uncapped, c stays 0, or the states would grow without end.  A node's
-    admissible children, and the totals its tails can reach, depend on its
-    state alone.  The empty partition is the state ((), n, 0): it takes
-    every part up to n, as does any state with an empty key and last part n.
+    A DFS node's state is (key, v, c): _trim of its parts with top v (not
+    the sweep's v - 1, since the node may take another copy of v), its last
+    part v, and its count c of min_part copies.  c is tracked only when
+    max_mult is set and below n // min_part; otherwise it stays 0, or the
+    states would grow without end.  A node's admissible children, and the
+    totals its tails can reach, depend on its state alone.  The empty
+    partition is the state ((), n, 0): it takes every part up to n, as does
+    any state with an empty key and last part n.  A state whose key sums
+    past n lies on no partition of n and is left out.
 
     A sweep over last parts from n down finds the states, each stage also
     collecting what its own members reach by another copy of v.  A sweep
@@ -369,14 +369,19 @@ def _listing_graph(conditions: ConditionSet, n: int) -> list:
     some admissible tail of parts <= v sums to r: the OR of its children's
     ints, each shifted by the child's part.  A child with part v is either
     the state itself, a self-loop closed by x |= x << v, or a state with one
-    more trailing v or min_part, found later in the stage; so each stage is
+    more trailing v or min_part copy; a stage finds its states in order of
+    that count, so such a child sits later in the stage, and each stage is
     built in reverse.
 
-    Returns the empty partition's edges as (u, bits, edges of the child)
-    triples in increasing u; the nodes of one state share its list.
+    Returns (edges, table, root): edges maps a state to its (part, child)
+    pairs in increasing part, table maps a state to its int.
     """
-    window = _Window(conditions)
-    min_part, max_mult = window.min_part, window.max_mult
+    width, reach = _window(conditions)
+    min_part = conditions.min_part
+    sm = conditions.smallest
+    mult = None if sm is None else sm.max_mult
+    if mult is not None and mult >= n // min_part:
+        mult = None  # no partition of n can exceed the cap
     root = ((), n, 0)
     stages: list[list[tuple]] = [[] for _ in range(n + 1)]
     stages[n].append(root)
@@ -386,13 +391,16 @@ def _listing_graph(conditions: ConditionSet, n: int) -> list:
             key, _, c = state
             for u in range(min_part, v + 1):
                 cu = 0
-                if u == min_part and max_mult is not None:
-                    if c == max_mult:
+                if u == min_part and mult is not None:
+                    if c == mult:
                         continue
                     cu = c + 1
                 if not _admits(conditions, key, u):
                     continue
-                child = (window.key(key + (u,), u), u, cu)
+                child_key = _trim(key + (u,), width, u + reach)
+                if sum(child_key) > n:
+                    continue
+                child = (child_key, u, cu)
                 if child not in edges:
                     edges[child] = []
                     stages[u].append(child)
@@ -415,10 +423,7 @@ def _listing_graph(conditions: ConditionSet, n: int) -> list:
                     x |= (x << shift) & mask
                     shift <<= 1
             table[state] = x
-    # rewritten in place, so every list keeps its identity for its parents
-    for out in edges.values():
-        out[:] = [(u, table[child], edges[child]) for u, child in out]
-    return edges[root]
+    return edges, table, root
 
 
 def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]]:
@@ -435,16 +440,17 @@ def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    edges, table, root = _listing_graph(conditions, n)
     found: list[tuple[int, ...]] = []
-    stack = [(n, (), _listing_graph(conditions, n))]
+    stack = [(n, (), root)]
     while stack:
-        rest, parts, children = stack.pop()
+        rest, parts, state = stack.pop()
         if rest == 0:
             found.append(parts)
             continue
-        for u, bits, grandchildren in children:
+        for u, child in edges[state]:
             if u > rest:
                 break
-            if bits >> rest - u & 1:
-                stack.append((rest - u, parts + (u,), grandchildren))
+            if table[child] >> rest - u & 1:
+                stack.append((rest - u, parts + (u,), child))
     return found

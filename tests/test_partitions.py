@@ -249,6 +249,20 @@ class TestEnumerateSumSide:
         for n in range(13):
             assert len(enumerate_sum_side(I1, n)) == count_sum_side(I1, 12)[n]
 
+    def test_huge_multiplicity_cap_lists_small_n(self):
+        # a cap far above n // min_part binds nothing, so the lister's
+        # states must not count min_part copies up to it
+        cs = ConditionSet(smallest=SmallestPartRule(1, 10**9))
+        assert len(enumerate_sum_side(cs, 5)) == 7
+
+    def test_wide_window_with_large_gap_matches_oracle(self):
+        # the window keeps six parts whatever their size; states whose kept
+        # parts sum past n must be left out for this to stay small
+        rules = {"congruences": [(6, 40, 0, 2)]}
+        cs = conditions_from_rules(rules)
+        for n in (0, 7, 30):
+            assert enumerate_sum_side(cs, n) == oracles.oracle_partitions(n, **rules)
+
 
 class TestCountWithCap:
     """count_sum_side with cap: the finitizations the recursions compute."""
