@@ -4,64 +4,60 @@ The package turns configurable sum-side conditions on partitions into exact
 generating-function prefixes, factors those prefixes into Euler products,
 flags periodic product shapes as candidate identities, and verifies the
 shipped identities to high order via polynomial recursions.
+
+Submodules run on first use: importing the package registers them in
+``sys.modules`` unexecuted, and a public name resolves on first access.
 """
 
-from .partitions import (
-    ConditionSet,
-    CongruenceRule,
-    DiffDistRule,
-    SmallestPartRule,
-    count_sum_side,
-    enumerate_sum_side,
-)
-from .products import ProductShape, describe, detect_period, symmetry_classify
-from .recursions import (
-    BUILTIN_IDENTITIES,
-    IdentitySpec,
-    VerificationReport,
-    capped_polynomial,
-    coefficient_digest,
-    initial_state,
-    product_side,
-    verify_identity,
-)
-from .search import CandidateHit, CandidateReport, SearchGrid, run_search
-from .series import (
-    ExponentSequence,
-    IntegralityError,
-    TruncatedSeries,
-    euler_factorize,
-    expand_product,
-)
+import importlib.util
+import sys
 
-__all__ = [
-    "BUILTIN_IDENTITIES",
-    "CandidateHit",
-    "CandidateReport",
-    "ConditionSet",
-    "CongruenceRule",
-    "DiffDistRule",
-    "ExponentSequence",
-    "IdentitySpec",
-    "IntegralityError",
-    "ProductShape",
-    "SearchGrid",
-    "SmallestPartRule",
-    "TruncatedSeries",
-    "VerificationReport",
-    "capped_polynomial",
-    "coefficient_digest",
-    "count_sum_side",
-    "describe",
-    "detect_period",
-    "enumerate_sum_side",
-    "euler_factorize",
-    "expand_product",
-    "initial_state",
-    "product_side",
-    "run_search",
-    "symmetry_classify",
-    "verify_identity",
-]
+_EXPORTS = {
+    "partitions": (
+        "ConditionSet", "CongruenceRule", "DiffDistRule", "SmallestPartRule",
+        "count_sum_side", "enumerate_sum_side",
+    ),
+    "products": ("ProductShape", "describe", "detect_period", "symmetry_classify"),
+    "recursions": (
+        "BUILTIN_IDENTITIES", "IdentitySpec", "VerificationReport", "capped_polynomial",
+        "coefficient_digest", "initial_state", "product_side", "verify_identity",
+    ),
+    "search": ("CandidateHit", "CandidateReport", "SearchGrid", "run_search"),
+    "series": (
+        "ExponentSequence", "IntegralityError", "TruncatedSeries", "euler_factorize",
+        "expand_product",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def _lazy(module: str):
+    """The submodule, registered in sys.modules; its code runs on first
+    attribute access (the LazyLoader recipe of the importlib docs)."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+for _module in _EXPORTS:
+    globals()[_module] = _lazy(_module)
+del _module
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[_HOME[name]], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

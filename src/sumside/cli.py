@@ -9,26 +9,28 @@ to stderr so piped output stays machine-readable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from pathlib import Path
 
-from .partitions import ConditionSet, count_sum_side, enumerate_sum_side
-from .recursions import BUILTIN_IDENTITIES, verify_identity
-from .search import SearchGrid, run_search
-from .series import TruncatedSeries, euler_factorize
+# Lazy submodules (see the package docstring): each subcommand runs only the
+# ones it calls, so `factor` never executes partitions, recursions or search.
+from . import partitions, recursions, search, series
 
 
 class _ConfigError(Exception):
     """Bad input file or flags; maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise _ConfigError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _load_json(path: str):
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -40,15 +42,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.write(text)
     except OSError as exc:
         raise _ConfigError(f"{out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_search(args) -> int:
+    import dataclasses
+
     obj = _load_json(args.config)
     try:
-        grid = SearchGrid.from_json(obj)
+        grid = search.SearchGrid.from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise _ConfigError(f"{args.config}: {exc}") from exc
     overrides = {}
@@ -61,15 +66,16 @@ def _cmd_search(args) -> int:
                 raise _ConfigError(f"{flag} must be >= 1")
             overrides[name] = value
     grid = dataclasses.replace(grid, **overrides)
+    if args.jobs < 1:
+        raise _ConfigError("--jobs must be >= 1")
+    if args.refine is not None and args.refine <= grid.order:
+        raise _ConfigError(f"--refine must exceed the grid order ({grid.order})")
     cells = grid.cells()
     print(
         f"grid: {grid.size} cells ({len(cells)} after dedup), order {grid.order}",
         file=sys.stderr,
     )
-    try:
-        report = run_search(grid, jobs=args.jobs, refine_order=args.refine)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    report = search.run_search(grid, jobs=args.jobs, refine_order=args.refine)
     print(
         f"hits: {len(report.hits)}, failures: {len(report.failures)}",
         file=sys.stderr,
@@ -81,19 +87,20 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     if args.order < 1:
         raise _ConfigError("--order must be >= 1")
+    identities = recursions.BUILTIN_IDENTITIES
     if args.identity == "all":
-        names = sorted(BUILTIN_IDENTITIES)
+        names = sorted(identities)
     else:
-        if args.identity not in BUILTIN_IDENTITIES:
+        if args.identity not in identities:
             raise _ConfigError(
                 f"unknown identity {args.identity!r}; "
-                f"choose from {', '.join(sorted(BUILTIN_IDENTITIES))} or 'all'"
+                f"choose from {', '.join(sorted(identities))} or 'all'"
             )
         names = [args.identity]
     reports = []
     any_mismatch = False
     for name in names:
-        report = verify_identity(BUILTIN_IDENTITIES[name], args.order, args.method)
+        report = recursions.verify_identity(identities[name], args.order, args.method)
         reports.append(report)
         for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -117,11 +124,7 @@ def _cmd_verify(args) -> int:
 
 
 def _read_coefficients(path: str) -> list[int]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    stripped = text.strip()
+    stripped = _read_text(path).strip()
     if not stripped:
         raise _ConfigError(f"{path}: no coefficients found")
     if stripped.startswith("["):
@@ -147,15 +150,14 @@ def _read_coefficients(path: str) -> list[int]:
 def _cmd_factor(args) -> int:
     coeffs = _read_coefficients(args.coeffs)
     try:
-        series = TruncatedSeries(coeffs)
-        exps = euler_factorize(series)
+        exps = series.euler_factorize(series.TruncatedSeries(coeffs))
     except ValueError as exc:
         raise _ConfigError(f"{args.coeffs}: {exc}") from exc
     order = args.order if args.order is not None else exps.order
     if not 1 <= order <= exps.order:
         raise _ConfigError(
             f"--order {order} outside 1..{exps.order} "
-            f"(file provides coefficients through q^{series.order})"
+            f"(file provides coefficients through q^{len(coeffs) - 1})"
         )
     for m in range(1, order + 1):
         print(f"a_{m} = {exps[m]}")
@@ -169,18 +171,17 @@ def _format_partition(parts: tuple[int, ...]) -> str:
 def _cmd_enumerate(args) -> int:
     obj = _load_json(args.conditions)
     try:
-        conds = ConditionSet.from_json(obj)
+        conds = partitions.ConditionSet.from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise _ConfigError(f"{args.conditions}: {exc}") from exc
     if args.n < 0:
         raise _ConfigError("--n must be >= 0")
     if args.list:
-        parts_list = enumerate_sum_side(conds, args.n)
+        parts_list = partitions.enumerate_sum_side(conds, args.n)
         print(len(parts_list))
         sys.stdout.write("".join(_format_partition(p) + "\n" for p in parts_list))
     else:
-        series = count_sum_side(conds, args.n)
-        print(series[args.n])
+        print(partitions.count_sum_side(conds, args.n)[args.n])
     return 0
 
 
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a shipped identity to high order")
     p.add_argument(
         "--identity", required=True,
-        help="one of " + ", ".join(sorted(BUILTIN_IDENTITIES)) + ", or 'all'",
+        help="one of I1, I2, I3, I4, I5, I6, or 'all'",
     )
     p.add_argument("--order", type=int, default=500, help="verify through q^order")
     p.add_argument(

@@ -40,3 +40,22 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in sumside.__all__:
         assert getattr(sumside, name) is not None, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(sumside.__all__) <= set(dir(sumside))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from sumside import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+
+
+def test_public_names_are_the_submodules_objects():
+    assert sumside.BUILTIN_IDENTITIES is sumside.recursions.BUILTIN_IDENTITIES
+    assert sumside.run_search is sumside.search.run_search
+
+
+def test_unknown_name_raises_attribute_error():
+    assert not hasattr(sumside, "no_such_name")

@@ -1,6 +1,9 @@
-"""Command-line behavior, driven in-process through main()."""
+"""Command-line behavior, driven through main(): in process, and in a fresh
+interpreter where the test is about which modules a subcommand runs."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,7 +72,7 @@ class TestVerifyCommand:
             frozenset({1, 3, 6, 7}),
             "P1",
         )
-        monkeypatch.setitem(cli.BUILTIN_IDENTITIES, "I1", wrong)
+        monkeypatch.setitem(cli.recursions.BUILTIN_IDENTITIES, "I1", wrong)
         rc = cli.main(["verify", "--identity", "I1", "--order", "30"])
         out = capsys.readouterr().out
         assert rc == 1
@@ -270,8 +273,18 @@ class TestSearchCommand:
 
     def test_bad_refine(self, grid_config, capsys):
         rc = cli.main(["search", "--config", grid_config, "--refine", "10"])
+        captured = capsys.readouterr()
         assert rc == 2
-        assert "refine" in capsys.readouterr().err
+        assert captured.err == "error: --refine must exceed the grid order (30)\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_bad_jobs_exits_two(self, grid_config, capsys, value):
+        rc = cli.main(["search", "--config", grid_config, "--jobs", value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: --jobs must be >= 1\n"
+        assert captured.out == ""
 
     def test_order_zero_exits_two(self, grid_config, capsys):
         rc = cli.main(["search", "--config", grid_config, "--order", "0"])
@@ -344,6 +357,13 @@ class TestParser:
             cli.main([])
         assert exc.value.code == 2
 
+    def test_verify_help_lists_the_builtin_identities(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        names = ", ".join(sorted(BUILTIN_IDENTITIES))
+        assert f"one of {names}, or 'all'" in help_text
+
     def test_console_entry_point_returns_int(self, grid_config):
         assert isinstance(cli.main(["search", "--config", grid_config]), int)
 
@@ -359,3 +379,48 @@ class TestParser:
         )
         assert rc == 0
         assert capsys.readouterr().out == "4\n"
+
+
+SUBMODULES = ("partitions", "products", "recursions", "search", "series")
+
+
+def _run_modules(code: str) -> tuple[set[str], set[str]]:
+    """Run code in a fresh interpreter; return the sumside modules it left in
+    sys.modules, and those among them whose code ran.  A LazyLoader module
+    that never ran is an instance of a ModuleType subclass."""
+    code += (
+        "\nimport json, types\n"
+        "mods = {k: m for k, m in sys.modules.items() if k.split('.')[0] == 'sumside'}\n"
+        "print(json.dumps(sorted(mods)))\n"
+        "print(json.dumps(sorted(k for k, m in mods.items() if type(m) is types.ModuleType)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code], cwd=src,
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    present, ran = proc.stdout.splitlines()[-2:]
+    return set(json.loads(present)), set(json.loads(ran))
+
+
+class TestLazyImports:
+    def test_import_registers_every_submodule(self):
+        present, ran = _run_modules("import sumside")
+        assert present == {"sumside"} | {f"sumside.{m}" for m in SUBMODULES}
+        assert ran == {"sumside"}
+
+    def test_factor_runs_only_series(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("1, 1, 1, 1")
+        _, ran = _run_modules(
+            f"import sumside.cli\nsumside.cli.main(['factor', '--coeffs', {str(path)!r}])"
+        )
+        assert ran == {"sumside", "sumside.cli", "sumside.series"}
+
+    def test_enumerate_runs_neither_recursions_nor_search(self, i1_conditions_file):
+        _, ran = _run_modules(
+            "import sumside.cli\n"
+            f"sumside.cli.main(['enumerate', '--conditions', {i1_conditions_file!r}, '--n', '5'])"
+        )
+        assert "sumside.partitions" in ran
+        assert not ran & {"sumside.recursions", "sumside.search"}

@@ -1,4 +1,4 @@
-"""Property tests over generated condition sets (needs Hypothesis)."""
+"""Property tests over generated condition sets and series (needs Hypothesis)."""
 
 import pytest
 
@@ -8,9 +8,11 @@ from sumside import (
     CongruenceRule,
     DiffDistRule,
     SmallestPartRule,
+    TruncatedSeries,
     count_sum_side,
     enumerate_sum_side,
 )
+from sumside.series import _mul, pack, unpack
 
 pytest.importorskip(
     "hypothesis", reason="Hypothesis is not installed; pip install -e '.[test]'"
@@ -52,3 +54,32 @@ def test_listing_matches_oracle_and_count(cs, n):
     listed = enumerate_sum_side(cs, n)
     assert listed == oracles.oracle_partitions(n, **oracle_rules(cs))
     assert len(listed) == count_sum_side(cs, n)[n]
+
+
+@st.composite
+def packable(draw):
+    """A bit width and coefficients that fit it under pack's margin bit."""
+    bits = draw(st.integers(1, 70))
+    coeffs = draw(st.lists(st.integers(0, (1 << (bits - 1)) - 1), min_size=1, max_size=30))
+    return bits, coeffs
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(packable())
+def test_pack_unpack_round_trip(case):
+    bits, coeffs = case
+    assert unpack(pack(coeffs, bits), len(coeffs) - 1, bits) == TruncatedSeries(coeffs)
+
+
+signed_lists = st.lists(
+    st.integers(-(10**30), 10**30) | st.sampled_from([0, 1, -1]), min_size=1, max_size=25
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(signed_lists, signed_lists, st.integers(0, 55))
+def test_mul_matches_naive_convolution(f, g, n):
+    naive = [
+        sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) for k in range(n + 1)
+    ]
+    assert _mul(f, g, n) == naive
