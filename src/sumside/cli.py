@@ -159,13 +159,8 @@ def _cmd_factor(args) -> int:
             f"--order {order} outside 1..{exps.order} "
             f"(file provides coefficients through q^{len(coeffs) - 1})"
         )
-    for m in range(1, order + 1):
-        print(f"a_{m} = {exps[m]}")
+    sys.stdout.write("".join(f"a_{m} = {exps[m]}\n" for m in range(1, order + 1)))
     return 0
-
-
-def _format_partition(parts: tuple[int, ...]) -> str:
-    return "+".join(map(str, parts)) if parts else "0"
 
 
 def _cmd_enumerate(args) -> int:
@@ -177,9 +172,9 @@ def _cmd_enumerate(args) -> int:
     if args.n < 0:
         raise _ConfigError("--n must be >= 0")
     if args.list:
-        parts_list = partitions.enumerate_sum_side(conds, args.n)
-        print(len(parts_list))
-        sys.stdout.write("".join(_format_partition(p) + "\n" for p in parts_list))
+        text = partitions._listing_text(conds, args.n)
+        print(text.count("\n"))
+        sys.stdout.write(text)
     else:
         print(partitions.count_sum_side(conds, args.n)[args.n])
     return 0

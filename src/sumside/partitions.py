@@ -27,14 +27,15 @@ of those parts it can still see, _window and _trim.
                       work grows polynomially in n, not with the number of
                       partitions counted.  A cap on the largest part is just
                       the value the sweep starts from.
-  enumerate_sum_side  a depth-first walk over weakly decreasing part
-                      sequences, steered by a table over the same kind of
-                      states: for each state, the remainders that its
-                      admissible tails can still reach.  The walk enters
-                      only nodes that lead to a listed partition, so its
-                      work is the size of the listing plus that of the
-                      table, whose states, like the sweep's, grow
-                      polynomially in n.
+  enumerate_sum_side  the listing, built as text over the same kind of
+                      states: a table gives, for each state, the remainders
+                      that its admissible tails can still reach, and each
+                      (state, remainder) pair a partition can pass through
+                      gets its block of completion lines once, copied with
+                      a prefix into every block that uses it.  The Python
+                      work grows polynomially in n, like the sweep's; the
+                      copying grows with the size of the listing.  The CLI
+                      prints that text as it is.
 """
 
 from __future__ import annotations
@@ -353,11 +354,11 @@ def _listing_graph(conditions: ConditionSet, n: int) -> tuple[dict, dict, tuple]
     """The lister's state graph and, per state, the remainders it can still
     complete.
 
-    A DFS node's state is (key, v, c): _trim of its parts with top v (not
-    the sweep's v - 1, since the node may take another copy of v), its last
-    part v, and its count c of min_part copies.  c is tracked only when
-    max_mult is set and below n // min_part; otherwise it stays 0, or the
-    states would grow without end.  A node's admissible children, and the
+    A node is a partial partition.  Its state is (key, v, c): _trim of its
+    parts with top v (not the sweep's v - 1, since the node may take another
+    copy of v), its last part v, and its count c of min_part copies.  c is
+    tracked only when max_mult is set and below n // min_part; otherwise it
+    stays 0, or the states would grow without end.  A node's admissible children, and the
     totals its tails can reach, depend on its state alone.  The empty
     partition is the state ((), n, 0): it takes every part up to n, as does
     any state with an empty key and last part n.  A state whose key sums
@@ -426,31 +427,64 @@ def _listing_graph(conditions: ConditionSet, n: int) -> tuple[dict, dict, tuple]
     return edges, table, root
 
 
+def _listing_text(conditions: ConditionSet, n: int) -> str:
+    """The partitions of n satisfying conditions, one per line as "3+2+1",
+    in decreasing lexicographic order; "0\n" for n = 0 and "" when there
+    are none.
+
+    The completions of a node depend only on its state (_listing_graph) and
+    its remainder rest, so each (state, rest) pair reachable from (root, n)
+    gets one text block, built once.  A sweep from rest = n down collects
+    the pairs along the edges whose part u <= rest and whose child can
+    still complete rest - u; a sweep back up builds each block from its
+    children's, largest part first.  A child with u == rest ends the
+    partition; any other child's block is copied with every line prefixed
+    by "u+".  The Python work is one step per (state, rest, edge), which
+    grows polynomially in n; the rest is string copying in C.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return "0\n"
+    edges, table, root = _listing_graph(conditions, n)
+    # levels[rest] maps each pair's state to its children (u, child) in
+    # increasing u, filled in as the downward sweep reaches that level
+    levels: list[dict[tuple, list]] = [{} for _ in range(n + 1)]
+    levels[n][root] = []
+    for rest in range(n, 0, -1):
+        for state, kids in levels[rest].items():
+            for u, child in edges[state]:
+                if u > rest:
+                    break
+                if table[child] >> rest - u & 1:
+                    kids.append((u, child))
+                    if u < rest:
+                        levels[rest - u].setdefault(child, [])
+    blocks: dict[tuple, str] = {}
+    for rest in range(1, n + 1):
+        for state, kids in levels[rest].items():
+            lines = []
+            for u, child in reversed(kids):
+                if u == rest:
+                    lines.append(f"{u}\n")
+                else:
+                    pre = f"{u}+"
+                    block = blocks[child, rest - u]
+                    lines.append(pre + block[:-1].replace("\n", "\n" + pre) + "\n")
+            blocks[state, rest] = "".join(lines)
+    return blocks[root, n]
+
+
 def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]]:
     """All partitions of exactly n satisfying conditions, in decreasing
     lexicographic order of part tuples.
 
-    A depth-first walk appends parts largest first and pops the largest
-    child first.  It steps into a child only when the child's state can
-    still complete the remaining total (_listing_graph), so every node it
-    visits lies on the way to a listed partition.  Its time is about the
-    size of the listing times the number of parts, plus the graph, which
-    grows polynomially in n; counting should still go through
-    count_sum_side.
+    The tuples are parsed from _listing_text, which builds the listing once
+    per (state, remainder) pair rather than once per partition; its work
+    grows polynomially in n plus the size of the listing.  Counting should
+    still go through count_sum_side.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    edges, table, root = _listing_graph(conditions, n)
-    found: list[tuple[int, ...]] = []
-    stack = [(n, (), root)]
-    while stack:
-        rest, parts, state = stack.pop()
-        if rest == 0:
-            found.append(parts)
-            continue
-        for u, child in edges[state]:
-            if u > rest:
-                break
-            if table[child] >> rest - u & 1:
-                stack.append((rest - u, parts + (u,), child))
-    return found
+    return [
+        tuple(map(int, line.split("+"))) if line != "0" else ()
+        for line in _listing_text(conditions, n).splitlines()
+    ]

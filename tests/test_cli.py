@@ -171,6 +171,13 @@ class TestEnumerateCommand:
         assert rc == 0
         assert capsys.readouterr().out == "2\n3\n2+1\n"
 
+    def test_list_with_no_partition_prints_zero(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"smallest": {"min_part": 2}}))
+        rc = cli.main(["enumerate", "--conditions", str(path), "--n", "1", "--list"])
+        assert rc == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_list_zero_shows_null_partition(self, i1_conditions_file, capsys):
         rc = cli.main(
             ["enumerate", "--conditions", i1_conditions_file, "--n", "0", "--list"]

@@ -15,6 +15,7 @@ from sumside import (
     enumerate_sum_side,
     euler_factorize,
 )
+from sumside.partitions import _listing_text
 
 I1 = ConditionSet(diffs=(DiffDistRule(2, 3),), congruences=(CongruenceRule(1, 1, 0, 3),))
 I3 = ConditionSet(
@@ -37,6 +38,11 @@ def conditions_from_rules(rules: dict) -> ConditionSet:
             CongruenceRule(a, b, c, d) for a, b, c, d in rules.get("congruences", ())
         ),
     )
+
+
+def as_text(listing: list[tuple[int, ...]]) -> str:
+    """Partitions as the CLI lists them, one per line."""
+    return "".join(("+".join(map(str, p)) if p else "0") + "\n" for p in listing)
 
 
 class TestRuleValidation:
@@ -249,6 +255,10 @@ class TestEnumerateSumSide:
         for n in range(13):
             assert len(enumerate_sum_side(I1, n)) == count_sum_side(I1, 12)[n]
 
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            enumerate_sum_side(I1, -1)
+
     def test_huge_multiplicity_cap_lists_small_n(self):
         # a cap far above n // min_part binds nothing, so the lister's
         # states must not count min_part copies up to it
@@ -261,7 +271,37 @@ class TestEnumerateSumSide:
         rules = {"congruences": [(6, 40, 0, 2)]}
         cs = conditions_from_rules(rules)
         for n in (0, 7, 30):
-            assert enumerate_sum_side(cs, n) == oracles.oracle_partitions(n, **rules)
+            want = oracles.oracle_partitions(n, **rules)
+            assert enumerate_sum_side(cs, n) == want
+            assert _listing_text(cs, n) == as_text(want)
+
+    def test_random_rule_sets_match_oracle(self):
+        # drawn as in the counting test, with negative and large gaps added
+        rng = random.Random(90417)
+        for _ in range(40):
+            rules = {
+                "min_part": rng.randrange(1, 4),
+                "max_mult": rng.choice([None, 1, 2, 3]),
+                "diffs": [
+                    (rng.randrange(1, 4), rng.randrange(0, 4))
+                    for _ in range(rng.randrange(0, 3))
+                ],
+                "congruences": [
+                    (
+                        rng.randrange(1, 5),
+                        rng.choice([rng.randrange(-2, 6), rng.randrange(10, 50)]),
+                        rng.randrange(0, mod),
+                        mod,
+                    )
+                    for mod in (rng.randrange(2, 5),)
+                    for _ in range(rng.randrange(0, 3))
+                ],
+            }
+            cs = conditions_from_rules(rules)
+            for n in range(21):
+                want = oracles.oracle_partitions(n, **rules)
+                assert _listing_text(cs, n) == as_text(want), (rules, n)
+                assert enumerate_sum_side(cs, n) == want, (rules, n)
 
 
 class TestCountWithCap:

@@ -1,4 +1,6 @@
-"""Property tests over generated condition sets and series (needs Hypothesis)."""
+"""Property tests over generated condition sets, grids and series (needs Hypothesis)."""
+
+import json
 
 import pytest
 
@@ -7,6 +9,7 @@ from sumside import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
+    SearchGrid,
     SmallestPartRule,
     TruncatedSeries,
     count_sum_side,
@@ -54,6 +57,53 @@ def test_listing_matches_oracle_and_count(cs, n):
     listed = enumerate_sum_side(cs, n)
     assert listed == oracles.oracle_partitions(n, **oracle_rules(cs))
     assert len(listed) == count_sum_side(cs, n)[n]
+
+
+# rules over their whole valid range, for the JSON round trips
+any_smallest = st.none() | st.builds(
+    SmallestPartRule, st.integers(min_value=1), st.none() | st.integers(min_value=1)
+)
+any_diff = st.builds(DiffDistRule, st.integers(min_value=1), st.integers(min_value=0))
+any_congruence = st.integers(2, 10**6).flatmap(
+    lambda m: st.builds(
+        CongruenceRule,
+        st.integers(min_value=1),
+        st.integers(),
+        st.integers(0, m - 1),
+        st.just(m),
+    )
+)
+any_condition_set = st.builds(
+    ConditionSet,
+    any_smallest,
+    st.lists(any_diff, max_size=3),
+    st.lists(any_congruence, max_size=3),
+)
+any_grid = st.builds(
+    SearchGrid,
+    st.lists(any_smallest, min_size=1, max_size=3).map(tuple),
+    st.lists(st.lists(any_diff, max_size=2).map(tuple), min_size=1, max_size=3).map(tuple),
+    st.lists(st.lists(any_congruence, max_size=2).map(tuple), min_size=1, max_size=3).map(tuple),
+    st.integers(min_value=1),
+    st.integers(min_value=1),
+    st.integers(min_value=1),
+)
+
+
+def through_json_text(obj: dict) -> dict:
+    return json.loads(json.dumps(obj))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(any_condition_set)
+def test_condition_set_json_round_trip(cs):
+    assert ConditionSet.from_json(through_json_text(cs.to_json())) == cs
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(any_grid)
+def test_search_grid_json_round_trip(grid):
+    assert SearchGrid.from_json(through_json_text(grid.to_json())) == grid
 
 
 @st.composite
