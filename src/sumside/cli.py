@@ -1,15 +1,17 @@
 """Command-line surface: search, verify, factor, enumerate.
 
 Exit codes: 0 on success (all identities verified, sweep completed), 1 when a
-verification finds a mismatch, 2 for usage and configuration errors.  JSON
-reports go to --out when given, otherwise to stdout; progress and warnings go
-to stderr so piped output stays machine-readable.
+verification finds a mismatch or stdout closes before the output is written,
+2 for usage and configuration errors.  JSON reports go to --out when given,
+otherwise to stdout; progress and warnings go to stderr so piped output stays
+machine-readable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # Lazy submodules (see the package docstring): each subcommand runs only the
@@ -23,10 +25,12 @@ class _ConfigError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as exc:
         raise _ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _ConfigError(f"{path}: not UTF-8 text") from exc
 
 
 def _load_json(path: str):
@@ -256,10 +260,17 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # exit finds nothing to write (see "Note on SIGPIPE" in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,14 +28,13 @@ of those parts it can still see, _window and _trim.
                       partitions counted.  A cap on the largest part is just
                       the value the sweep starts from.
   enumerate_sum_side  the listing, built as text over the same kind of
-                      states: a table gives, for each state, the remainders
-                      that its admissible tails can still reach, and each
-                      (state, remainder) pair a partition can pass through
-                      gets its block of completion lines once, copied with
-                      a prefix into every block that uses it.  The Python
-                      work grows polynomially in n, like the sweep's; the
-                      copying grows with the size of the listing.  The CLI
-                      prints that text as it is.
+                      states: a sweep down collects the (state, remainder)
+                      pairs a partial partition can pass through, and a
+                      sweep back up gives each pair its block of completion
+                      lines once, copied with a prefix into every block that
+                      uses it.  The Python work grows polynomially in n,
+                      like the sweep's; the copying grows with the size of
+                      the listing.  The CLI prints that text as it is.
 """
 
 from __future__ import annotations
@@ -350,33 +349,34 @@ def count_sum_side(
     return unpack(sum(states.values()), n, bits)
 
 
-def _listing_graph(conditions: ConditionSet, n: int) -> tuple[dict, dict, tuple]:
-    """The lister's state graph and, per state, the remainders it can still
-    complete.
+def _listing_text(conditions: ConditionSet, n: int) -> str:
+    """The partitions of n satisfying conditions, one per line as "3+2+1",
+    in decreasing lexicographic order; "0\n" for n = 0 and "" when there
+    are none.
 
     A node is a partial partition.  Its state is (key, v, c): _trim of its
     parts with top v (not the sweep's v - 1, since the node may take another
     copy of v), its last part v, and its count c of min_part copies.  c is
     tracked only when max_mult is set and below n // min_part; otherwise it
-    stays 0, or the states would grow without end.  A node's admissible children, and the
-    totals its tails can reach, depend on its state alone.  The empty
-    partition is the state ((), n, 0): it takes every part up to n, as does
-    any state with an empty key and last part n.  A state whose key sums
-    past n lies on no partition of n and is left out.
+    stays 0, or the states would grow without end.  A node's admissible
+    children depend on its state alone, and its completions on its state and
+    its remainder rest, so each (state, rest) pair gets one text block.
 
-    A sweep over last parts from n down finds the states, each stage also
-    collecting what its own members reach by another copy of v.  A sweep
-    from min_part up then gives each state an (n+1)-bit int whose bit r says
-    some admissible tail of parts <= v sums to r: the OR of its children's
-    ints, each shifted by the child's part.  A child with part v is either
-    the state itself, a self-loop closed by x |= x << v, or a state with one
-    more trailing v or min_part copy; a stage finds its states in order of
-    that count, so such a child sits later in the stage, and each stage is
-    built in reverse.
-
-    Returns (edges, table, root): edges maps a state to its (part, child)
-    pairs in increasing part, table maps a state to its int.
+    A sweep from rest = n down collects the pairs reachable from the empty
+    partition ((), n, 0), entering a child by part u only when u < rest.  A
+    state's (u, child) edges, u <= rest in increasing u, are computed once,
+    when the sweep first reaches it, at its largest rest; a child's key then
+    sums to at most n.  A sweep back up builds each pair's block from its
+    children's, largest part first: a child with u == rest ends the
+    partition, and any other child's block is copied with every line
+    prefixed by "u+".  A pair with no completion gets "", which its parents
+    skip.  The Python work is one step per (state, rest, edge), which grows
+    polynomially in n; the rest is string copying in C.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return "0\n"
     width, reach = _window(conditions)
     min_part = conditions.min_part
     sm = conditions.smallest
@@ -384,93 +384,40 @@ def _listing_graph(conditions: ConditionSet, n: int) -> tuple[dict, dict, tuple]
     if mult is not None and mult >= n // min_part:
         mult = None  # no partition of n can exceed the cap
     root = ((), n, 0)
-    stages: list[list[tuple]] = [[] for _ in range(n + 1)]
-    stages[n].append(root)
-    edges: dict[tuple, list] = {root: []}
-    for v in range(n, min_part - 1, -1):
-        for state in stages[v]:  # also visits the states appended below
-            key, _, c = state
-            for u in range(min_part, v + 1):
-                cu = 0
-                if u == min_part and mult is not None:
-                    if c == mult:
-                        continue
-                    cu = c + 1
-                if not _admits(conditions, key, u):
-                    continue
-                child_key = _trim(key + (u,), width, u + reach)
-                if sum(child_key) > n:
-                    continue
-                child = (child_key, u, cu)
-                if child not in edges:
-                    edges[child] = []
-                    stages[u].append(child)
-                edges[state].append((u, child))
-    mask = (1 << n + 1) - 1
-    table: dict[tuple, int] = {}
-    for v in range(min_part, n + 1):
-        for state in reversed(stages[v]):
-            x = 1
-            loop = False
-            for u, child in edges[state]:
-                if child == state:
-                    loop = True
-                else:
-                    x |= table[child] << u
-            x &= mask
-            if loop:
-                shift = v
-                while shift <= n:
-                    x |= (x << shift) & mask
-                    shift <<= 1
-            table[state] = x
-    return edges, table, root
-
-
-def _listing_text(conditions: ConditionSet, n: int) -> str:
-    """The partitions of n satisfying conditions, one per line as "3+2+1",
-    in decreasing lexicographic order; "0\n" for n = 0 and "" when there
-    are none.
-
-    The completions of a node depend only on its state (_listing_graph) and
-    its remainder rest, so each (state, rest) pair reachable from (root, n)
-    gets one text block, built once.  A sweep from rest = n down collects
-    the pairs along the edges whose part u <= rest and whose child can
-    still complete rest - u; a sweep back up builds each block from its
-    children's, largest part first.  A child with u == rest ends the
-    partition; any other child's block is copied with every line prefixed
-    by "u+".  The Python work is one step per (state, rest, edge), which
-    grows polynomially in n; the rest is string copying in C.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return "0\n"
-    edges, table, root = _listing_graph(conditions, n)
-    # levels[rest] maps each pair's state to its children (u, child) in
-    # increasing u, filled in as the downward sweep reaches that level
-    levels: list[dict[tuple, list]] = [{} for _ in range(n + 1)]
-    levels[n][root] = []
+    edges: dict[tuple, list] = {}
+    levels: list[set[tuple]] = [set() for _ in range(n + 1)]
+    levels[n].add(root)
     for rest in range(n, 0, -1):
-        for state, kids in levels[rest].items():
-            for u, child in edges[state]:
-                if u > rest:
+        for state in levels[rest]:
+            kids = edges.get(state)
+            if kids is None:
+                key, v, c = state
+                kids = edges[state] = []
+                for u in range(min_part, min(v, rest) + 1):
+                    cu = 0
+                    if u == min_part and mult is not None:
+                        if c == mult:
+                            continue
+                        cu = c + 1
+                    if _admits(conditions, key, u):
+                        child_key = _trim(key + (u,), width, u + reach)
+                        kids.append((u, (child_key, u, cu)))
+            for u, child in kids:
+                if u >= rest:
                     break
-                if table[child] >> rest - u & 1:
-                    kids.append((u, child))
-                    if u < rest:
-                        levels[rest - u].setdefault(child, [])
+                levels[rest - u].add(child)
     blocks: dict[tuple, str] = {}
     for rest in range(1, n + 1):
-        for state, kids in levels[rest].items():
+        for state in levels[rest]:
             lines = []
-            for u, child in reversed(kids):
+            for u, child in reversed(edges[state]):
                 if u == rest:
                     lines.append(f"{u}\n")
-                else:
-                    pre = f"{u}+"
+                elif u < rest:
                     block = blocks[child, rest - u]
-                    lines.append(pre + block[:-1].replace("\n", "\n" + pre) + "\n")
+                    if block:
+                        pre = f"{u}+"
+                        lines.append(pre + block[:-1].replace("\n", "\n" + pre) + "\n")
             blocks[state, rest] = "".join(lines)
     return blocks[root, n]
 

@@ -2,6 +2,7 @@
 interpreter where the test is about which modules a subcommand runs."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,13 @@ class TestFactorCommand:
         assert rc == 2
         assert "coefficient 1" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"\xff\xfe1, 1")
+        rc = cli.main(["factor", "--coeffs", str(path)])
+        assert rc == 2
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
     def test_order_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_text("1, 1")
@@ -195,6 +203,26 @@ class TestEnumerateCommand:
         lines = [str(len(want))] + ["+".join(map(str, p)) for p in want]
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the read end is closed before the CLI starts, so every write to
+        # stdout fails; a reader that leaves while a large write is blocked
+        # can instead cut that write short with no error, which would make
+        # the exit code depend on timing
+        root = Path(__file__).resolve().parents[1]
+        path = root / "configs" / "identities" / "I5.json"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sumside.cli", "enumerate",
+                 "--conditions", str(path), "--n", "66", "--list"],
+                cwd=root / "src", stdout=w, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr == b""  # no traceback
+
     def test_count_beyond_listing_reach(self, i1_conditions_file, capsys):
         rc = cli.main(["enumerate", "--conditions", i1_conditions_file, "--n", "400"])
         assert rc == 0
@@ -227,11 +255,12 @@ class TestEnumerateCommand:
                 '{"congruences": [{"span": 1, "gap": 1, "residue": 3, "modulus": 3}]}',
                 "congruences[0]: residue must lie in 0..modulus-1",
             ),
+            (b"\xff\xfe{}", "not UTF-8 text"),
         ],
     )
     def test_malformed_conditions_exit_two(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         rc = cli.main(["enumerate", "--conditions", str(path), "--n", "3"])
         assert rc == 2
         assert f"error: {path}: {where}" in capsys.readouterr().err
@@ -342,11 +371,12 @@ class TestSearchCommand:
                 '[[], [{"span": 0, "gap": 1, "residue": 0, "modulus": 3}]]}',
                 "congruences[1][0]: span must be >= 1",
             ),
+            (b"\xff\xfe{}", "not UTF-8 text"),
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, text, where):
         path = tmp_path / "grid.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         rc = cli.main(["search", "--config", str(path)])
         assert rc == 2
         assert f"error: {path}: {where}" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Condition rules, JSON round-trips, and the counting walkers."""
 
+import hashlib
 import json
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 import oracles
 from sumside import (
+    BUILTIN_IDENTITIES,
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
@@ -181,7 +183,7 @@ class TestCountSumSide:
     def test_wide_rule_sets_match_oracle_and_listing(self):
         # wider windows, negative and large gaps, min_diff 0 and large caps:
         # the counts must match the oracle and, coefficient by coefficient,
-        # the length of the DFS listing restricted to the cap
+        # the length of the listing restricted to the cap
         rng = random.Random(71129)
         for _ in range(100):
             rules = {
@@ -252,8 +254,23 @@ class TestEnumerateSumSide:
             assert got == oracles.oracle_partitions(n, **rules)
 
     def test_length_matches_count(self):
-        for n in range(13):
-            assert len(enumerate_sum_side(I1, n)) == count_sum_side(I1, 12)[n]
+        # the transfer sweep is an independent route that reaches past the
+        # oracle's range
+        for name in sorted(oracles.IDENTITY_RULES):
+            cs = conditions_from_rules(oracles.IDENTITY_RULES[name])
+            counts = count_sum_side(cs, 50)
+            for n in range(51):
+                assert _listing_text(cs, n).count("\n") == counts[n], (name, n)
+
+    def test_benchmark_listings_are_pinned(self):
+        # the listings the benchmark prints, byte for byte
+        for name, n, lines, digest in (
+            ("I5", 66, 56290, "d7de064273cbd031fa5d706b964b5a979ad7c5d35446a4a3b1fd0f808caa9368"),
+            ("I1", 80, 35034, "7d8866374362b55557a51961afcb86a5c850bd7e565384e8c380137ff6770c1e"),
+        ):
+            text = _listing_text(BUILTIN_IDENTITIES[name].conditions, n)
+            assert text.count("\n") == lines, name
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
@@ -266,8 +283,9 @@ class TestEnumerateSumSide:
         assert len(enumerate_sum_side(cs, 5)) == 7
 
     def test_wide_window_with_large_gap_matches_oracle(self):
-        # the window keeps six parts whatever their size; states whose kept
-        # parts sum past n must be left out for this to stay small
+        # the window keeps six parts whatever their size; the states stay
+        # few only because the kept parts of a partial partition sum to at
+        # most n
         rules = {"congruences": [(6, 40, 0, 2)]}
         cs = conditions_from_rules(rules)
         for n in (0, 7, 30):
