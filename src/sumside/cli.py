@@ -41,9 +41,27 @@ def _load_json(path: str):
         raise _ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+_CHUNK = 1 << 16
+
+
+def _write(text: str) -> None:
+    """Write text to stdout as UTF-8, in bounded chunks, after whatever
+    sys.stdout still buffers.  A reader that leaves while a large write is
+    blocked can cut that write short with no error; a short count is
+    therefore treated like BrokenPipeError, so the run still exits 1."""
+    sys.stdout.flush()
+    data = memoryview(text.encode("utf-8"))
+    out = sys.stdout.buffer
+    for start in range(0, len(data), _CHUNK):
+        chunk = data[start : start + _CHUNK]
+        if out.write(chunk) != len(chunk):
+            raise BrokenPipeError("stdout took a short write")
+    out.flush()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        _write(text)
         return
     try:
         with open(out, "w") as f:
@@ -109,15 +127,15 @@ def _cmd_verify(args) -> int:
         for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
         if report.match:
-            print(
+            _write(
                 f"{name}: match through q^{report.order} "
-                f"({report.method}, {report.elapsed_ms:.0f} ms)"
+                f"({report.method}, {report.elapsed_ms:.0f} ms)\n"
             )
         else:
             any_mismatch = True
-            print(
+            _write(
                 f"{name}: MISMATCH, first mismatch at q^{report.first_mismatch} "
-                f"({report.method})"
+                f"({report.method})\n"
             )
     if args.out is not None:
         payload = json.dumps(
@@ -163,7 +181,7 @@ def _cmd_factor(args) -> int:
             f"--order {order} outside 1..{exps.order} "
             f"(file provides coefficients through q^{len(coeffs) - 1})"
         )
-    sys.stdout.write("".join(f"a_{m} = {exps[m]}\n" for m in range(1, order + 1)))
+    _write("".join(f"a_{m} = {exps[m]}\n" for m in range(1, order + 1)))
     return 0
 
 
@@ -177,10 +195,11 @@ def _cmd_enumerate(args) -> int:
         raise _ConfigError("--n must be >= 0")
     if args.list:
         text = partitions._listing_text(conds, args.n)
-        print(text.count("\n"))
-        sys.stdout.write(text)
+        lines = text.count("\n")
+        _write(f"{lines}\n")
+        _write(text)
     else:
-        print(partitions.count_sum_side(conds, args.n)[args.n])
+        _write(f"{partitions.count_sum_side(conds, args.n)[args.n]}\n")
     return 0
 
 

@@ -426,10 +426,11 @@ def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]
     """All partitions of exactly n satisfying conditions, in decreasing
     lexicographic order of part tuples.
 
-    The tuples are parsed from _listing_text, which builds the listing once
-    per (state, remainder) pair rather than once per partition; its work
-    grows polynomially in n plus the size of the listing.  Counting should
-    still go through count_sum_side.
+    This is the slow path, kept for tests and library callers: it parses the
+    tuples back out of _listing_text, the text `sumside enumerate --list`
+    prints, which builds the listing once per (state, remainder) pair rather
+    than once per partition.  Callers that want the text should use the CLI;
+    counting should go through count_sum_side.
     """
     return [
         tuple(map(int, line.split("+"))) if line != "0" else ()

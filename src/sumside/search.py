@@ -3,7 +3,9 @@
 A SearchGrid is the cartesian product of smallest-part options, difference
 rule combinations, and congruence rule combinations.  Each resulting
 ConditionSet is counted to the grid's order, factored into an Euler product,
-and kept as a hit when the exponent sequence is purely periodic.  Output
+and kept as a hit when the exponent sequence is purely periodic.  Cells and
+their product shapes cross the worker pool as the frozen dataclasses they
+are, and the sweep and the refine pass sift through the same helper.  Output
 order follows grid order, never worker completion order, so reports are
 deterministic for any worker count.
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from .partitions import (
     ConditionSet,
@@ -66,21 +69,17 @@ class SearchGrid:
         )
 
     def cells(self) -> list[ConditionSet]:
-        """Grid-order condition sets, deduplicated by canonical serialization
-        (axes can collide, e.g. an explicit Smallest(1, unbounded) equals the
-        no-rule option combinatorially but not structurally; dedup is purely
-        structural)."""
-        seen: set[str] = set()
-        out: list[ConditionSet] = []
+        """Grid-order condition sets, deduplicated by their dumps() text, so
+        purely structurally: Smallest(1, unbounded) counts like the no-rule
+        option and DiffDistRule(True, 2) equals DiffDistRule(1, 2), yet each
+        stays a cell of its own."""
+        unique: dict[str, ConditionSet] = {}
         for sm in self.smallest_options:
             for diffs in self.diff_options:
                 for congs in self.congruence_options:
                     cs = ConditionSet(smallest=sm, diffs=diffs, congruences=congs)
-                    key = cs.dumps()
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(cs)
-        return out
+                    unique.setdefault(cs.dumps(), cs)
+        return list(unique.values())
 
     def to_json(self) -> dict:
         return {
@@ -191,34 +190,31 @@ class CandidateReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _sift_cell(args: tuple[str, int, int, int]):
+def _sift_cell(conditions: ConditionSet, order: int, p_max: int, min_repeats: int):
     """Worker: count, factor, and test one cell for periodicity.
 
-    Takes and returns plain serializable values so it can cross a process
-    boundary.  Returns (shape fields | None, error | None).
-    """
-    conditions_json, order, p_max, min_repeats = args
+    A cell and its shape cross a process boundary as the frozen dataclasses
+    they are.  Returns (ProductShape | None, error | None)."""
     try:
-        conds = ConditionSet.loads(conditions_json)
-        series = count_sum_side(conds, order)
-        exps = euler_factorize(series)
-        shape = detect_period(exps, p_max=p_max, min_repeats=min_repeats)
-        if shape is None:
-            return None, None
-        return (shape.period, tuple(shape.exponent_profile)), None
+        exps = euler_factorize(count_sum_side(conditions, order))
+        return detect_period(exps, p_max=p_max, min_repeats=min_repeats), None
     except Exception as exc:  # per-cell failures must not abort the sweep
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _sift_all(tasks: list, jobs: int) -> list:
-    """_sift_cell over tasks, in task order: inline for jobs == 1, otherwise
-    on a pool of jobs worker processes."""
+def _sift_all(cells: list[ConditionSet], order: int, grid: SearchGrid, jobs: int) -> list:
+    """_sift_cell over cells at order with the grid's period thresholds, in
+    cell order: inline for jobs == 1, otherwise on a pool of jobs worker
+    processes."""
+    sift = partial(
+        _sift_cell, order=order, p_max=grid.p_max, min_repeats=grid.min_repeats
+    )
     if jobs == 1:
-        return [_sift_cell(t) for t in tasks]
+        return [sift(c) for c in cells]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sift_cell, tasks))
+        return list(pool.map(sift, cells))
 
 
 def run_search(
@@ -237,46 +233,24 @@ def run_search(
         raise ValueError("refine order must exceed the grid order")
     t0 = time.perf_counter()
     cells = grid.cells()
-    tasks = [
-        (c.dumps(), grid.order, grid.p_max, grid.min_repeats) for c in cells
-    ]
-    results = _sift_all(tasks, jobs)
-
     hits: list[CandidateHit] = []
     failures: list[tuple[str, str]] = []
-    for conds, (found, error) in zip(cells, results):
+    for conds, (shape, error) in zip(cells, _sift_all(cells, grid.order, grid, jobs)):
         if error is not None:
             failures.append((conds.dumps(), error))
-        elif found is not None:
-            period, profile = found
-            hits.append(
-                CandidateHit(conds, ProductShape(period, profile), grid.order)
-            )
+        elif shape is not None:
+            hits.append(CandidateHit(conds, shape, grid.order))
 
     if refine_order is not None and hits:
-        refine_tasks = [
-            (h.conditions.dumps(), refine_order, grid.p_max, grid.min_repeats)
-            for h in hits
-        ]
-        refined = _sift_all(refine_tasks, jobs)
-        updated: list[CandidateHit] = []
-        for hit, (found, error) in zip(hits, refined):
+        rechecked = _sift_all([h.conditions for h in hits], refine_order, grid, jobs)
+        for i, (shape, error) in enumerate(rechecked):
+            info = {"order": refine_order, "persisted": shape == hits[i].shape}
             if error is not None:
-                info = {"order": refine_order, "persisted": False, "error": error}
-            elif found is None:
-                info = {"order": refine_order, "persisted": False}
-            else:
-                period, profile = found
-                info = {
-                    "order": refine_order,
-                    "persisted": ProductShape(period, profile) == hit.shape,
-                    "period": period,
-                    "profile": list(profile),
-                }
-            updated.append(
-                CandidateHit(hit.conditions, hit.shape, hit.order_checked, info)
-            )
-        hits = updated
+                info["error"] = error
+            elif shape is not None:
+                info["period"] = shape.period
+                info["profile"] = list(shape.exponent_profile)
+            hits[i] = replace(hits[i], refined=info)
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     return CandidateReport(

@@ -1,16 +1,18 @@
 """Brute-force oracles, independent of the package under test.
 
 Everything here regenerates expected values from first principles: partitions
-are produced by a plain recursive generator and rules are checked by direct
-quantifier evaluation over complete part lists; Euler factorization runs the
-plain O(N^2) recurrence.  Nothing imports from the package, so agreement
-between these oracles and the package's counting, recursion or factorization
-paths is evidence, not circularity.  Only practical for small totals; the
-frozen literals in the test modules were produced by these functions.
+are produced by a plain recursive generator (each (n, cap) once per session)
+and rules are checked by direct quantifier evaluation over complete part
+lists; Euler factorization runs the plain O(N^2) recurrence.  Nothing imports
+from the package, so agreement between these oracles and the package's
+counting, recursion or factorization paths is evidence, not circularity.  Only
+practical for small totals; the frozen literals in the test modules were
+produced by these functions.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -30,6 +32,12 @@ def iter_partitions(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]
                 yield (v,) + rest
 
     yield from gen(n, largest)
+
+
+@lru_cache(maxsize=None)
+def _partitions(n: int, cap: int | None) -> tuple[tuple[int, ...], ...]:
+    """iter_partitions(n, cap) as a tuple, generated once per session."""
+    return tuple(iter_partitions(n, cap))
 
 
 def rules_hold(
@@ -83,7 +91,7 @@ def oracle_counts(
     out = []
     for n in range(n_max + 1):
         count = 0
-        for parts in iter_partitions(n, cap):
+        for parts in _partitions(n, cap):
             if not rules_hold(parts, min_part, max_mult, diffs, congruences):
                 continue
             if mult_of_cap is not None and parts.count(cap) > mult_of_cap:
@@ -103,7 +111,7 @@ def oracle_partitions(
     """The partitions of exactly n passing the rules, lex-decreasing."""
     return [
         parts
-        for parts in iter_partitions(n)
+        for parts in _partitions(n, None)
         if rules_hold(parts, min_part, max_mult, diffs, congruences)
     ]
 

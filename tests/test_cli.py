@@ -223,6 +223,32 @@ class TestEnumerateCommand:
         assert proc.returncode == 1
         assert proc.stderr == b""  # no traceback
 
+    def test_reader_leaving_after_one_line_exits_one(self):
+        # `enumerate --list | head -1`: the reader takes the count line and
+        # closes while the listing (about 0.9 MB, far past a 64 KiB pipe
+        # buffer) is being written, so each run must exit 1, never a silent 0
+        root = Path(__file__).resolve().parents[1]
+        path = root / "configs" / "identities" / "I5.json"
+
+        def launch():
+            return subprocess.Popen(
+                [sys.executable, "-m", "sumside.cli", "enumerate",
+                 "--conditions", str(path), "--n", "66", "--list"],
+                cwd=root / "src", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+
+        outcomes = []
+        for _ in range(5):
+            batch = [launch() for _ in range(4)]
+            for proc in batch:
+                assert proc.stdout.readline().strip().isdigit()
+                proc.stdout.close()
+            for proc in batch:
+                stderr = proc.stderr.read()
+                proc.stderr.close()
+                outcomes.append((proc.wait(timeout=60), stderr))
+        assert outcomes == [(1, b"")] * 20
+
     def test_count_beyond_listing_reach(self, i1_conditions_file, capsys):
         rc = cli.main(["enumerate", "--conditions", i1_conditions_file, "--n", "400"])
         assert rc == 0

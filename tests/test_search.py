@@ -158,6 +158,80 @@ class TestRunSearch:
             assert hit.refined["order"] == 60
             assert hit.refined["persisted"] is True
 
+    def test_refine_records_a_period_that_does_not_persist(self):
+        # the gap-3 cell looks periodic with period 24 when min_repeats is 1
+        # at order 24, but its exponents at order 60 only repeat with the
+        # whole window as the period
+        grid = SearchGrid(
+            smallest_options=(None,),
+            diff_options=((DiffDistRule(1, 3),),),
+            congruence_options=((),),
+            order=24,
+            min_repeats=1,
+        )
+        report = run_search(grid, refine_order=60)
+        (hit,) = report.hits
+        assert hit.shape.period == 24
+        refined = hit.refined
+        assert set(refined) == {"order", "persisted", "period", "profile"}
+        assert refined["order"] == 60
+        assert refined["persisted"] is False
+        assert refined["period"] == 60
+        assert len(refined["profile"]) == 60
+        duo = run_search(grid, jobs=2, refine_order=60)
+        assert strip_timing(duo.dumps()) == strip_timing(report.dumps())
+
+    def test_refine_records_a_failure(self, monkeypatch):
+        # in process only: the patch does not reach pool workers
+        import sumside.search as search
+
+        real = search.euler_factorize
+
+        def fails_at_refine_order(series):
+            if series.order == 60:
+                raise ArithmeticError("no exponents at order 60")
+            return real(series)
+
+        monkeypatch.setattr(search, "euler_factorize", fails_at_refine_order)
+        report = run_search(tiny_grid(), refine_order=60)
+        assert report.failures == ()
+        assert len(report.hits) == 2
+        for hit in report.hits:
+            assert hit.shape.period == 5
+            assert hit.refined == {
+                "order": 60,
+                "persisted": False,
+                "error": "ArithmeticError: no exponents at order 60",
+            }
+
+    def test_sweep_calls_each_patchable_name_once_per_cell(self, monkeypatch):
+        # profilers wrap these module-level names of sumside.search, so the
+        # sweep must look each one up at call time
+        import sumside.search as search
+
+        grid = tiny_grid(
+            smallest_options=(None, SmallestPartRule(2), None),
+            congruence_options=((), (CongruenceRule(1, 1, 0, 3),)),
+        )
+        calls = {}
+
+        def counting(name):
+            real = getattr(search, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_sift_cell", "count_sum_side", "euler_factorize", "detect_period"):
+            calls[name] = 0
+            monkeypatch.setattr(search, name, counting(name))
+        report = run_search(grid, jobs=1)
+        assert report.failures == ()
+        assert report.cells_run == len(grid.cells()) == 4
+        assert calls == dict.fromkeys(calls, report.cells_run)
+
     def test_report_json_shape(self):
         report = run_search(tiny_grid())
         obj = report.to_json()
