@@ -7,6 +7,8 @@ shipped identities to high order via polynomial recursions.
 
 Submodules run on first use: importing the package registers them in
 ``sys.modules`` unexecuted, and a public name resolves on first access.
+Rules, shapes, specs and reports are frozen value records (``_record``), not
+dataclasses, so a CLI process does not import inspect or exec their methods.
 """
 
 import importlib.util

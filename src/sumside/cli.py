@@ -71,7 +71,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_search(args) -> int:
-    import dataclasses
+    from ._record import replace
 
     obj = _load_json(args.config)
     try:
@@ -87,7 +87,7 @@ def _cmd_search(args) -> int:
             if value < 1:
                 raise _ConfigError(f"{flag} must be >= 1")
             overrides[name] = value
-    grid = dataclasses.replace(grid, **overrides)
+    grid = replace(grid, **overrides)
     if args.jobs < 1:
         raise _ConfigError("--jobs must be >= 1")
     if args.refine is not None and args.refine <= grid.order:

@@ -40,8 +40,8 @@ of those parts it can still see, _window and _trim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record
 from .series import TruncatedSeries, packed_bits, unpack
 
 
@@ -91,8 +91,16 @@ def _json_rules(items, where: str, rule) -> tuple:
     return tuple(rule.from_json(r, f"{where}[{i}]") for i, r in enumerate(items))
 
 
-@dataclass(frozen=True)
-class SmallestPartRule:
+def _require_ints(rule, *names: str) -> None:
+    """Each named field of rule must be an int; bool is rejected, as the
+    JSON readers reject true."""
+    for name in names:
+        value = getattr(rule, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class SmallestPartRule(Record):
     """Parts are >= min_part; at most max_mult parts equal min_part exactly.
 
     max_mult=None leaves the multiplicity of min_part uncapped.  The cap never
@@ -103,6 +111,9 @@ class SmallestPartRule:
     max_mult: int | None = None
 
     def __post_init__(self):
+        _require_ints(self, "min_part")
+        if self.max_mult is not None:
+            _require_ints(self, "max_mult")
         if self.min_part < 1:
             raise ValueError("min_part must be >= 1")
         if self.max_mult is not None and self.max_mult < 1:
@@ -126,8 +137,7 @@ class SmallestPartRule:
         )
 
 
-@dataclass(frozen=True)
-class DiffDistRule:
+class DiffDistRule(Record):
     """lambda_j - lambda_(j+distance) >= min_diff for every j in range.
 
     distance=1, min_diff=1 is "distinct parts"; distance=1, min_diff=2 is the
@@ -138,6 +148,7 @@ class DiffDistRule:
     min_diff: int
 
     def __post_init__(self):
+        _require_ints(self, "distance", "min_diff")
         if self.distance < 1:
             raise ValueError("distance must be >= 1")
         if self.min_diff < 0:
@@ -157,8 +168,7 @@ class DiffDistRule:
         )
 
 
-@dataclass(frozen=True)
-class CongruenceRule:
+class CongruenceRule(Record):
     """Conditional congruence on sums of span+1 consecutive parts.
 
     For each window lambda_j .. lambda_(j+span): if the ends are close,
@@ -174,6 +184,7 @@ class CongruenceRule:
     modulus: int
 
     def __post_init__(self):
+        _require_ints(self, "span", "gap", "residue", "modulus")
         if self.span < 1:
             raise ValueError("span must be >= 1")
         if self.modulus < 2:
@@ -199,8 +210,7 @@ class CongruenceRule:
         )
 
 
-@dataclass(frozen=True)
-class ConditionSet:
+class ConditionSet(Record):
     """Conjunction of sum-side rules; a partition must satisfy all of them."""
 
     smallest: SmallestPartRule | None = None

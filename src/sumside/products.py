@@ -9,13 +9,11 @@ and classifies residue sets as symmetric or not under r -> p - r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .series import ExponentSequence
 
 
-@dataclass(frozen=True)
-class ProductShape:
+class ProductShape(Record):
     """Periodic exponent pattern of a product prod (1 - q^m)^(-a_m).
 
     exponent_profile[i] is the exponent shared by all m with m mod period equal

@@ -28,8 +28,8 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
-from dataclasses import dataclass
 
+from ._record import Record
 from .partitions import (
     ConditionSet,
     CongruenceRule,
@@ -41,8 +41,7 @@ from .products import ProductShape
 from .series import TruncatedSeries, check_packed, expand_product, pack, packed_bits, unpack
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(Record):
     """A claimed identity: sum-side conditions against a residue-class product."""
 
     name: str
@@ -64,8 +63,7 @@ class IdentitySpec:
 # Recursion fixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Term:
+class _Term(Record):
     """One summand: sign * q^(exponent) * <register at index - back>.
 
     Exponents are linear forms (c, d) meaning c*m + d, where m is the step
@@ -83,8 +81,7 @@ class _Term:
     exponent: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(Record):
     """Recursion family as plain data: step tables and initial polynomials.
 
     `tables` holds one entry per phase; index k steps with phase
@@ -258,8 +255,7 @@ _check_tables()
 # Stepping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecursionState:
+class RecursionState(Record):
     """A recursion family's window of most recent register values.
 
     registers is oldest-first: registers[-1] belongs to `index`,
@@ -414,8 +410,7 @@ def coefficient_digest(series: TruncatedSeries) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     identity: str
     order: int
     method: str

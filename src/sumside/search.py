@@ -4,19 +4,19 @@ A SearchGrid is the cartesian product of smallest-part options, difference
 rule combinations, and congruence rule combinations.  Each resulting
 ConditionSet is counted to the grid's order, factored into an Euler product,
 and kept as a hit when the exponent sequence is purely periodic.  Cells and
-their product shapes cross the worker pool as the frozen dataclasses they
-are, and the sweep and the refine pass sift through the same helper.  Output
-order follows grid order, never worker completion order, so reports are
-deterministic for any worker count.
+their product shapes are frozen records that pickle as they are, so they
+cross the worker pool unconverted, and the sweep and the refine pass sift
+through the same helper.  Output order follows grid order, never worker
+completion order, so reports are deterministic for any worker count.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
 from functools import partial
 
+from ._record import Record, replace
 from .partitions import (
     ConditionSet,
     CongruenceRule,
@@ -34,8 +34,7 @@ from .series import euler_factorize
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SearchGrid:
+class SearchGrid(Record):
     """Cartesian product of condition options plus periodicity thresholds.
 
     Each diff/congruence option is itself a combination (possibly empty) of
@@ -71,8 +70,7 @@ class SearchGrid:
     def cells(self) -> list[ConditionSet]:
         """Grid-order condition sets, deduplicated by their dumps() text, so
         purely structurally: Smallest(1, unbounded) counts like the no-rule
-        option and DiffDistRule(True, 2) equals DiffDistRule(1, 2), yet each
-        stays a cell of its own."""
+        option, yet stays a cell of its own."""
         unique: dict[str, ConditionSet] = {}
         for sm in self.smallest_options:
             for diffs in self.diff_options:
@@ -133,8 +131,7 @@ class SearchGrid:
         )
 
 
-@dataclass(frozen=True)
-class CandidateHit:
+class CandidateHit(Record):
     """A condition set whose factored sum side has a certified period."""
 
     conditions: ConditionSet
@@ -158,8 +155,7 @@ class CandidateHit:
         return obj
 
 
-@dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(Record):
     """Full sweep outcome: hits in grid order plus run metadata."""
 
     grid_size: int
@@ -193,7 +189,7 @@ class CandidateReport:
 def _sift_cell(conditions: ConditionSet, order: int, p_max: int, min_repeats: int):
     """Worker: count, factor, and test one cell for periodicity.
 
-    A cell and its shape cross a process boundary as the frozen dataclasses
+    A cell and its shape cross a process boundary as the frozen records
     they are.  Returns (ProductShape | None, error | None)."""
     try:
         exps = euler_factorize(count_sum_side(conditions, order))

@@ -472,6 +472,26 @@ class TestLazyImports:
         assert present == {"sumside"} | {f"sumside.{m}" for m in SUBMODULES}
         assert ran == {"sumside"}
 
+    def test_public_names_load_neither_dataclasses_nor_inspect(self):
+        # dataclasses would import inspect, ast, dis and tokenize into every
+        # CLI process, and exec each record's methods
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import sumside, sumside.cli\n"
+            "for name in sumside.__all__:\n"
+            "    getattr(sumside, name)\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=src,
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "sumside.search" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
+
     def test_factor_runs_only_series(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("1, 1, 1, 1")

@@ -71,6 +71,30 @@ class TestRuleValidation:
             CongruenceRule(1, 1, 0, 1)
         assert CongruenceRule(1, -2, 0, 3).gap == -2
 
+    @pytest.mark.parametrize(
+        "rule, fields",
+        [
+            (SmallestPartRule, dict(min_part=1, max_mult=1)),
+            (DiffDistRule, dict(distance=1, min_diff=2)),
+            (CongruenceRule, dict(span=1, gap=1, residue=0, modulus=3)),
+        ],
+        ids=["smallest", "diff", "congruence"],
+    )
+    def test_non_integer_fields_rejected_by_name(self, rule, fields):
+        # a bool would otherwise pass the range checks and serialize as
+        # true, which from_json rejects
+        for name in fields:
+            for value in (True, False, 2.0, "2"):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                    rule(**{**fields, name: value})
+        assert rule(**fields).to_json() == fields
+        assert SmallestPartRule(1, None).max_mult is None
+
+    def test_from_json_error_text_unchanged_for_bools(self):
+        with pytest.raises(ValueError) as info:
+            ConditionSet.from_json({"diffs": [{"distance": True, "min_diff": 2}]})
+        assert str(info.value) == "diffs[0].distance: expected an integer, got true"
+
 
 class TestJsonRoundTrip:
     def test_full_condition_set(self):

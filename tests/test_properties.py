@@ -6,15 +6,18 @@ import pytest
 
 import oracles
 from sumside import (
+    BUILTIN_IDENTITIES,
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
     SearchGrid,
     SmallestPartRule,
     TruncatedSeries,
+    capped_polynomial,
     count_sum_side,
     enumerate_sum_side,
 )
+from sumside.recursions import FAMILIES
 from sumside.series import _mul, pack, unpack
 
 pytest.importorskip(
@@ -57,6 +60,27 @@ def test_listing_matches_oracle_and_count(cs, n):
     listed = enumerate_sum_side(cs, n)
     assert listed == oracles.oracle_partitions(n, **oracle_rules(cs))
     assert len(listed) == count_sum_side(cs, n)[n]
+
+
+FAMILY_SPECS = sorted(
+    (spec.recursion_family, spec) for spec in BUILTIN_IDENTITIES.values()
+)
+
+
+@st.composite
+def family_caps(draw):
+    """A recursion family, a cap it is defined at, and a truncation order."""
+    family, spec = draw(st.sampled_from(FAMILY_SPECS))
+    cap = draw(st.integers(min(FAMILIES[family].initial), 130))
+    return family, spec, cap, draw(st.integers(0, 120))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(family_caps())
+def test_recursions_agree_with_the_sweep_on_generated_caps(case):
+    family, spec, cap, order = case
+    got = capped_polynomial(family, cap, order=order)[-1]
+    assert got == count_sum_side(spec.conditions, order, cap=cap)
 
 
 # rules over their whole valid range, for the JSON round trips

@@ -1,6 +1,5 @@
 """Recursion families against direct enumeration, and identity verification."""
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -20,6 +19,7 @@ from sumside import (
     product_side,
     verify_identity,
 )
+from sumside._record import replace
 from sumside.recursions import FAMILIES, _check_tables
 
 FAMILY_IDENTITY = {
@@ -92,11 +92,11 @@ class TestFamilyGeometry:
             "phase-width": ({"tables": ((reg0,),)}, "register counts"),
             "initial-gap": ({"initial": {**fam.initial, 9: fam.initial[3]}}, "not contiguous"),
             "register": (
-                {"tables": ((reg0 + (dataclasses.replace(reg0[0], register=2),), reg1),)},
+                {"tables": ((reg0 + (replace(reg0[0], register=2),), reg1),)},
                 "register 2",
             ),
         }[defect]
-        monkeypatch.setitem(FAMILIES, "S", dataclasses.replace(fam, **change))
+        monkeypatch.setitem(FAMILIES, "S", replace(fam, **change))
         with pytest.raises(AssertionError, match=message):
             _check_tables()
 
@@ -116,8 +116,8 @@ class TestStepGuards:
         # S keeps three indices; a term reaching back four is refused
         fam = FAMILIES["S"]
         ((reg0, reg1),) = fam.tables
-        far = reg0 + (dataclasses.replace(reg0[0], back=4),)
-        monkeypatch.setitem(FAMILIES, "S", dataclasses.replace(fam, tables=((far, reg1),)))
+        far = reg0 + (replace(reg0[0], back=4),)
+        monkeypatch.setitem(FAMILIES, "S", replace(fam, tables=((far, reg1),)))
         with pytest.raises(AssertionError, match="back-reference 4"):
             _check_tables()
 
@@ -125,7 +125,7 @@ class TestStepGuards:
         # R's register 0 at index 5 subtracts q^15 times its cap 1 value;
         # inflating that value drives the q^15 coefficient to 3 - 5 < 0
         fam = FAMILIES["R"]
-        bad = dataclasses.replace(fam, initial={**fam.initial, 1: ((5, 1), (1, 1))})
+        bad = replace(fam, initial={**fam.initial, 1: ((5, 1), (1, 1))})
         monkeypatch.setitem(FAMILIES, "R", bad)
         with pytest.raises(IntegralityError):
             capped_polynomial("R", 5, order=20)

@@ -73,6 +73,12 @@ class TestSearchGrid:
         with pytest.raises(ValueError, match="unknown"):
             SearchGrid.from_json(obj)
 
+    def test_bool_rule_field_cannot_reach_a_sweep(self):
+        # a one-cell grid with DiffDistRule(True, 2) used to sweep to a hit
+        # whose conditions ConditionSet.from_json then rejected
+        with pytest.raises(ValueError, match="distance must be an integer"):
+            tiny_grid(smallest_options=(None,), diff_options=((DiffDistRule(True, 2),),))
+
     def test_cells_deduplicate_in_grid_order(self):
         grid = SearchGrid(
             smallest_options=(None, None, SmallestPartRule(2)),
