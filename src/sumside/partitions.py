@@ -12,6 +12,10 @@ three rule kinds:
                      lambda_j + ... + lambda_(j+span) must be congruent to
                      residue mod modulus.
 
+The three share one base, _Rule, which checks that every field is an integer
+and reads and writes the rule's JSON object, rejecting unknown keys; each
+rule adds only its fields and range checks.
+
 Rules quantify over indices that exist; a partition too short to form a window
 satisfies that rule vacuously, and the empty partition of 0 satisfies every
 ConditionSet.
@@ -50,9 +54,14 @@ def _json_fail(where: str, what: str, value) -> ValueError:
     return ValueError(f"{prefix}expected {what}, got {json.dumps(value, default=repr)}")
 
 
-def _json_object(value, where: str) -> dict:
+def _json_keys(value, known, where: str) -> dict:
+    """value as a JSON object whose keys all lie in known."""
     if not isinstance(value, dict):
         raise _json_fail(where, "a JSON object", value)
+    extra = value.keys() - set(known)
+    if extra:
+        raise ValueError(f"{where}: unknown keys: {sorted(extra)}" if where
+                         else f"unknown keys: {sorted(extra)}")
     return value
 
 
@@ -75,15 +84,6 @@ def _json_int(obj: dict, key: str, where: str = "", default: int | None = None) 
     return value
 
 
-def _json_build(cls, where: str, **fields):
-    """cls(**fields), with a range error from its constructor prefixed by
-    where, as in diffs[0]: distance must be >= 1."""
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
-
-
 def _json_rules(items, where: str, rule) -> tuple:
     """The rules a JSON array of rule objects describes, each error naming
     its index, as in diffs[0]."""
@@ -91,16 +91,45 @@ def _json_rules(items, where: str, rule) -> tuple:
     return tuple(rule.from_json(r, f"{where}[{i}]") for i, r in enumerate(items))
 
 
-def _require_ints(rule, *names: str) -> None:
-    """Each named field of rule must be an int; bool is rejected, as the
-    JSON readers reject true."""
+def _check_ints(record: Record, names) -> None:
+    """Each named field of record must be an int, or None if None is its
+    default; bool is rejected, as the JSON readers reject true."""
     for name in names:
-        value = getattr(rule, name)
-        if type(value) is not int:
+        value = getattr(record, name)
+        unbounded = value is None and record._defaults.get(name, 0) is None
+        if type(value) is not int and not unbounded:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-class SmallestPartRule(Record):
+class _Rule(Record):
+    """Base of the sum-side rules.  A rule declares its integer fields (one
+    that defaults to None may be None) and its range checks, in _check; the
+    integer check and the JSON form, which rejects unknown keys, live here."""
+
+    def __post_init__(self):
+        _check_ints(self, self._fields)
+        self._check()
+
+    def to_json(self) -> dict:
+        return {f: "unbounded" if v is None else v for f, v in self.__dict__.items()}
+
+    @classmethod
+    def from_json(cls, obj: dict, where: str = ""):
+        """Raises ValueError naming the key path, a range error prefixed by
+        where, as in diffs[0]: distance must be >= 1.  A field that defaults
+        to None keeps that default when absent or "unbounded"."""
+        obj = _json_keys(obj, cls._fields, where)
+        fields = {
+            f: _json_int(obj, f, where) for f in cls._fields
+            if cls._defaults.get(f, 0) is not None or obj.get(f, "unbounded") != "unbounded"
+        }
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+
+
+class SmallestPartRule(_Rule):
     """Parts are >= min_part; at most max_mult parts equal min_part exactly.
 
     max_mult=None leaves the multiplicity of min_part uncapped.  The cap never
@@ -110,34 +139,14 @@ class SmallestPartRule(Record):
     min_part: int
     max_mult: int | None = None
 
-    def __post_init__(self):
-        _require_ints(self, "min_part")
-        if self.max_mult is not None:
-            _require_ints(self, "max_mult")
+    def _check(self):
         if self.min_part < 1:
             raise ValueError("min_part must be >= 1")
         if self.max_mult is not None and self.max_mult < 1:
             raise ValueError("max_mult must be >= 1 or None")
 
-    def to_json(self) -> dict:
-        return {
-            "min_part": self.min_part,
-            "max_mult": "unbounded" if self.max_mult is None else self.max_mult,
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict, where: str = "") -> "SmallestPartRule":
-        obj = _json_object(obj, where)
-        unbounded = obj.get("max_mult", "unbounded") == "unbounded"
-        return _json_build(
-            cls,
-            where,
-            min_part=_json_int(obj, "min_part", where),
-            max_mult=None if unbounded else _json_int(obj, "max_mult", where),
-        )
-
-
-class DiffDistRule(Record):
+class DiffDistRule(_Rule):
     """lambda_j - lambda_(j+distance) >= min_diff for every j in range.
 
     distance=1, min_diff=1 is "distinct parts"; distance=1, min_diff=2 is the
@@ -147,28 +156,14 @@ class DiffDistRule(Record):
     distance: int
     min_diff: int
 
-    def __post_init__(self):
-        _require_ints(self, "distance", "min_diff")
+    def _check(self):
         if self.distance < 1:
             raise ValueError("distance must be >= 1")
         if self.min_diff < 0:
             raise ValueError("min_diff must be >= 0")
 
-    def to_json(self) -> dict:
-        return {"distance": self.distance, "min_diff": self.min_diff}
 
-    @classmethod
-    def from_json(cls, obj: dict, where: str = "") -> "DiffDistRule":
-        obj = _json_object(obj, where)
-        return _json_build(
-            cls,
-            where,
-            distance=_json_int(obj, "distance", where),
-            min_diff=_json_int(obj, "min_diff", where),
-        )
-
-
-class CongruenceRule(Record):
+class CongruenceRule(_Rule):
     """Conditional congruence on sums of span+1 consecutive parts.
 
     For each window lambda_j .. lambda_(j+span): if the ends are close,
@@ -183,31 +178,13 @@ class CongruenceRule(Record):
     residue: int
     modulus: int
 
-    def __post_init__(self):
-        _require_ints(self, "span", "gap", "residue", "modulus")
+    def _check(self):
         if self.span < 1:
             raise ValueError("span must be >= 1")
         if self.modulus < 2:
             raise ValueError("modulus must be >= 2")
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue must lie in 0..modulus-1")
-
-    def to_json(self) -> dict:
-        return {
-            "span": self.span,
-            "gap": self.gap,
-            "residue": self.residue,
-            "modulus": self.modulus,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, where: str = "") -> "CongruenceRule":
-        obj = _json_object(obj, where)
-        return _json_build(
-            cls,
-            where,
-            **{k: _json_int(obj, k, where) for k in ("span", "gap", "residue", "modulus")},
-        )
 
 
 class ConditionSet(Record):
@@ -232,11 +209,7 @@ class ConditionSet(Record):
     @classmethod
     def from_json(cls, obj: dict) -> "ConditionSet":
         """Raises ValueError naming the key path of the first bad entry."""
-        obj = _json_object(obj, "")
-        known = {"smallest", "diffs", "congruences"}
-        extra = set(obj) - known
-        if extra:
-            raise ValueError(f"unknown condition keys: {sorted(extra)}")
+        obj = _json_keys(obj, cls._fields, "")
         sm = obj.get("smallest")
         return cls(
             smallest=None if sm is None else SmallestPartRule.from_json(sm, "smallest"),

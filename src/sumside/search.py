@@ -22,9 +22,10 @@ from .partitions import (
     CongruenceRule,
     DiffDistRule,
     SmallestPartRule,
+    _check_ints,
     _json_int,
+    _json_keys,
     _json_list,
-    _json_object,
     _json_rules,
     count_sum_side,
 )
@@ -50,6 +51,7 @@ class SearchGrid(Record):
     min_repeats: int = 2
 
     def __post_init__(self):
+        _check_ints(self, self._defaults)  # the defaulted fields: order and thresholds
         if not (self.smallest_options and self.diff_options and self.congruence_options):
             raise ValueError("every grid axis needs at least one option")
         if self.order < 1:
@@ -68,16 +70,15 @@ class SearchGrid(Record):
         )
 
     def cells(self) -> list[ConditionSet]:
-        """Grid-order condition sets, deduplicated by their dumps() text, so
-        purely structurally: Smallest(1, unbounded) counts like the no-rule
-        option, yet stays a cell of its own."""
-        unique: dict[str, ConditionSet] = {}
-        for sm in self.smallest_options:
-            for diffs in self.diff_options:
-                for congs in self.congruence_options:
-                    cs = ConditionSet(smallest=sm, diffs=diffs, congruences=congs)
-                    unique.setdefault(cs.dumps(), cs)
-        return list(unique.values())
+        """Grid-order condition sets, deduplicated by value, so purely
+        structurally: Smallest(1, unbounded) counts like the no-rule option,
+        yet stays a cell of its own."""
+        return list(dict.fromkeys(
+            ConditionSet(smallest=sm, diffs=diffs, congruences=congs)
+            for sm in self.smallest_options
+            for diffs in self.diff_options
+            for congs in self.congruence_options
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -97,19 +98,13 @@ class SearchGrid(Record):
     @classmethod
     def from_json(cls, obj: dict) -> "SearchGrid":
         """Raises ValueError naming the key path of the first bad entry."""
-        obj = _json_object(obj, "")
+        known = ("schema_version", "smallest", "diffs", "congruences", *cls._defaults)
+        obj = _json_keys(obj, known, "")
         version = obj.get("schema_version")
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported grid schema_version {version!r} (expected {SCHEMA_VERSION})"
             )
-        known = {
-            "schema_version", "order", "p_max", "min_repeats",
-            "smallest", "diffs", "congruences",
-        }
-        extra = set(obj) - known
-        if extra:
-            raise ValueError(f"unknown grid keys: {sorted(extra)}")
         smallest = _json_list(obj.get("smallest", [None]), "smallest")
 
         def combos(key, rule):
@@ -125,9 +120,7 @@ class SearchGrid(Record):
             ),
             diff_options=combos("diffs", DiffDistRule),
             congruence_options=combos("congruences", CongruenceRule),
-            order=_json_int(obj, "order", default=30),
-            p_max=_json_int(obj, "p_max", default=64),
-            min_repeats=_json_int(obj, "min_repeats", default=2),
+            **{k: _json_int(obj, k, default=d) for k, d in cls._defaults.items()},
         )
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 # Series divisions up to this many terms run the direct recurrence; longer
@@ -61,7 +61,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int], order: int | None = None):
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(index, coeffs))
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -215,7 +215,7 @@ class ExponentSequence:
     __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[int]):
-        self.exps = tuple(int(e) for e in exps)
+        self.exps = tuple(map(index, exps))
         if not self.exps:
             raise ValueError("an exponent sequence needs order >= 1")
 

@@ -266,6 +266,19 @@ class TestEnumerateCommand:
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
+    def test_misspelt_rule_key_exits_two_without_traceback(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text('{"smallest": {"min_part": 2, "max_mul": 1}}')
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumside.cli", "enumerate",
+             "--conditions", str(path), "--n", "3"],
+            cwd=src, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path}: smallest: unknown keys: ['max_mul']\n"
+
     @pytest.mark.parametrize(
         "text, where",
         [

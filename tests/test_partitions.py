@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from sumside import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
+    SearchGrid,
     SmallestPartRule,
     count_sum_side,
     enumerate_sum_side,
@@ -121,6 +123,39 @@ class TestJsonRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ConditionSet.from_json({"diffs": [], "extras": 1})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"smallest": {"min_part": 2, "max_mul": 1}},
+                "smallest: unknown keys: ['max_mul']",
+            ),
+            (
+                {"diffs": [{"distance": 1, "min_diff": 2}, {"distance": 1, "min": 2}]},
+                "diffs[1]: unknown keys: ['min']",
+            ),
+            (
+                {"congruences": [{"span": 1, "gap": 1, "residue": 0, "modulus": 3, "mod": 3}]},
+                "congruences[0]: unknown keys: ['mod']",
+            ),
+        ],
+        ids=["smallest", "diff", "congruence"],
+    )
+    def test_unknown_rule_keys_rejected_with_key_path(self, obj, message):
+        # a misspelt max_mult must not load as an uncapped rule
+        with pytest.raises(ValueError) as info:
+            ConditionSet.from_json(obj)
+        assert str(info.value) == message
+
+    def test_every_classics_rule_round_trips(self):
+        root = Path(__file__).resolve().parents[1]
+        grid = SearchGrid.from_json(json.loads((root / "configs" / "classics.json").read_text()))
+        rules = [r for r in grid.smallest_options if r is not None]
+        rules += [r for combo in grid.diff_options + grid.congruence_options for r in combo]
+        assert {type(r) for r in rules} == {SmallestPartRule, DiffDistRule, CongruenceRule}
+        for rule in rules:
+            assert type(rule).from_json(rule.to_json()) == rule
 
 
 def admitted(cs: ConditionSet, parts: tuple[int, ...]) -> bool:

@@ -73,6 +73,21 @@ class TestSearchGrid:
         with pytest.raises(ValueError, match="unknown"):
             SearchGrid.from_json(obj)
 
+    def test_unknown_rule_keys_rejected_with_key_path(self):
+        obj = tiny_grid().to_json()
+        obj["congruences"] = [[{"span": 1, "gap": 1, "residue": 0, "modulus": 3, "mod": 3}]]
+        with pytest.raises(ValueError) as info:
+            SearchGrid.from_json(obj)
+        assert str(info.value) == "congruences[0][0]: unknown keys: ['mod']"
+
+    @pytest.mark.parametrize("key", ["order", "p_max", "min_repeats"])
+    def test_non_integer_thresholds_rejected_by_name(self, key):
+        # a bool would otherwise serialize as true, which from_json rejects
+        for value in (True, False, 2.0, "2", None):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+                tiny_grid(**{key: value})
+        assert SearchGrid.from_json(tiny_grid(**{key: 3}).to_json()) == tiny_grid(**{key: 3})
+
     def test_bool_rule_field_cannot_reach_a_sweep(self):
         # a one-cell grid with DiffDistRule(True, 2) used to sweep to a hit
         # whose conditions ConditionSet.from_json then rejected

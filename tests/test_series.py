@@ -33,6 +33,15 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             TruncatedSeries([1], order=-1)
 
+    def test_rejects_non_integral_coefficients(self):
+        # exact arithmetic: a float or a string is never converted
+        for bad in (1.9, 1.0, "3"):
+            with pytest.raises(TypeError):
+                TruncatedSeries([1, bad])
+            with pytest.raises(TypeError):
+                ExponentSequence([bad])
+        assert [type(c) for c in TruncatedSeries([True, 2]).coeffs] == [int, int]
+
     def test_indexing_and_iteration(self):
         s = TruncatedSeries([3, 1, 4])
         assert s[0] == 3 and s[2] == 4
