@@ -187,6 +187,25 @@ class CongruenceRule(_Rule):
             raise ValueError("residue must lie in 0..modulus-1")
 
 
+def _check_smallest(value, where: str) -> None:
+    if value is not None and not isinstance(value, SmallestPartRule):
+        raise ValueError(f"{where}: expected a SmallestPartRule or None, got {value!r}")
+
+
+def _rule_tuple(value, rule, where: str) -> tuple:
+    """value as a tuple of rule instances; a ValueError names the bad entry."""
+    try:
+        rules = tuple(value)
+    except TypeError:
+        raise ValueError(
+            f"{where}: expected a sequence of {rule.__name__}, got {value!r}"
+        ) from None
+    for i, r in enumerate(rules):
+        if not isinstance(r, rule):
+            raise ValueError(f"{where}[{i}]: expected a {rule.__name__}, got {r!r}")
+    return rules
+
+
 class ConditionSet(Record):
     """Conjunction of sum-side rules; a partition must satisfy all of them."""
 
@@ -195,8 +214,13 @@ class ConditionSet(Record):
     congruences: tuple[CongruenceRule, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "diffs", tuple(self.diffs))
-        object.__setattr__(self, "congruences", tuple(self.congruences))
+        """Raises ValueError naming the first slot that does not hold its
+        rule kind, as in diffs[0]: expected a DiffDistRule, got 3."""
+        _check_smallest(self.smallest, "smallest")
+        object.__setattr__(self, "diffs", _rule_tuple(self.diffs, DiffDistRule, "diffs"))
+        object.__setattr__(
+            self, "congruences", _rule_tuple(self.congruences, CongruenceRule, "congruences")
+        )
 
     def to_json(self) -> dict:
         obj: dict = {}
@@ -229,6 +253,13 @@ class ConditionSet(Record):
     @property
     def min_part(self) -> int:
         return 1 if self.smallest is None else self.smallest.min_part
+
+
+def _repeat_bound(conditions: ConditionSet) -> int | None:
+    """The most copies of one part value that a partition satisfying
+    conditions can hold: a diff rule of distance d and min_diff >= 1 forbids
+    d + 1 equal parts in a row.  None when no diff rule bounds it."""
+    return min((r.distance for r in conditions.diffs if r.min_diff >= 1), default=None)
 
 
 def _admits(conditions: ConditionSet, parts: tuple[int, ...], v: int) -> bool:
@@ -296,8 +327,10 @@ def count_sum_side(
     top = min(cap, n).  A state is the tuple of the smallest parts chosen so
     far, cut to the ones a later, smaller part can still trigger a rule on;
     each state carries the series of the part sets that reach it, packed into
-    one int with B bits per coefficient.  Adding a copy of v shifts that int
-    by v*B bits, and states that reach the same tuple are merged by adding.
+    one int with B bits per coefficient, B = packed_bits(n, _repeat_bound):
+    every state counts partitions that obey the diff rules.  Adding a copy
+    of v shifts that int by v*B bits, and states that reach the same tuple
+    are merged by adding.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -308,7 +341,7 @@ def count_sum_side(
     max_mult = None if sm is None else sm.max_mult
     top = n if cap is None else min(cap, n)
     width, reach = _window(conditions)
-    bits = packed_bits(n)
+    bits = packed_bits(n, _repeat_bound(conditions))
     mask = (1 << (n + 1) * bits) - 1
     states: dict[tuple[int, ...], int] = {(): 1}
     for v in range(top, min_part - 1, -1):

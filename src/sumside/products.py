@@ -9,6 +9,8 @@ and classifies residue sets as symmetric or not under r -> p - r.
 
 from __future__ import annotations
 
+from operator import index
+
 from ._record import Record
 from .series import ExponentSequence
 
@@ -26,9 +28,7 @@ class ProductShape(Record):
     def __post_init__(self):
         if self.period < 1:
             raise ValueError("period must be >= 1")
-        object.__setattr__(
-            self, "exponent_profile", tuple(int(e) for e in self.exponent_profile)
-        )
+        object.__setattr__(self, "exponent_profile", tuple(map(index, self.exponent_profile)))
         if len(self.exponent_profile) != self.period:
             raise ValueError(
                 f"profile length {len(self.exponent_profile)} != period {self.period}"

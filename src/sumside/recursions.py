@@ -35,6 +35,7 @@ from .partitions import (
     CongruenceRule,
     DiffDistRule,
     SmallestPartRule,
+    _repeat_bound,
     count_sum_side,
 )
 from .products import ProductShape
@@ -260,28 +261,35 @@ class RecursionState(Record):
 
     registers is oldest-first: registers[-1] belongs to `index`,
     registers[-2] to index-1, and so on.  Each register is a series through
-    q^order packed with packed_bits(order) bits per coefficient.
+    q^order packed with `bits` bits per coefficient.
     """
 
     index: int
     registers: tuple[tuple[int, ...], ...]
     order: int
+    bits: int
 
     def current(self, register: int = 0) -> TruncatedSeries:
-        return unpack(self.registers[-1][register], self.order, packed_bits(self.order))
+        return unpack(self.registers[-1][register], self.order, self.bits)
 
 
 def initial_state(family: str, order: int) -> RecursionState:
-    """State holding the family's initial polynomials, truncated to order."""
+    """State holding the family's initial polynomials, truncated to order.
+
+    Every register counts partitions that satisfy the rules of the builtin
+    identity naming the family, so the packing width is packed_bits with
+    those rules' repeat bound.
+    """
     fam = FAMILIES[family]
     if order < 0:
         raise ValueError("order must be >= 0")
-    bits = packed_bits(order)
+    spec = next(s for s in BUILTIN_IDENTITIES.values() if s.recursion_family == family)
+    bits = packed_bits(order, _repeat_bound(spec.conditions))
     window = tuple(
         tuple(pack(coeffs[: order + 1], bits) for coeffs in fam.initial[idx])
         for idx in sorted(fam.initial)
     )
-    return RecursionState(max(fam.initial), window, order)
+    return RecursionState(max(fam.initial), window, order, bits)
 
 
 def capped_polynomial(family: str, cap: int, order: int | None = None):
@@ -302,7 +310,7 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
     if order is None:
         order = max(1, 2 * cap * (cap + 1))
     state = initial_state(family, order)
-    bits = packed_bits(order)
+    bits = state.bits
     mask = (1 << (order + 1) * bits) - 1
     phases = len(fam.tables)
     window = state.registers

@@ -23,10 +23,12 @@ from .partitions import (
     DiffDistRule,
     SmallestPartRule,
     _check_ints,
+    _check_smallest,
     _json_int,
     _json_keys,
     _json_list,
     _json_rules,
+    _rule_tuple,
     count_sum_side,
 )
 from .products import ProductShape, detect_period, describe, symmetry_classify
@@ -54,6 +56,11 @@ class SearchGrid(Record):
         _check_ints(self, self._defaults)  # the defaulted fields: order and thresholds
         if not (self.smallest_options and self.diff_options and self.congruence_options):
             raise ValueError("every grid axis needs at least one option")
+        for i, sm in enumerate(self.smallest_options):
+            _check_smallest(sm, f"smallest_options[{i}]")
+        for axis, rule in (("diff_options", DiffDistRule), ("congruence_options", CongruenceRule)):
+            for i, combo in enumerate(getattr(self, axis)):
+                _rule_tuple(combo, rule, f"{axis}[{i}]")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.p_max < 1:

@@ -21,15 +21,19 @@ that double the precision of 1/b, seeded by the direct recurrence for the
 first few terms; each step is a few products of whole series.  The key
 property exploited downstream is that a_1..a_k depend only on b_1..b_k, so a
 polynomial prefix of a generating function pins down the leading product
-factors exactly.
+factors exactly.  expand_product runs the same identity the other way: it
+sieves c from the exponents and solves n*b_n = sum c_k*b_(n-k) by divide and
+conquer, one whole-block product per split, not by a prefix sum per factor.
 
 Inside the package, series are also carried packed into one int, B bits per
 coefficient (Kronecker substitution).  For partition counts (packed_bits,
 pack, check_packed, unpack), multiplying by q^k and truncating at q^N is one
-shift and one mask, and adding two series is one big-int addition.  For the
-signed series of the factorization (_mul), multiplying two series is one
-big-int multiplication.  TruncatedSeries stays the type at every module
-boundary.
+shift and one mask, and adding two series is one big-int addition.  B comes
+from a bound on the counts: p(N) in general, or, when the rules let no part
+repeat more than d times, the smaller count b_(d+1)(N) of Glaisher's theorem
+(packed_bits with repeat=d).  For the signed series of the factorization and
+the expansion (_mul), multiplying two series is one big-int multiplication.
+TruncatedSeries stays the type at every module boundary.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ from typing import Iterable, Sequence
 # ones take Newton steps.  Above the orders grid searches run at (30 to 40),
 # whose cells are faster without a step.
 _SEED = 64
+
+# Blocks of expand_product's solve up to this many terms take the direct sum.
+_LEAF = 32
 
 
 class IntegralityError(ArithmeticError):
@@ -108,14 +115,57 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
 
-def packed_bits(n: int) -> int:
+def packed_bits(n: int, repeat: int | None = None) -> int:
     """Bits per coefficient for packing partition counts through q^n.
 
     Every coefficient counts a set of partitions of some s <= n, so it is at
     most p(n) < exp(pi*sqrt(2n/3)); one more bit is the margin that
     check_packed requires to stay clear.
+
+    With repeat = d, the partitions counted are ones in which no part
+    appears more than d times (a diff rule of distance d and min_diff >= 1
+    forbids d + 1 equal parts in a row).  By Glaisher's theorem there are
+    b_(d+1)(s) of those, the partitions of s with no part divisible by d + 1.
+    For k >= 2, b_k is nondecreasing: adding a part 1, which k does not
+    divide, maps the partitions of s one-to-one into those of s + 1.  So
+    b_(d+1)(n) bounds every coefficient through q^n, and the width is its
+    exact bit length plus the margin bit.
     """
-    return int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 2
+    if repeat is None:
+        return int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 2
+    return _regular_count(repeat + 1, n).bit_length() + 1
+
+
+@lru_cache(maxsize=4)
+def _partition_numbers(n: int) -> tuple[int, ...]:
+    """p(0..n), by Euler's pentagonal recurrence
+    p(m) = sum_{j>=1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
+    Cached: the bounds for two repeat values at one n share it."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, j, g = 0, 1, 1
+        while g <= m:
+            term = p[m - g] + (p[m - g - j] if g + j <= m else 0)
+            total += term if j & 1 else -term
+            j += 1
+            g = j * (3 * j - 1) // 2
+        p.append(total)
+    return tuple(p)
+
+
+@lru_cache(maxsize=64)
+def _regular_count(k: int, n: int) -> int:
+    """b_k(n), the partitions of n with no part divisible by k:
+    prod (1 - q^(km)) / (1 - q^m) gives b_k(n) = sum_j (-1)^j p(n - k*j(3j-1)/2)
+    over all integers j, by Euler's pentagonal number theorem."""
+    p = _partition_numbers(n)
+    total, j, g = p[n], 1, k
+    while g <= n:
+        term = p[n - g] + (p[n - g - k * j] if g + k * j <= n else 0)
+        total += -term if j & 1 else term
+        j += 1
+        g = k * j * (3 * j - 1) // 2
+    return total
 
 
 def pack(series: Iterable[int], bits: int) -> int:
@@ -287,20 +337,38 @@ def euler_factorize(b: TruncatedSeries) -> ExponentSequence:
 def expand_product(a: ExponentSequence) -> TruncatedSeries:
     """Coefficients of prod_{m=1..N} (1 - q^m)^(-a_m) modulo q^(N+1).
 
-    Inverse of ``euler_factorize``.  Each positive exponent is applied as a
-    truncated multiplication by the geometric series 1/(1 - q^m) (an in-place
-    prefix sum with stride m); negative exponents multiply by (1 - q^m).
+    Inverse of ``euler_factorize``, through the same logarithmic derivative:
+    a sieve over multiples gives c_n = sum_{d|n} d*a_d, and b = prod then
+    solves q*b' = c*b, that is n*b_n = sum_{k=1..n} c_k*b_(n-k).  The
+    solve is divide and conquer (relaxed multiplication): solve the left
+    half of a block, add its whole contribution to the right half with one
+    _mul, then solve the right half.  Blocks of up to _LEAF terms take the
+    direct sum.  Each division by n is exact for integer exponents;
+    IntegralityError signals a remainder.
     """
     n_max = a.order
     c = [0] * (n_max + 1)
-    c[0] = 1
-    for m in range(1, n_max + 1):
-        e = a[m]
-        for _ in range(e):
-            for i in range(m, n_max + 1):
-                c[i] += c[i - m]
-        for _ in range(-e):
-            for i in range(n_max, m - 1, -1):
-                c[i] -= c[i - m]
-    return TruncatedSeries(c)
+    for d, e in enumerate(a.exps, 1):
+        if e:
+            de = d * e
+            for j in range(d, n_max + 1, d):
+                c[j] += de
+    # until b_n is solved, b[n] sums c_k*b_(n-k) over the terms solved so far
+    b = [1] + [0] * n_max
 
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo <= _LEAF:
+            for n in range(max(lo, 1), hi):
+                b_n, rem = divmod(b[n] + sum(map(mul, b[lo:n], c[n - lo : 0 : -1])), n)
+                if rem:
+                    raise IntegralityError(f"coefficient b_{n} came out non-integral")
+                b[n] = b_n
+            return
+        mid = (lo + hi) // 2
+        solve(lo, mid)
+        for n, t in enumerate(_mul(b[lo:mid], c[: hi - lo], hi - lo - 1)[mid - lo :], mid):
+            b[n] += t
+        solve(mid, hi)
+
+    solve(0, n_max + 1)
+    return TruncatedSeries(b)

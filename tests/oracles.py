@@ -3,7 +3,8 @@
 Everything here regenerates expected values from first principles: partitions
 are produced by a plain recursive generator (each (n, cap) once per session)
 and rules are checked by direct quantifier evaluation over complete part
-lists; Euler factorization runs the plain O(N^2) recurrence.  Nothing imports
+lists; Euler factorization runs the plain O(N^2) recurrence, and product
+expansion multiplies by one factor (1 - q^m)^(+-1) at a time.  Nothing imports
 from the package, so agreement between these oracles and the package's
 counting, recursion or factorization paths is evidence, not circularity.  Only
 practical for small totals; the frozen literals in the test modules were
@@ -154,3 +155,25 @@ def oracle_factorize(coeffs: Sequence[int]) -> list[int]:
             for j in range(n, n_max + 1, n):
                 sigma[j] += na
     return a[1:]
+
+
+def oracle_expand_product(exps: Sequence[int]) -> list[int]:
+    """Coefficients of prod_{m=1..N} (1 - q^m)^(-a_m) modulo q^(N+1), for
+    exps = a_1..a_N.
+
+    Each positive exponent is applied as a truncated multiplication by the
+    geometric series 1/(1 - q^m) (an in-place prefix sum with stride m);
+    negative exponents multiply by (1 - q^m).
+    """
+    n_max = len(exps)
+    c = [0] * (n_max + 1)
+    c[0] = 1
+    for m in range(1, n_max + 1):
+        e = exps[m - 1]
+        for _ in range(e):
+            for i in range(m, n_max + 1):
+                c[i] += c[i - m]
+        for _ in range(-e):
+            for i in range(n_max, m - 1, -1):
+                c[i] -= c[i - m]
+    return c

@@ -19,7 +19,8 @@ from sumside import (
     enumerate_sum_side,
     euler_factorize,
 )
-from sumside.partitions import _listing_text
+from sumside.partitions import _listing_text, _repeat_bound
+from sumside.series import _partition_numbers, _regular_count, packed_bits
 
 I1 = ConditionSet(diffs=(DiffDistRule(2, 3),), congruences=(CongruenceRule(1, 1, 0, 3),))
 I3 = ConditionSet(
@@ -44,6 +45,42 @@ def conditions_from_rules(rules: dict) -> ConditionSet:
     )
 
 
+def random_rules(rng: random.Random) -> dict:
+    """A rule set in the oracle's vocabulary, for the seeded oracle tests."""
+    return {
+        "min_part": rng.randrange(1, 3),
+        "max_mult": rng.choice([None, 1, 3]),
+        "diffs": [
+            (rng.randrange(1, 4), rng.randrange(0, 4))
+            for _ in range(rng.randrange(0, 3))
+        ],
+        "congruences": [
+            (rng.randrange(1, 4), rng.randrange(0, 4), rng.randrange(0, mod), mod)
+            for mod in (rng.randrange(2, 5),)
+            for _ in range(rng.randrange(0, 2))
+        ],
+    }
+
+
+def wide_case(rng: random.Random) -> tuple[dict, int | None]:
+    """A wider rule set (longer windows, negative and large gaps, min_diff 0)
+    and a cap on the largest part."""
+    rules = {
+        "min_part": rng.randrange(1, 4),
+        "max_mult": rng.choice([None, 1, 2, 3]),
+        "diffs": [
+            (rng.randrange(1, 5), rng.randrange(0, 5))
+            for _ in range(rng.randrange(0, 3))
+        ],
+        "congruences": [
+            (rng.randrange(1, 5), rng.randrange(-2, 6), rng.randrange(0, mod), mod)
+            for mod in (rng.randrange(2, 5),)
+            for _ in range(rng.randrange(0, 3))
+        ],
+    }
+    return rules, rng.choice([None, 0, 1, 5, 30])
+
+
 def as_text(listing: list[tuple[int, ...]]) -> str:
     """Partitions as the CLI lists them, one per line."""
     return "".join(("+".join(map(str, p)) if p else "0") + "\n" for p in listing)
@@ -56,6 +93,29 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             SmallestPartRule(1, 0)
         assert SmallestPartRule(2).max_mult is None
+
+    @pytest.mark.parametrize(
+        "slots, message",
+        [
+            (dict(smallest=5), "smallest: expected a SmallestPartRule or None, got 5"),
+            (
+                dict(smallest=DiffDistRule(1, 1)),
+                "smallest: expected a SmallestPartRule or None, "
+                "got DiffDistRule(distance=1, min_diff=1)",
+            ),
+            (dict(diffs=(3,)), "diffs[0]: expected a DiffDistRule, got 3"),
+            (dict(diffs=3), "diffs: expected a sequence of DiffDistRule, got 3"),
+            (
+                dict(congruences=(CongruenceRule(1, 1, 0, 3), SmallestPartRule(2))),
+                "congruences[1]: expected a CongruenceRule, "
+                "got SmallestPartRule(min_part=2, max_mult=None)",
+            ),
+        ],
+    )
+    def test_condition_set_slots_hold_their_rule_kind(self, slots, message):
+        with pytest.raises(ValueError) as info:
+            ConditionSet(**slots)
+        assert str(info.value) == message
 
     def test_diff_dist_bounds(self):
         with pytest.raises(ValueError):
@@ -217,19 +277,7 @@ class TestCountSumSide:
         rng = random.Random(60322)
         caps = random.Random(60323)
         for _ in range(25):
-            rules = {
-                "min_part": rng.randrange(1, 3),
-                "max_mult": rng.choice([None, 1, 3]),
-                "diffs": [
-                    (rng.randrange(1, 4), rng.randrange(0, 4))
-                    for _ in range(rng.randrange(0, 3))
-                ],
-                "congruences": [
-                    (rng.randrange(1, 4), rng.randrange(0, 4), rng.randrange(0, mod), mod)
-                    for mod in (rng.randrange(2, 5),)
-                    for _ in range(rng.randrange(0, 2))
-                ],
-            }
+            rules = random_rules(rng)
             cs = conditions_from_rules(rules)
             assert list(count_sum_side(cs, 13)) == oracles.oracle_counts(13, **rules), rules
             c = caps.randrange(0, 10)
@@ -245,20 +293,7 @@ class TestCountSumSide:
         # the length of the listing restricted to the cap
         rng = random.Random(71129)
         for _ in range(100):
-            rules = {
-                "min_part": rng.randrange(1, 4),
-                "max_mult": rng.choice([None, 1, 2, 3]),
-                "diffs": [
-                    (rng.randrange(1, 5), rng.randrange(0, 5))
-                    for _ in range(rng.randrange(0, 3))
-                ],
-                "congruences": [
-                    (rng.randrange(1, 5), rng.randrange(-2, 6), rng.randrange(0, mod), mod)
-                    for mod in (rng.randrange(2, 5),)
-                    for _ in range(rng.randrange(0, 3))
-                ],
-            }
-            cap = rng.choice([None, 0, 1, 5, 30])
+            rules, cap = wide_case(rng)
             cs = conditions_from_rules(rules)
             got = list(count_sum_side(cs, 16, cap=cap))
             assert got == oracles.oracle_counts(16, cap=cap, **rules), (rules, cap)
@@ -268,6 +303,32 @@ class TestCountSumSide:
                     if cap is None or max(p, default=0) <= cap
                 ]
                 assert c == len(listed), (rules, cap, k)
+
+    def test_rule_width_holds_the_seeded_rule_sets(self):
+        # the rule sets of the two oracle tests above, counted further: every
+        # coefficient is within the bound behind packed_bits (Glaisher's
+        # b_(d+1)(n) for repeat bound d, else p(n)) and leaves the margin
+        # bit clear; distinct parts reach b_2(n) itself
+        n = 60
+        rng, wide = random.Random(60322), random.Random(71129)
+        cases = [random_rules(rng) for _ in range(25)]
+        cases += [wide_case(wide)[0] for _ in range(100)]
+        for rules in cases:
+            cs = conditions_from_rules(rules)
+            repeat = _repeat_bound(cs)
+            bound = _partition_numbers(n)[n] if repeat is None else _regular_count(repeat + 1, n)
+            top = max(count_sum_side(cs, n))
+            assert top <= bound, rules
+            assert top.bit_length() <= packed_bits(n, repeat) - 1, rules
+
+    def test_repeat_bound_is_the_shortest_strict_diff_rule(self):
+        def bound(*diffs):
+            return _repeat_bound(ConditionSet(diffs=tuple(DiffDistRule(*d) for d in diffs)))
+
+        assert bound() is None
+        assert bound((1, 0), (2, 0)) is None  # min_diff 0 bounds nothing
+        assert bound((3, 3), (2, 0)) == 3
+        assert bound((3, 1), (2, 5), (4, 1)) == 2
 
     def test_monotone_under_added_rules(self):
         base = list(count_sum_side(I1, 14))

@@ -23,6 +23,13 @@ class TestProductShape:
         with pytest.raises(ValueError):
             ProductShape(period=3, exponent_profile=(1, 0))
 
+    def test_profile_entries_must_be_integers(self):
+        # exact arithmetic: 1.9 or "1" is never truncated or parsed to 1
+        for bad in (1.9, 1.0, "1"):
+            with pytest.raises(TypeError):
+                ProductShape(2, (bad, 0))
+        assert ProductShape(2, (True, 0)).exponent_profile == (1, 0)
+
     def test_binary_and_residues(self):
         shape = ProductShape(period=5, exponent_profile=(1, 0, 0, 1, 0))
         assert shape.binary

@@ -45,7 +45,11 @@ CASES = [
         dict(back=2),
     ),
     (_Family, dict(tables=((),), initial={0: ((1,),)}), dict(initial={0: ((2,),)})),
-    (RecursionState, dict(index=3, registers=((1,), (2,)), order=4), dict(registers=((1,), (3,)))),
+    (
+        RecursionState,
+        dict(index=3, registers=((1,), (2,)), order=4, bits=3),
+        dict(registers=((1,), (3,))),
+    ),
     (
         VerificationReport,
         dict(
@@ -99,7 +103,7 @@ REPRS = {
         f"IdentitySpec(name='X', conditions={CS_REPR}, modulus=5, "
         "residues=frozenset({1, 4}), recursion_family='P1')"
     ),
-    "RecursionState": "RecursionState(index=3, registers=((1,), (2,)), order=4)",
+    "RecursionState": "RecursionState(index=3, registers=((1,), (2,)), order=4, bits=3)",
     "VerificationReport": (
         "VerificationReport(identity='I1', order=10, method='recursion', match=True, "
         "first_mismatch=None, sum_digest='ab', product_digest='cd', elapsed_ms=1.5, "

@@ -20,7 +20,9 @@ from sumside import (
     verify_identity,
 )
 from sumside._record import replace
+from sumside.partitions import _repeat_bound
 from sumside.recursions import FAMILIES, _check_tables
+from sumside.series import _regular_count, packed_bits
 
 FAMILY_IDENTITY = {
     spec.recursion_family: spec for spec in BUILTIN_IDENTITIES.values()
@@ -245,6 +247,36 @@ class TestSumSideViaRecursion:
             conds = FAMILY_IDENTITY[name].conditions
             poly = capped_polynomial(name, 25, order=25)[-1]
             assert poly == count_sum_side(conds, 25), name
+
+
+def assert_within_rule_width(series, order, repeat, bits):
+    """Every coefficient is at most b_(repeat+1)(order), Glaisher's bound,
+    and leaves the margin bit of a bits-wide digit clear."""
+    top = max(series)
+    assert min(series) >= 0
+    assert top <= _regular_count(repeat + 1, order)
+    assert top.bit_length() <= bits - 1
+
+
+class TestRuleWidth:
+    def test_each_family_takes_the_repeat_bound_of_its_identity(self):
+        bounds = {name: _repeat_bound(FAMILY_IDENTITY[name].conditions) for name in FAMILIES}
+        assert bounds == {"P1": 2, "P2": 2, "P3": 2, "Q": 2, "R": 3, "S": 3}
+        widths = {name: initial_state(name, 500).bits for name in FAMILIES}
+        assert widths == {"P1": 60, "P2": 60, "P3": 60, "Q": 60, "R": 64, "S": 64}
+
+    def test_every_register_at_cap_and_order_1000(self):
+        for name in FAMILIES:
+            bits = initial_state(name, 1000).bits
+            repeat = _repeat_bound(FAMILY_IDENTITY[name].conditions)
+            for register in capped_polynomial(name, 1000, order=1000):
+                assert_within_rule_width(register, 1000, repeat, bits)
+
+    def test_product_sides_to_order_2000(self):
+        for spec in BUILTIN_IDENTITIES.values():
+            repeat = _repeat_bound(spec.conditions)
+            bits = packed_bits(2000, repeat)
+            assert_within_rule_width(product_side(spec, 2000), 2000, repeat, bits)
 
 
 class TestIdentitySpecs:

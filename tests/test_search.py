@@ -94,6 +94,33 @@ class TestSearchGrid:
         with pytest.raises(ValueError, match="distance must be an integer"):
             tiny_grid(smallest_options=(None,), diff_options=((DiffDistRule(True, 2),),))
 
+    def test_rule_slots_hold_their_rule_kind(self):
+        # the one-cell grid with smallest_options=(5,) used to construct and
+        # then end run_search in an AttributeError from ConditionSet.to_json
+        cases = [
+            (
+                dict(smallest_options=(5,)),
+                "smallest_options[0]: expected a SmallestPartRule or None, got 5",
+            ),
+            (
+                dict(diff_options=(RR_DIFF, (3,))),
+                "diff_options[1][0]: expected a DiffDistRule, got 3",
+            ),
+            (
+                dict(congruence_options=((), RR_DIFF)),
+                "congruence_options[1][0]: expected a CongruenceRule, "
+                "got DiffDistRule(distance=1, min_diff=2)",
+            ),
+        ]
+        for overrides, message in cases:
+            with pytest.raises(ValueError) as info:
+                tiny_grid(**overrides)
+            assert str(info.value) == message
+        with pytest.raises(ValueError, match=r"^smallest_options\[0\]"):
+            run_search(
+                SearchGrid(smallest_options=(5,), diff_options=((),), congruence_options=((),))
+            )
+
     def test_cells_deduplicate_in_grid_order(self):
         grid = SearchGrid(
             smallest_options=(None, None, SmallestPartRule(2)),

@@ -12,7 +12,8 @@ from sumside import (
     euler_factorize,
     expand_product,
 )
-from sumside.series import _mul, check_packed, pack, packed_bits, unpack
+import sumside.series
+from sumside.series import _mul, _regular_count, check_packed, pack, packed_bits, unpack
 
 
 class TestTruncatedSeries:
@@ -79,6 +80,30 @@ class TestPackedKernel:
         # p(n) for n = 0, 10, 100, 200 fits below the margin bit
         for n, p in ((0, 1), (10, 42), (100, 190569292), (200, 3972999029388)):
             assert p < 1 << (packed_bits(n) - 1)
+
+    def test_width_without_a_repeat_bound_is_the_p_n_width(self):
+        widths = {0: 2, 1: 5, 2: 7, 3: 8, 10: 13, 40: 25, 100: 39, 500: 84,
+                  1000: 119, 2000: 167, 4000: 236}
+        assert {n: packed_bits(n) for n in widths} == widths
+
+    def test_width_with_a_repeat_bound(self):
+        # b_3 and b_4 through q^500 and q^2000, plus the margin bit
+        assert [packed_bits(500, 2), packed_bits(500, 3)] == [60, 64]
+        assert [packed_bits(2000, 2), packed_bits(2000, 3)] == [126, 134]
+        assert packed_bits(0, 1) == 2 and packed_bits(3, 2) == 3
+        for n in (1, 10, 100, 1000):
+            for d in (1, 2, 3, 5):
+                assert packed_bits(n, d) <= packed_bits(n)
+
+    def test_regular_counts_match_brute_force(self):
+        # b_k(n) counts partitions with no part divisible by k, and by
+        # Glaisher's theorem also those with no part repeated k or more times
+        for n in range(31):
+            parts = list(oracles.iter_partitions(n))
+            for k in range(2, 6):
+                no_multiple = sum(all(x % k for x in p) for p in parts)
+                few_copies = sum(all(p.count(x) < k for x in p) for p in parts)
+                assert _regular_count(k, n) == no_multiple == few_copies, (k, n)
 
     def test_check_packed_rejects_bad_ints(self):
         n, bits = 4, packed_bits(4)
@@ -251,6 +276,42 @@ class TestExpandProduct:
         # (1-q)^2 / (1-q) = 1 - q
         a = ExponentSequence([-1, 0, 0])
         assert expand_product(a).coeffs == (1, -1, 0, 0)
+
+    def test_matches_stride_oracle_at_every_order_to_300(self):
+        # b_0..b_N depend on a_1..a_N alone, so one oracle expansion to 300
+        # checks every shorter order; the orders cross the leaf size (32 terms)
+        # and every split point of the divide and conquer
+        rng = random.Random(300)
+        for weights in ((1,) * 7, (1, 1, 1, 9, 1, 1, 1)):  # the second mostly 0
+            exps = rng.choices(range(-3, 4), weights=weights, k=300)
+            want = oracles.oracle_expand_product(exps)
+            for order in range(1, 301):
+                got = expand_product(ExponentSequence(exps[:order]))
+                assert list(got) == want[: order + 1], order
+
+    def test_matches_stride_oracle_on_fresh_sequences(self):
+        rng = random.Random(301)
+        for order in (1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200):
+            exps = [rng.randrange(-3, 4) for _ in range(order)]
+            got = expand_product(ExponentSequence(exps))
+            assert list(got) == oracles.oracle_expand_product(exps), order
+
+    def test_round_trip_seeded_exponents_at_order_2000(self):
+        rng = random.Random(2000)
+        a = ExponentSequence(rng.randrange(-3, 4) for _ in range(2000))
+        assert euler_factorize(expand_product(a)) == a
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # a block product that is off by one leaves a remainder at the first
+        # index it feeds, which must raise rather than round
+        real = sumside.series._mul
+
+        def off_by_one(f, g, n):
+            return [t + 1 for t in real(f, g, n)]
+
+        monkeypatch.setattr(sumside.series, "_mul", off_by_one)
+        with pytest.raises(IntegralityError, match="non-integral"):
+            expand_product(ExponentSequence([1] * 100))
 
     def test_round_trip_seeded_sample(self):
         rng = random.Random(1729)
