@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 
 from ._record import Record
-from .series import TruncatedSeries, packed_bits, unpack
+from .series import TruncatedSeries, pack, packed_bits, unpack
 
 
 def _json_fail(where: str, what: str, value) -> ValueError:
@@ -327,10 +327,11 @@ def count_sum_side(
     top = min(cap, n).  A state is the tuple of the smallest parts chosen so
     far, cut to the ones a later, smaller part can still trigger a rule on;
     each state carries the series of the part sets that reach it, packed into
-    one int with B bits per coefficient, B = packed_bits(n, _repeat_bound):
-    every state counts partitions that obey the diff rules.  Adding a copy
-    of v shifts that int by v*B bits, and states that reach the same tuple
-    are merged by adding.
+    one int with B bits per coefficient, top degree first (series.pack),
+    B = packed_bits(n, _repeat_bound): every state counts partitions that
+    obey the diff rules.  Adding a copy of v multiplies by q^v and truncates
+    at q^n, which is one right shift by v*B bits, and states that reach the
+    same tuple are merged by adding.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -342,8 +343,7 @@ def count_sum_side(
     top = n if cap is None else min(cap, n)
     width, reach = _window(conditions)
     bits = packed_bits(n, _repeat_bound(conditions))
-    mask = (1 << (n + 1) * bits) - 1
-    states: dict[tuple[int, ...], int] = {(): 1}
+    states: dict[tuple[int, ...], int] = {(): pack((1,), n, bits)}
     for v in range(top, min_part - 1, -1):
         shift = v * bits
         kmax = n // v
@@ -360,7 +360,7 @@ def count_sum_side(
                     break
                 k += 1
                 parts += (v,)
-                x = (x << shift) & mask
+                x >>= shift
         states = step
     return unpack(sum(states.values()), n, bits)
 

@@ -261,7 +261,9 @@ class RecursionState(Record):
 
     registers is oldest-first: registers[-1] belongs to `index`,
     registers[-2] to index-1, and so on.  Each register is a series through
-    q^order packed with `bits` bits per coefficient.
+    q^order packed with `bits` bits per coefficient, top degree first
+    (series.pack), so a term q^e * register is the register shifted right by
+    e*bits.
     """
 
     index: int
@@ -286,7 +288,7 @@ def initial_state(family: str, order: int) -> RecursionState:
     spec = next(s for s in BUILTIN_IDENTITIES.values() if s.recursion_family == family)
     bits = packed_bits(order, _repeat_bound(spec.conditions))
     window = tuple(
-        tuple(pack(coeffs[: order + 1], bits) for coeffs in fam.initial[idx])
+        tuple(pack(coeffs[: order + 1], order, bits) for coeffs in fam.initial[idx])
         for idx in sorted(fam.initial)
     )
     return RecursionState(max(fam.initial), window, order, bits)
@@ -297,12 +299,14 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
     last register is the full capped sum side.
 
     Steps the window of initial polynomials up to the cap, one index at a
-    time.  Every new register is checked before it is stored: packing is
-    linear, so a minus term is exact as long as each result is a valid packed
-    series.  The default order, 2*cap*(cap+1), dominates the degree of every
-    register (a part value can repeat at most distance-many times, so the
-    total is at most 3 * cap*(cap+1)/2 here), making the result the
-    untruncated polynomial padded with zeros.
+    time.  A term q^e * register, truncated at q^order, is one right shift
+    of the packed register, and each register starts from its first term.
+    Every new register is checked before it is stored: packing is linear, so
+    a minus term is exact as long as each result is a valid packed series.
+    The default order, 2*cap*(cap+1), dominates the degree of every register
+    (a part value can repeat at most distance-many times, so the total is at
+    most 3 * cap*(cap+1)/2 here), making the result the untruncated
+    polynomial padded with zeros.
     """
     fam = FAMILIES[family]
     if cap < min(fam.initial):
@@ -311,19 +315,22 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
         order = max(1, 2 * cap * (cap + 1))
     state = initial_state(family, order)
     bits = state.bits
-    mask = (1 << (order + 1) * bits) - 1
     phases = len(fam.tables)
     window = state.registers
     for idx in range(state.index + 1, cap + 1):
         m = idx // phases
         new: list[int] = []
         for table in fam.tables[idx % phases]:
-            acc = 0
+            acc = None
             for t in table:
                 src = new[t.register] if t.back == 0 else window[-t.back][t.register]
                 c, d = t.exponent
-                term = (src << (c * m + d) * bits) & mask
-                acc = acc + term if t.sign > 0 else acc - term
+                shift = (c * m + d) * bits
+                term = src >> shift if shift else src
+                if acc is None:
+                    acc = term if t.sign > 0 else -term
+                else:
+                    acc = acc + term if t.sign > 0 else acc - term
             check_packed(acc, order, bits)
             new.append(acc)
         window = window[1:] + (tuple(new),)

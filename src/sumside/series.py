@@ -26,14 +26,19 @@ sieves c from the exponents and solves n*b_n = sum c_k*b_(n-k) by divide and
 conquer, one whole-block product per split, not by a prefix sum per factor.
 
 Inside the package, series are also carried packed into one int, B bits per
-coefficient (Kronecker substitution).  For partition counts (packed_bits,
-pack, check_packed, unpack), multiplying by q^k and truncating at q^N is one
-shift and one mask, and adding two series is one big-int addition.  B comes
-from a bound on the counts: p(N) in general, or, when the rules let no part
-repeat more than d times, the smaller count b_(d+1)(N) of Glaisher's theorem
-(packed_bits with repeat=d).  For the signed series of the factorization and
-the expansion (_mul), multiplying two series is one big-int multiplication.
-TruncatedSeries stays the type at every module boundary.
+coefficient (Kronecker substitution).  Partition counts (packed_bits, pack,
+check_packed, unpack) are packed top degree first: coefficient s of a series
+through q^N sits at bits (N-s)*B, so the constant term is the most
+significant digit (the reversed packing of Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009).  Then multiplying by q^k and truncating at q^N is one right shift
+by k*B bits: it touches only the (N+1-k)*B bits that survive, needs no mask,
+and a term pushed past q^N costs nothing.  Adding two series is one big-int
+addition.  B comes from a bound on the counts: p(N) in general, or, when the
+rules let no part repeat more than d times, the smaller count b_(d+1)(N) of
+Glaisher's theorem (packed_bits with repeat=d).  For the signed series of the
+factorization and the expansion (_mul), multiplying two series is one big-int
+multiplication.  TruncatedSeries stays the type at every module boundary.
 """
 
 from __future__ import annotations
@@ -168,14 +173,19 @@ def _regular_count(k: int, n: int) -> int:
     return total
 
 
-def pack(series: Iterable[int], bits: int) -> int:
-    """The coefficients packed into one int, the constant term lowest."""
-    x = 0
-    for c in reversed(tuple(series)):
-        if not 0 <= c < 1 << (bits - 1):
+def pack(series: Iterable[int], n: int, bits: int) -> int:
+    """The series through q^n packed into one int, coefficient s at bits
+    (n-s)*bits.  A series shorter than n+1 terms is padded with zero terms
+    of high degree, which is one shift of its digits."""
+    cs = tuple(series)
+    if len(cs) > n + 1:
+        raise ValueError(f"{len(cs)} coefficients exceed order {n}")
+    top = 1 << (bits - 1)
+    for c in cs:
+        if not 0 <= c < top:
             raise IntegralityError(f"coefficient {c} outside 0..2^{bits - 1}-1")
-        x = x << bits | c
-    return x
+    digits = "".join(format(c, f"0{bits}b") for c in cs)
+    return int(digits, 2) << (n + 1 - len(cs)) * bits
 
 
 def check_packed(x: int, n: int, bits: int) -> None:
@@ -183,7 +193,8 @@ def check_packed(x: int, n: int, bits: int) -> None:
 
     Each coefficient must lie in 0..2^(bits-1)-1; one that leaves that range
     by less than 2^(bits-1) sets its margin bit (a negative one borrows from
-    the one above), and a negative top coefficient makes x negative.
+    the digit above it, the next lower degree), a constant term that carries
+    sets a bit past the width, and a negative constant term makes x negative.
     """
     width = (n + 1) * bits
     if x < 0 or x >> width or x & _margins(n, bits):
@@ -199,10 +210,11 @@ def _margins(n: int, bits: int) -> int:
 
 
 def unpack(x: int, n: int, bits: int) -> TruncatedSeries:
-    """The series through q^n that x packs, checked first."""
+    """The series through q^n that x packs, checked first.  One conversion
+    to binary digits, read constant term first: linear in n."""
     check_packed(x, n, bits)
-    digit = (1 << bits) - 1
-    return TruncatedSeries((x >> (s * bits)) & digit for s in range(n + 1))
+    digits = format(x, "b").zfill((n + 1) * bits)
+    return TruncatedSeries(int(digits[i : i + bits], 2) for i in range(0, len(digits), bits))
 
 
 def _mul(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:

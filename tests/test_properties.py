@@ -142,7 +142,17 @@ def packable(draw):
 @given(packable())
 def test_pack_unpack_round_trip(case):
     bits, coeffs = case
-    assert unpack(pack(coeffs, bits), len(coeffs) - 1, bits) == TruncatedSeries(coeffs)
+    assert unpack(pack(coeffs, len(coeffs) - 1, bits), len(coeffs) - 1, bits) == TruncatedSeries(coeffs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(packable(), st.data())
+def test_right_shift_is_multiplication_by_a_power_of_q(case, data):
+    bits, coeffs = case
+    n = len(coeffs) - 1 + data.draw(st.integers(0, 5))
+    k = data.draw(st.integers(0, n + 1))
+    want = ([0] * k + coeffs + [0] * n)[: n + 1]
+    assert unpack(pack(coeffs, n, bits) >> k * bits, n, bits) == TruncatedSeries(want)
 
 
 signed_lists = st.lists(

@@ -248,6 +248,22 @@ class TestSumSideViaRecursion:
             poly = capped_polynomial(name, 25, order=25)[-1]
             assert poly == count_sum_side(conds, 25), name
 
+    def test_matches_direct_count_at_order_1000(self):
+        # both engines, each pinned to the digest of the full sum side
+        digests = {
+            "I1": "f3fc4560f6f44e56c5fd64a1294c9dc8c5351b596b0918f94b8419bdf6ac3775",
+            "I2": "8d19e653090132f1206245aab79cf7109844cf92fc8b6a6aa45e163372dc8a2a",
+            "I3": "c745db0b669c66f6334dca7a7c73ff70ba8b1cd6c7edbf6f94692dc452157a41",
+            "I4": "2eb7ff2e1226de762561a98655d2964a1fcbf8d481fe8227877b835180482605",
+            "I5": "7ef37c7ff1ee31e49ad8aa69279e1a668c325171bec97c65ba4b0a0b031beebf",
+            "I6": "1e54754f7fa9fff3e67343d35e11704e46cf12922c5815ffc6081d56e746342b",
+        }
+        for name, spec in BUILTIN_IDENTITIES.items():
+            poly = capped_polynomial(spec.recursion_family, 1000, order=1000)[-1]
+            swept = count_sum_side(spec.conditions, 1000)
+            assert poly == swept, name
+            assert coefficient_digest(poly) == coefficient_digest(swept) == digests[name], name
+
 
 def assert_within_rule_width(series, order, repeat, bits):
     """Every coefficient is at most b_(repeat+1)(order), Glaisher's bound,

@@ -72,9 +72,39 @@ class TestPackedKernel:
                 rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(n + 1)
             ]
             coeffs[rng.randrange(n + 1)] = top
-            x = pack(coeffs, bits)
+            x = pack(coeffs, n, bits)
             check_packed(x, n, bits)
             assert unpack(x, n, bits) == TruncatedSeries(coeffs)
+
+    def test_layout_puts_the_constant_term_in_the_top_digit(self):
+        # coefficient s of a series through q^n sits at bits (n - s) * bits
+        assert pack([1, 2, 3], 2, 4) == 1 << 8 | 2 << 4 | 3
+        assert pack([1], 3, 4) == 1 << 12
+
+    def test_right_shift_multiplies_by_a_power_of_q(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            n = rng.randrange(0, 40)
+            bits = packed_bits(n)
+            top = (1 << (bits - 1)) - 1
+            coeffs = [rng.choice((0, 1, top, rng.randrange(top + 1))) for _ in range(n + 1)]
+            x = pack(coeffs, n, bits)
+            for k in range(n + 2):
+                want = ([0] * k + coeffs)[: n + 1]
+                assert unpack(x >> k * bits, n, bits) == TruncatedSeries(want), (n, k)
+
+    def test_short_series_round_trips_with_zeros_on_top(self):
+        for n in (0, 1, 5, 33):
+            bits = packed_bits(n)
+            for m in range(1, n + 2):
+                coeffs = list(range(1, m + 1))
+                x = pack(coeffs, n, bits)
+                check_packed(x, n, bits)
+                assert unpack(x, n, bits) == TruncatedSeries(coeffs, order=n)
+
+    def test_pack_rejects_more_terms_than_the_order(self):
+        with pytest.raises(ValueError):
+            pack([1, 2, 3], 1, packed_bits(1))
 
     def test_bits_bound_partition_counts(self):
         # p(n) for n = 0, 10, 100, 200 fits below the margin bit
@@ -107,7 +137,7 @@ class TestPackedKernel:
 
     def test_check_packed_rejects_bad_ints(self):
         n, bits = 4, packed_bits(4)
-        good = pack([1, 2, 3, 4, 5], bits)
+        good = pack([1, 2, 3, 4, 5], n, bits)
         with pytest.raises(IntegralityError):
             check_packed(-good, n, bits)
         with pytest.raises(IntegralityError):
@@ -116,12 +146,15 @@ class TestPackedKernel:
             check_packed(good | 1 << (n + 1) * bits, n, bits)
         with pytest.raises(IntegralityError):
             unpack(good - (6 << bits), n, bits)
+        with pytest.raises(IntegralityError):
+            # the constant term, in the top digit, wraps to 0 and carries out
+            check_packed(good + (((1 << bits) - 1) << n * bits), n, bits)
 
     def test_check_packed_margins_follow_n_and_bits(self):
         # the margin mask is cached per (n, bits); each pair needs its own
         for n in (4, 5, 9):
             for bits in (packed_bits(n), packed_bits(n) + 3):
-                good = pack(range(1, n + 2), bits)
+                good = pack(range(1, n + 2), n, bits)
                 check_packed(good, n, bits)
                 with pytest.raises(IntegralityError):
                     check_packed(good | 1 << (n * bits + bits - 1), n, bits)
@@ -129,9 +162,9 @@ class TestPackedKernel:
     def test_pack_rejects_out_of_range_coefficients(self):
         bits = packed_bits(4)
         with pytest.raises(IntegralityError):
-            pack([1, -1, 0], bits)
+            pack([1, -1, 0], 2, bits)
         with pytest.raises(IntegralityError):
-            pack([1, 1 << (bits - 1), 0], bits)
+            pack([1, 1 << (bits - 1), 0], 2, bits)
 
 
 class TestExponentSequence:
