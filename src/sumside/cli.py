@@ -1,10 +1,10 @@
 """Command-line surface: search, verify, factor, enumerate.
 
 Exit codes: 0 on success (all identities verified, sweep completed), 1 when a
-verification finds a mismatch or stdout closes before the output is written,
-2 for usage and configuration errors.  JSON reports go to --out when given,
-otherwise to stdout; progress and warnings go to stderr so piped output stays
-machine-readable.
+verification finds a mismatch or stdout closes or fails before the output is
+written, 2 for usage and configuration errors.  JSON reports go to --out when
+given, otherwise to stdout; progress and warnings go to stderr so piped output
+stays machine-readable.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from . import partitions, recursions, search, series
 
 class _ConfigError(Exception):
     """Bad input file or flags; maps to exit code 2."""
+
+
+class _StdoutError(Exception):
+    """Writing stdout failed other than by a closed pipe, as on a full disk;
+    maps to exit code 1."""
 
 
 def _read_text(path: str) -> str:
@@ -48,15 +53,21 @@ def _write(text: str) -> None:
     """Write text to stdout as UTF-8, in bounded chunks, after whatever
     sys.stdout still buffers.  A reader that leaves while a large write is
     blocked can cut that write short with no error; a short count is
-    therefore treated like BrokenPipeError, so the run still exits 1."""
-    sys.stdout.flush()
-    data = memoryview(text.encode("utf-8"))
-    out = sys.stdout.buffer
-    for start in range(0, len(data), _CHUNK):
-        chunk = data[start : start + _CHUNK]
-        if out.write(chunk) != len(chunk):
-            raise BrokenPipeError("stdout took a short write")
-    out.flush()
+    therefore treated like BrokenPipeError, so the run still exits 1.  Any
+    other OSError becomes _StdoutError."""
+    try:
+        sys.stdout.flush()
+        data = memoryview(text.encode("utf-8"))
+        out = sys.stdout.buffer
+        for start in range(0, len(data), _CHUNK):
+            chunk = data[start : start + _CHUNK]
+            if out.write(chunk) != len(chunk):
+                raise BrokenPipeError("stdout took a short write")
+        out.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _StdoutError(f"stdout: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -280,15 +291,20 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        _write("")  # flush whatever sys.stdout still buffers
         return code
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so that the flush at
-        # exit finds nothing to write (see "Note on SIGPIPE" in the signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (BrokenPipeError, _StdoutError) as exc:
+        if isinstance(exc, _StdoutError):
+            print(f"error: {exc}", file=sys.stderr)
+        # the reader closed stdout, or it cannot take more; point it at
+        # devnull so that the flush at exit finds nothing to write (see
+        # "Note on SIGPIPE" in the signal docs)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         return 1
 
 

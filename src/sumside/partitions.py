@@ -32,13 +32,13 @@ of those parts it can still see, _window and _trim.
                       partitions counted.  A cap on the largest part is just
                       the value the sweep starts from.
   enumerate_sum_side  the listing, built as text over the same kind of
-                      states: a sweep down collects the (state, remainder)
-                      pairs a partial partition can pass through, and a
-                      sweep back up gives each pair its block of completion
-                      lines once, copied with a prefix into every block that
-                      uses it.  The Python work grows polynomially in n,
-                      like the sweep's; the copying grows with the size of
-                      the listing.  The CLI prints that text as it is.
+                      states, numbered as found: a sweep down collects the
+                      (state, remainder) pairs a partial partition can pass
+                      through, and a sweep back up gives each pair its block
+                      of completion lines once, each line led by its newline,
+                      so one replace copies it with a prefix into every block
+                      that uses it.  The Python work grows polynomially in n;
+                      the copying grows with the size of the listing.
 """
 
 from __future__ import annotations
@@ -378,16 +378,20 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
     children depend on its state alone, and its completions on its state and
     its remainder rest, so each (state, rest) pair gets one text block.
 
-    A sweep from rest = n down collects the pairs reachable from the empty
-    partition ((), n, 0), entering a child by part u only when u < rest.  A
-    state's (u, child) edges, u <= rest in increasing u, are computed once,
-    when the sweep first reaches it, at its largest rest; a child's key then
-    sums to at most n.  A sweep back up builds each pair's block from its
-    children's, largest part first: a child with u == rest ends the
-    partition, and any other child's block is copied with every line
-    prefixed by "u+".  A pair with no completion gets "", which its parents
-    skip.  The Python work is one step per (state, rest, edge), which grows
-    polynomially in n; the rest is string copying in C.
+    Each state is numbered when the sweep down first creates it, the root
+    ((), n, 0) as 0, and only numbers are hashed after that.  The sweep
+    from rest = n down collects the ids reachable at each rest, entering a
+    child by part u only when u < rest.  A state's (u, child id) edges,
+    u <= rest in increasing u, are computed once, when the sweep first
+    reaches it, at its largest rest; a child's key then sums to at most n.
+    A sweep back up fills one {id: block} table per rest, building each
+    block from its children's, largest part first: a child with u == rest
+    ends the partition, and any other child's block is copied with "u+"
+    before every line.  Every line of a block is led by its newline, so the
+    copy is one replace of "\n" by "\nu+"; the root's leading newline moves
+    to the end.  A pair with no completion gets "", which its parents skip.
+    The Python work is one step per (state, rest, edge), which grows
+    polynomially in n; the rest is one copy per prefixed block, in C.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -400,15 +404,17 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
     if mult is not None and mult >= n // min_part:
         mult = None  # no partition of n can exceed the cap
     root = ((), n, 0)
-    edges: dict[tuple, list] = {}
-    levels: list[set[tuple]] = [set() for _ in range(n + 1)]
-    levels[n].add(root)
+    ids: dict[tuple, int] = {root: 0}
+    states: list[tuple] = [root]
+    edges: list[list | None] = [None]
+    levels: list[set[int]] = [set() for _ in range(n + 1)]
+    levels[n].add(0)
     for rest in range(n, 0, -1):
-        for state in levels[rest]:
-            kids = edges.get(state)
+        for s in levels[rest]:
+            kids = edges[s]
             if kids is None:
-                key, v, c = state
-                kids = edges[state] = []
+                key, v, c = states[s]
+                kids = edges[s] = []
                 for u in range(min_part, min(v, rest) + 1):
                     cu = 0
                     if u == min_part and mult is not None:
@@ -416,26 +422,34 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
                             continue
                         cu = c + 1
                     if _admits(conditions, key, u):
-                        child_key = _trim(key + (u,), width, u + reach)
-                        kids.append((u, (child_key, u, cu)))
-            for u, child in kids:
+                        child = (_trim(key + (u,), width, u + reach), u, cu)
+                        i = ids.get(child)
+                        if i is None:
+                            i = ids[child] = len(states)
+                            states.append(child)
+                            edges.append(None)
+                        kids.append((u, i))
+            for u, i in kids:
                 if u >= rest:
                     break
-                levels[rest - u].add(child)
-    blocks: dict[tuple, str] = {}
+                levels[rest - u].add(i)
+    pre = [f"\n{u}+" for u in range(n + 1)]
+    blocks: list[dict[int, str]] = [{}]
     for rest in range(1, n + 1):
-        for state in levels[rest]:
+        table: dict[int, str] = {}
+        for s in levels[rest]:
             lines = []
-            for u, child in reversed(edges[state]):
+            for u, i in reversed(edges[s]):
                 if u == rest:
-                    lines.append(f"{u}\n")
+                    lines.append(f"\n{u}")
                 elif u < rest:
-                    block = blocks[child, rest - u]
+                    block = blocks[rest - u][i]
                     if block:
-                        pre = f"{u}+"
-                        lines.append(pre + block[:-1].replace("\n", "\n" + pre) + "\n")
-            blocks[state, rest] = "".join(lines)
-    return blocks[root, n]
+                        lines.append(block.replace("\n", pre[u]))
+            table[s] = "".join(lines)
+        blocks.append(table)
+    text = blocks[n][0]
+    return text[1:] + "\n" if text else ""
 
 
 def enumerate_sum_side(conditions: ConditionSet, n: int) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Command-line behavior, driven through main(): in process, and in a fresh
 interpreter where the test is about which modules a subcommand runs."""
 
+import errno
 import json
 import os
 import subprocess
@@ -425,6 +426,74 @@ class TestSearchCommand:
         rc = cli.main(["search", "--config", grid_config, "--out", str(out)])
         assert rc == 2
         assert f"error: {out}: " in capsys.readouterr().err
+
+
+class FullStdout:
+    """A stdout whose every write and flush fails as on a full disk; its
+    fileno is a real descriptor, which main points at devnull."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.buffer = self
+
+    def fail(self, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    write = flush = fail
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def stdout_commands(grid_config, coeffs_file):
+    identities = Path(__file__).resolve().parents[1] / "configs" / "identities"
+    return {
+        "factor": ["factor", "--coeffs", coeffs_file],
+        "enumerate": ["enumerate", "--conditions", str(identities / "I5.json"),
+                      "--n", "30", "--list"],
+        "verify": ["verify", "--identity", "I1", "--order", "30"],
+        "search": ["search", "--config", grid_config],
+    }
+
+
+@pytest.fixture
+def coeffs_file(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("1, 1, 2, 3, 5")
+    return str(path)
+
+
+class TestStdoutFailure:
+    # stdout that fails other than by a closed pipe (ENOSPC here) exits 1
+    # with one error line, never a traceback
+
+    @pytest.mark.parametrize("command", ["factor", "enumerate", "verify", "search"])
+    def test_failing_stdout_exits_one_with_one_error_line(
+        self, command, grid_config, coeffs_file, tmp_path, monkeypatch, capsys
+    ):
+        argv = stdout_commands(grid_config, coeffs_file)[command]
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", FullStdout(fd))
+            rc = cli.main(argv)
+        finally:
+            os.close(fd)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: stdout: No space left on device"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["factor", "enumerate"])
+    def test_dev_full_exits_one_without_traceback(self, command, grid_config, coeffs_file):
+        root = Path(__file__).resolve().parents[1]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sumside.cli",
+                 *stdout_commands(grid_config, coeffs_file)[command]],
+                cwd=root / "src", stdout=full, stderr=subprocess.PIPE, timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: stdout: No space left on device\n"
 
 
 class TestParser:

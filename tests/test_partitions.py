@@ -382,6 +382,21 @@ class TestEnumerateSumSide:
             for n in range(51):
                 assert _listing_text(cs, n).count("\n") == counts[n], (name, n)
 
+    def test_seeded_rule_sets_past_the_oracle(self):
+        # n = 30..40 is past the oracle's reach, so the count is the check:
+        # these draws reuse states along many paths, loop a state into
+        # itself by another copy of its last part, and track min_part
+        # copies under max_mult
+        rng = random.Random(4401)
+        for k in range(40):
+            rules = random_rules(rng) if k % 2 else wide_case(rng)[0]
+            cs = conditions_from_rules(rules)
+            n = rng.randrange(30, 41)
+            text = _listing_text(cs, n)
+            assert text.count("\n") == count_sum_side(cs, 40)[n], (rules, n)
+            parts = [tuple(map(int, line.split("+"))) for line in text.splitlines()]
+            assert all(a > b for a, b in zip(parts, parts[1:])), (rules, n)
+
     def test_benchmark_listings_are_pinned(self):
         # the listings the benchmark prints, byte for byte
         for name, n, lines, digest in (
