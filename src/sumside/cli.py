@@ -10,12 +10,13 @@ stays machine-readable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 # Lazy submodules (see the package docstring): each subcommand runs only the
 # ones it calls, so `factor` never executes partitions, recursions or search.
+# json is imported where JSON is read or written, so `factor` on a plain
+# coefficient file never loads it.
 from . import partitions, recursions, search, series
 
 
@@ -39,6 +40,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str):
+    import json
+
     text = _read_text(path)
     try:
         return json.loads(text)
@@ -149,6 +152,8 @@ def _cmd_verify(args) -> int:
                 f"({report.method})\n"
             )
     if args.out is not None:
+        import json
+
         payload = json.dumps(
             [r.to_json() for r in reports], indent=2, sort_keys=True
         ) + "\n"
@@ -161,6 +166,8 @@ def _read_coefficients(path: str) -> list[int]:
     if not stripped:
         raise _ConfigError(f"{path}: no coefficients found")
     if stripped.startswith("["):
+        import json
+
         try:
             entries = json.loads(stripped)
         except json.JSONDecodeError as exc:
@@ -182,15 +189,19 @@ def _read_coefficients(path: str) -> list[int]:
 
 def _cmd_factor(args) -> int:
     coeffs = _read_coefficients(args.coeffs)
+    top = len(coeffs) - 1
+    order = args.order if args.order is not None else top
+    # a_1..a_k depend on b_0..b_k alone, so only those are factored; for an
+    # order out of range, b_0 and b_1 still raise the file's own errors first
+    k = order if 1 <= order <= top else min(top, 1)
     try:
-        exps = series.euler_factorize(series.TruncatedSeries(coeffs))
+        exps = series.euler_factorize(series.TruncatedSeries(coeffs[: k + 1]))
     except ValueError as exc:
         raise _ConfigError(f"{args.coeffs}: {exc}") from exc
-    order = args.order if args.order is not None else exps.order
-    if not 1 <= order <= exps.order:
+    if not 1 <= order <= top:
         raise _ConfigError(
-            f"--order {order} outside 1..{exps.order} "
-            f"(file provides coefficients through q^{len(coeffs) - 1})"
+            f"--order {order} outside 1..{top} "
+            f"(file provides coefficients through q^{top})"
         )
     _write("".join(f"a_{m} = {exps[m]}\n" for m in range(1, order + 1)))
     return 0

@@ -16,14 +16,20 @@ with integer exponents a_m.  Taking q*d/dq of the logarithm gives
     c(q) = q*b'(q)/b(q),   c_n = sum_{d|n} d*a_d,
 
 so euler_factorize divides q*b' by b and then peels each c_n's proper
-divisors off with a sieve over multiples.  The division takes Newton steps
-that double the precision of 1/b, seeded by the direct recurrence for the
-first few terms; each step is a few products of whole series.  The key
-property exploited downstream is that a_1..a_k depend only on b_1..b_k, so a
-polynomial prefix of a generating function pins down the leading product
-factors exactly.  expand_product runs the same identity the other way: it
-sieves c from the exponents and solves n*b_n = sum c_k*b_(n-k) by divide and
-conquer, one whole-block product per split, not by a prefix sum per factor.
+divisors off with a sieve over multiples.  The c_n are small when b is a
+product with small exponents, however wide b's coefficients: under q -> 2^32
+the division is one 2-adic quotient of two ints, whose 32-bit digits are a
+candidate c, and one exact product b*c = q*b' certifies it (Dixon, "Exact
+solution of linear equations using p-adic expansions", Numer. Math. 40,
+1982).  A quotient that does not fit a word, or fails the certificate, takes
+Newton steps that double the precision of 1/b, seeded by the direct
+recurrence for the first few terms; each step is a few products of whole
+series at the width of b.  The key property exploited downstream is that
+a_1..a_k depend only on b_1..b_k, so a polynomial prefix of a generating
+function pins down the leading product factors exactly.  expand_product
+runs the same identity the other way: it sieves c from the exponents and
+solves n*b_n = sum c_k*b_(n-k) by divide and conquer, one whole-block
+product per split, not by a prefix sum per factor.
 
 Inside the package, series are also carried packed into one int, B bits per
 coefficient (Kronecker substitution).  Partition counts (packed_bits, pack,
@@ -44,13 +50,14 @@ multiplication.  TruncatedSeries stays the type at every module boundary.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
-from operator import index, mul
+from operator import add, index, mul
 from typing import Iterable, Sequence
 
 # Series divisions up to this many terms run the direct recurrence; longer
-# ones take Newton steps.  Above the orders grid searches run at (30 to 40),
-# whose cells are faster without a step.
+# ones try the 2-adic route, then take Newton steps.  Above the orders grid
+# searches run at (30 to 40), whose cells are faster without either.
 _SEED = 64
 
 # Blocks of expand_product's solve up to this many terms take the direct sum.
@@ -217,31 +224,39 @@ def unpack(x: int, n: int, bits: int) -> TruncatedSeries:
     return TruncatedSeries(int(digits[i : i + bits], 2) for i in range(0, len(digits), bits))
 
 
+def _packed(p: Sequence[int], size: int) -> int:
+    """sum p_i*2^(8*size*i), for |p_i| < 2^(8*size-1).  Digits are stored
+    offset by 2^(8*size-1), so they are never negative; the offset pattern
+    comes off after packing."""
+    digits = bytearray()
+    half = 1 << (8 * size - 1)
+    for x in p:
+        digits += (x + half).to_bytes(size, "little")
+    return int.from_bytes(digits, "little") - _offsets(len(p), size)
+
+
+def _offsets(n: int, size: int) -> int:
+    """2^(8*size-1) in each of n digits of size bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
 def _mul(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:
     """Coefficients 0..n of f*g, for signed integer coefficient lists.
 
-    One big-int multiplication: each operand is packed B bits per
+    One big-int multiplication: each operand is packed (_packed) B bits per
     coefficient, B the bit length of the exact bound
     min(len f, len g)*max|f|*max|g| on a product coefficient plus a sign
     bit, rounded up to whole bytes.  A maximum of 0 counts as 1 in the bound,
-    which then also covers every operand coefficient.  Digits are stored
-    offset by 2^(B-1), so they are never negative; the offset pattern comes
-    off after packing and goes back on before unpacking.
+    which then also covers every operand coefficient.  The offset pattern
+    goes back on before unpacking.
     """
     f, g = f[: n + 1], g[: n + 1]
     bound = min(len(f), len(g)) * (max(map(abs, f)) or 1) * (max(map(abs, g)) or 1)
     size = bound.bit_length() // 8 + 1
     half = 1 << (8 * size - 1)
-    offsets = int.from_bytes((bytes(size - 1) + b"\x80") * (n + 1), "little")
-
-    def packed(p):
-        digits = bytearray()
-        for x in p:
-            digits += (x + half).to_bytes(size, "little")
-        return int.from_bytes(digits, "little") - (offsets & (1 << 8 * size * len(p)) - 1)
-
     width = size * (n + 1)
-    h = ((packed(f) * packed(g) + offsets) & (1 << 8 * width) - 1).to_bytes(width, "little")
+    h = _packed(f, size) * _packed(g, size) + _offsets(n + 1, size)
+    h = (h & (1 << 8 * width) - 1).to_bytes(width, "little")
     return [int.from_bytes(h[i : i + size], "little") - half for i in range(0, width, size)]
 
 
@@ -265,6 +280,50 @@ def _divide(y: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     e = _mul(b, x, n - 1)
     e = [e[k] - (y[k] if k < len(y) else 0) for k in range(p, n)]
     return x + [-t for t in _mul(g, e, n - p - 1)]
+
+
+def _at_word(p: Sequence[int]) -> int:
+    """p(2^32), for signed coefficients p.  Terms j, j+s, j+2s, ... pack
+    without overlap at s words each, s the words of the widest coefficient
+    and its sign, so the sum takes s packings."""
+    s = max(map(abs, p)).bit_length() // 32 + 1
+    return sum(_packed(p[j::s], 4 * s) << 32 * j for j in range(s))
+
+
+def _over(y: int, x: int, k: int) -> int:
+    """y/x mod 2^k, for x = 1 mod 2^32: Newton on the 2-adic inverse, in
+    Karp and Markstein's form.  With g = 1/x and c = y*g to h = ceil(k/2)
+    bits, x*c - y = 2^h*r, so y/x = c - 2^h*g*r mod 2^k."""
+    if k <= 32:
+        return y & (1 << k) - 1
+    h = (k + 1) // 2
+    g = _over(1, x, h)
+    c = (y & (1 << h) - 1) * g & (1 << h) - 1
+    r = ((x & (1 << k) - 1) * c - (y & (1 << k) - 1)) >> h
+    return c - ((g * r & (1 << k - h) - 1) << h) & (1 << k) - 1
+
+
+def _narrow(y: list[int], b: Sequence[int], n: int) -> list[int] | None:
+    """Terms 0..n-1 of y/b, for b_0 = 1 and len(y) = n, when they fit a
+    32-bit word with room to spare; None when that is not shown.
+
+    q -> 2^32 maps Z[q]/(q^n) into the integers mod 2^(32n), and b goes to
+    an odd number, so y/b maps to one 2-adic quotient (_over), whose
+    balanced 32-bit digits are the candidate x.  A digit within 2^29 of
+    either edge returns None at once.  Otherwise one exact product,
+    b*x = y through q^(n-1), certifies x: since b_0 = 1 it forces x = y/b.
+    b's low and high halves multiply separately, each at its own width.
+    """
+    k = 32 * n
+    # with 2^31 added to every word, each balanced digit is its word - 2^31
+    t = _over(_at_word(y), _at_word(b), k) + _offsets(n, 4)
+    words = memoryview((t & (1 << k) - 1).to_bytes(4 * n, sys.byteorder)).cast("I")
+    if min(words) < 1 << 29 or max(words) >= 7 << 29:
+        return None
+    x = [w - (1 << 31) for w in words]
+    h = n // 2
+    lo, hi = _mul(b[:h], x, n - 1), _mul(b[h:], x, n - h - 1)
+    return x if lo[:h] == y[:h] and list(map(add, lo[h:], hi)) == y[h:] else None
 
 
 class ExponentSequence:
@@ -319,8 +378,10 @@ def euler_factorize(b: TruncatedSeries) -> ExponentSequence:
     """Exponents a_1..a_N with b(q) = prod (1 - q^m)^(-a_m) mod q^(N+1).
 
     Takes the logarithmic derivative: c = q*b'/b has c_n = sum_{d|n} d*a_d.
-    _divide computes c with O(log N) big-int products, and a sieve over
-    multiples peels the proper divisors off each c_n in O(N log N).
+    Above _SEED terms, _narrow first tries c in 32-bit words, certified by
+    one exact product; when it declines, _divide computes c with O(log N)
+    big-int products at the width of b.  A sieve over multiples then peels
+    the proper divisors off each c_n in O(N log N).
 
     Raises ValueError unless b has constant term 1, and IntegralityError if
     the division by n is ever inexact (it cannot be, for integer input).
@@ -331,7 +392,10 @@ def euler_factorize(b: TruncatedSeries) -> ExponentSequence:
     if bc[0] != 1:
         raise ValueError(f"constant term must be 1, got {bc[0]}")
     n_max = b.order
-    c = _divide([n * x for n, x in enumerate(bc)], bc, n_max + 1)
+    y = [n * x for n, x in enumerate(bc)]
+    c = _narrow(y, bc, n_max + 1) if n_max >= _SEED else None
+    if c is None:
+        c = _divide(y, bc, n_max + 1)
     for n in range(1, n_max + 1):
         a_n, rem = divmod(c[n], n)
         if rem:

@@ -4,6 +4,7 @@ interpreter where the test is about which modules a subcommand runs."""
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,40 @@ class TestFactorCommand:
         rc = cli.main(["factor", "--coeffs", str(path), "--order", "5"])
         assert rc == 2
         assert "outside 1..1" in capsys.readouterr().err
+
+    def test_order_prints_the_first_lines_of_the_full_run(self, tmp_path, capsys, monkeypatch):
+        # a_1..a_k depend on b_0..b_k alone, so --order k factors only those
+        path = tmp_path / "c.txt"
+        rng = random.Random(1700)
+        path.write_text("\n".join(["1"] + [str(rng.randrange(-3, 4)) for _ in range(200)]))
+        assert cli.main(["factor", "--coeffs", str(path)]) == 0
+        full = capsys.readouterr().out.splitlines(keepends=True)
+        orders = []
+        real = cli.series.euler_factorize
+        monkeypatch.setattr(
+            cli.series, "euler_factorize", lambda b: orders.append(b.order) or real(b)
+        )
+        for k in (1, 2, 64, 65, 130, 200):
+            assert cli.main(["factor", "--coeffs", str(path), "--order", str(k)]) == 0
+            assert capsys.readouterr().out == "".join(full[:k])
+        assert orders == [1, 2, 64, 65, 130, 200]
+
+    def test_order_errors_keep_their_text(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("1, 1, 2")
+        for k in ("0", "3", "-1"):
+            assert cli.main(["factor", "--coeffs", str(path), "--order", k]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --order {k} outside 1..2 (file provides coefficients through q^2)\n"
+            )
+        # the file's own errors come first, whatever the order
+        for text, err in (
+            ("3, 1, 2", "constant term must be 1, got 3"), ("1", "factorization needs order >= 1")
+        ):
+            path.write_text(text)
+            for k in ("1", "9", "0"):
+                assert cli.main(["factor", "--coeffs", str(path), "--order", k]) == 2
+                assert capsys.readouterr().err == f"error: {path}: {err}\n"
 
     def test_exponents_past_the_int_to_str_digit_limit(self, tmp_path, capsys):
         # 1 + 10^50 q: a_m grows like 10^(50 m) / m, so a_87 is the first
@@ -575,10 +610,13 @@ class TestLazyImports:
         assert not loaded & {"dataclasses", "inspect"}
 
     def test_factor_runs_only_series(self, tmp_path):
+        # and never loads json for a plain coefficient file
         path = tmp_path / "c.txt"
         path.write_text("1, 1, 1, 1")
         _, ran = _run_modules(
-            f"import sumside.cli\nsumside.cli.main(['factor', '--coeffs', {str(path)!r}])"
+            "before = set(sys.modules)\n"
+            f"import sumside.cli\nsumside.cli.main(['factor', '--coeffs', {str(path)!r}])\n"
+            "assert 'json' not in set(sys.modules) - before, 'json loaded'"
         )
         assert ran == {"sumside", "sumside.cli", "sumside.series"}
 

@@ -13,7 +13,18 @@ from sumside import (
     expand_product,
 )
 import sumside.series
-from sumside.series import _mul, _regular_count, check_packed, pack, packed_bits, unpack
+from sumside.series import (
+    _at_word,
+    _divide,
+    _mul,
+    _narrow,
+    _over,
+    _regular_count,
+    check_packed,
+    pack,
+    packed_bits,
+    unpack,
+)
 
 
 class TestTruncatedSeries:
@@ -262,7 +273,8 @@ class TestSignedProduct:
 
 
 class TestFactorizeAgainstOracle:
-    """The Newton route against the O(N^2) recurrence it replaced."""
+    """Both routes (the certified 2-adic one and Newton's) against the O(N^2)
+    recurrence they replaced."""
 
     def test_every_order_to_140(self):
         # crosses the direct-recurrence size (64 terms) and the first
@@ -293,6 +305,72 @@ class TestFactorizeAgainstOracle:
         profile = [2, -1, 0, 1, 1, 0, -1, 2, 0, 1, 0, 2]
         a = ExponentSequence(profile[(m - 1) % len(profile)] for m in range(1, 2001))
         assert euler_factorize(expand_product(a)) == a
+
+
+def _quotient_routes(b):
+    """Terms 0..N of q*b'/b by the 2-adic route (None if it declines) and by
+    the Newton route."""
+    y = [n * x for n, x in enumerate(b)]
+    return _narrow(y, b.coeffs, len(y)), _divide(y, b.coeffs, len(y))
+
+
+def _single_factor(a1, order):
+    """(1 - q)^(-a1) through q^order: every c_n, n >= 1, equals a1."""
+    return expand_product(ExponentSequence([a1] + [0] * (order - 1)))
+
+
+class TestNarrowRoute:
+    """q -> 2^32 gives a candidate quotient; one exact product certifies it,
+    and anything it does not prove goes to the Newton route."""
+
+    def test_certificate_rejects_a_candidate_off_by_2_to_the_32(self):
+        # every c_n is 2^32 + 5, so the balanced 32-bit digits read 0, 5, 6,
+        # 6, ...: far inside the edge, and wrong
+        b = _single_factor(2**32 + 5, 100)
+        y = [n * x for n, x in enumerate(b)]
+        t = _over(_at_word(y), _at_word(b.coeffs), 32 * 101)
+        assert [t >> 32 * i & 0xFFFFFFFF for i in range(101)] == [0, 5] + [6] * 99
+        assert _narrow(y, b.coeffs, 101) is None
+        assert list(euler_factorize(b)) == oracles.oracle_factorize(list(b))
+
+    def test_edge_band(self):
+        # a digit within 2^29 of +-2^31 sends the series to Newton unasked
+        for a1, taken in (
+            (2**31 - 2**29 - 1, True), (2**31 - 2**29, False),
+            (-(2**31) + 2**29, True), (-(2**31) + 2**29 - 1, False),
+        ):
+            narrow, newton = _quotient_routes(_single_factor(a1, 70))
+            assert newton == [0] + [a1] * 70
+            assert narrow == (newton if taken else None), a1
+
+    def test_wide_quotient_takes_the_newton_route(self, monkeypatch):
+        calls = []
+        real = sumside.series._divide
+        monkeypatch.setattr(
+            sumside.series, "_divide", lambda *args: calls.append(args[2]) or real(*args)
+        )
+        # c_n = a_1 + 2*a_2 on even n: past 2^29 on every n, and past 2^31
+        # or wrapped to a small digit on the even ones; in the last case,
+        # only c_60 (in the certificate's high half) wraps, to 1
+        heads = ([2**31 - 2**28, 1], [2**30, 2**30 + 3], [-(2**40), 7], [1] + [0] * 58 + [2**32])
+        for head in heads:
+            b = expand_product(ExponentSequence(head + [0] * (100 - len(head))))
+            calls.clear()
+            assert list(euler_factorize(b)) == oracles.oracle_factorize(list(b))
+            assert calls and calls[0] == 101, head[:2]
+
+    @pytest.mark.parametrize("order", [65, 66, 127, 128, 2000])
+    def test_seeded_periodic_profiles(self, order):
+        rng = random.Random(order)
+        for _ in range(2):
+            period = rng.randint(6, 24)
+            profile = [rng.randint(-1, 2) for _ in range(period)]
+            b = expand_product(
+                ExponentSequence(profile[(m - 1) % period] for m in range(1, order + 1))
+            )
+            narrow, newton = _quotient_routes(b)
+            assert narrow is not None and narrow == newton
+            assert list(euler_factorize(b)) == oracles.oracle_factorize(list(b))
 
 
 class TestExpandProduct:
