@@ -7,8 +7,9 @@ shipped identities to high order via polynomial recursions.
 
 Submodules run on first use: importing the package registers them in
 ``sys.modules`` unexecuted, and a public name resolves on first access.
-Rules, shapes, specs and reports are frozen value records (``_record``), not
-dataclasses, so a CLI process does not import inspect or exec their methods.
+Every value passed between modules (rules, condition sets, series, exponent
+sequences, shapes, specs, grids and reports) is a frozen record (``_record``),
+not a dataclass, so a CLI process does not import inspect or exec methods.
 """
 
 import importlib.util

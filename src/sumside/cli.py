@@ -39,14 +39,19 @@ def _read_text(path: str) -> str:
         raise _ConfigError(f"{path}: not UTF-8 text") from exc
 
 
-def _load_json(path: str):
+def _decode_json(path: str, text: str):
+    """text, the whole of the file at path, decoded as JSON; an error names
+    its line and column in the file."""
     import json
 
-    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _load_json(path: str):
+    return _decode_json(path, _read_text(path))
 
 
 _CHUNK = 1 << 16
@@ -162,20 +167,14 @@ def _cmd_verify(args) -> int:
 
 
 def _read_coefficients(path: str) -> list[int]:
-    stripped = _read_text(path).strip()
+    text = _read_text(path)
+    stripped = text.strip()
     if not stripped:
         raise _ConfigError(f"{path}: no coefficients found")
     if stripped.startswith("["):
-        import json
-
-        try:
-            entries = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise _ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        if not isinstance(entries, list):
-            raise _ConfigError(f"{path}: expected a JSON array of coefficients")
+        entries = _decode_json(path, text)  # a list, as the text opens with [
     else:
-        entries = [tok for tok in stripped.replace(",", " ").split()]
+        entries = stripped.replace(",", " ").split()
     out = []
     for i, entry in enumerate(entries):
         try:

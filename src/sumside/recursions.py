@@ -271,9 +271,6 @@ class RecursionState(Record):
     order: int
     bits: int
 
-    def current(self, register: int = 0) -> TruncatedSeries:
-        return unpack(self.registers[-1][register], self.order, self.bits)
-
 
 def initial_state(family: str, order: int) -> RecursionState:
     """State holding the family's initial polynomials, truncated to order.

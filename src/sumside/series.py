@@ -55,6 +55,8 @@ from functools import lru_cache
 from operator import add, index, mul
 from typing import Iterable, Sequence
 
+from ._record import Record
+
 # Series divisions up to this many terms run the direct recurrence; longer
 # ones try the 2-adic route, then take Newton steps.  Above the orders grid
 # searches run at (30 to 40), whose cells are faster without either.
@@ -70,33 +72,32 @@ class IntegralityError(ArithmeticError):
     bit width.  Signals a bug, not bad input."""
 
 
-class TruncatedSeries:
-    """Immutable integer power series truncated at q^order (inclusive).
+class TruncatedSeries(Record):
+    """Integer power series truncated at q^order (inclusive), a frozen record.
 
-    Coefficients are never dropped implicitly; use ``truncate`` for explicit
-    shortening.
+    Given an order, the coefficients are padded with zeros up to it; they
+    are never dropped implicitly, so use ``truncate`` for explicit shortening.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
+    order: int | None = None
 
-    def __init__(self, coeffs: Iterable[int], order: int | None = None):
-        cs = tuple(map(index, coeffs))
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be >= 0")
-            if len(cs) > order + 1:
-                raise ValueError(
-                    f"{len(cs)} coefficients exceed order {order}; "
-                    "use truncate() to drop terms deliberately"
-                )
-            cs = cs + (0,) * (order + 1 - len(cs))
-        elif not cs:
-            raise ValueError("a series needs at least the constant term")
-        self.coeffs = cs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def __post_init__(self):
+        cs, order = tuple(map(index, self.coeffs)), self.order
+        if order is None:
+            if not cs:
+                raise ValueError("a series needs at least the constant term")
+        elif order < 0:
+            raise ValueError("order must be >= 0")
+        elif len(cs) > order + 1:
+            raise ValueError(
+                f"{len(cs)} coefficients exceed order {order}; "
+                "use truncate() to drop terms deliberately"
+            )
+        else:
+            cs += (0,) * (order + 1 - len(cs))
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "order", len(cs) - 1)
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
@@ -106,14 +107,6 @@ class TruncatedSeries:
 
     def __iter__(self):
         return iter(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def truncate(self, k: int) -> "TruncatedSeries":
         """The same series modulo q^(k+1)."""
@@ -326,17 +319,18 @@ def _narrow(y: list[int], b: Sequence[int], n: int) -> list[int] | None:
     return x if lo[:h] == y[:h] and list(map(add, lo[h:], hi)) == y[h:] else None
 
 
-class ExponentSequence:
-    """Integer exponents a_1..a_N of a product prod (1 - q^m)^(-a_m).
+class ExponentSequence(Record):
+    """Integer exponents a_1..a_N of a product prod (1 - q^m)^(-a_m), a
+    frozen record.
 
     Indexing is 1-based to match the q-power each exponent belongs to;
     ``a[m]`` is the exponent of the (1 - q^m) factor.
     """
 
-    __slots__ = ("exps",)
+    exps: tuple[int, ...]
 
-    def __init__(self, exps: Iterable[int]):
-        self.exps = tuple(map(index, exps))
+    def __post_init__(self):
+        object.__setattr__(self, "exps", tuple(map(index, self.exps)))
         if not self.exps:
             raise ValueError("an exponent sequence needs order >= 1")
 
@@ -354,14 +348,6 @@ class ExponentSequence:
 
     def __iter__(self):
         return iter(self.exps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExponentSequence):
-            return NotImplemented
-        return self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
 
     def truncate(self, k: int) -> "ExponentSequence":
         if not 1 <= k <= self.order:

@@ -142,6 +142,26 @@ class TestFactorCommand:
         assert rc == 2
         assert "coefficient 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("\n\n  [1, 2,", ":3:9: Expecting value"),
+            ("", ": no coefficients found"),
+            (" \n\t", ": no coefficients found"),
+            ("[1] [2]", ":1:5: Extra data"),
+        ],
+        ids=["json-position", "empty", "blank", "extra-data"],
+    )
+    def test_malformed_coefficient_file_exits_two(self, tmp_path, capsys, text, where):
+        # a JSON error names its line and column in the file, as for --conditions
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        rc = cli.main(["factor", "--coeffs", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {path}{where}\n"
+        assert captured.out == ""
+
     def test_non_utf8_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         path.write_bytes(b"\xff\xfe1, 1")
@@ -330,6 +350,7 @@ class TestEnumerateCommand:
                 '{"congruences": [{"span": 1, "gap": 1, "residue": 3, "modulus": 3}]}',
                 "congruences[0]: residue must lie in 0..modulus-1",
             ),
+            ('{"diffs": 5}', "diffs: expected a JSON array, got 5"),
             (b"\xff\xfe{}", "not UTF-8 text"),
         ],
     )
@@ -446,6 +467,7 @@ class TestSearchCommand:
                 '[[], [{"span": 0, "gap": 1, "residue": 0, "modulus": 3}]]}',
                 "congruences[1][0]: span must be >= 1",
             ),
+            ('{"schema_version": 1, "diffs": 5}', "diffs: expected a JSON array, got 5"),
             (b"\xff\xfe{}", "not UTF-8 text"),
         ],
     )
@@ -618,7 +640,7 @@ class TestLazyImports:
             f"import sumside.cli\nsumside.cli.main(['factor', '--coeffs', {str(path)!r}])\n"
             "assert 'json' not in set(sys.modules) - before, 'json loaded'"
         )
-        assert ran == {"sumside", "sumside.cli", "sumside.series"}
+        assert ran == {"sumside", "sumside._record", "sumside.cli", "sumside.series"}
 
     def test_enumerate_runs_neither_recursions_nor_search(self, i1_conditions_file):
         _, ran = _run_modules(

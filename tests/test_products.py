@@ -23,6 +23,10 @@ class TestProductShape:
         with pytest.raises(ValueError):
             ProductShape(period=3, exponent_profile=(1, 0))
 
+    def test_period_must_be_positive(self):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            ProductShape(0, ())
+
     def test_profile_entries_must_be_integers(self):
         # exact arithmetic: 1.9 or "1" is never truncated or parsed to 1
         for bad in (1.9, 1.0, "1"):
@@ -53,6 +57,10 @@ class TestProductShape:
         shape = ProductShape.from_residues(5, {1, 4})
         exps = shape.exponents(12)
         assert tuple(exps.exps) == (1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0)
+
+    def test_exponents_need_order_one(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            ProductShape(1, (1,)).exponents(0)
 
 
 class TestDetectPeriod:
@@ -110,6 +118,15 @@ class TestDetectPeriod:
         exps = ProductShape(1, (1,)).exponents(1)
         with pytest.raises(ValueError):
             detect_period(exps, min_repeats=2)
+
+    @pytest.mark.parametrize(
+        "thresholds, message",
+        [(dict(p_max=0), "p_max must be >= 1"), (dict(min_repeats=0), "min_repeats must be >= 1")],
+    )
+    def test_thresholds_below_one_raise(self, thresholds, message):
+        exps = ProductShape(1, (1,)).exponents(10)
+        with pytest.raises(ValueError, match=message):
+            detect_period(exps, **thresholds)
 
 
 class TestDescribe:

@@ -11,10 +11,12 @@ from sumside import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
+    ExponentSequence,
     IdentitySpec,
     ProductShape,
     SearchGrid,
     SmallestPartRule,
+    TruncatedSeries,
     VerificationReport,
 )
 from sumside._record import replace
@@ -79,6 +81,8 @@ CASES = [
         ),
         dict(hits=()),
     ),
+    (TruncatedSeries, dict(coeffs=(1, 2, 3), order=2), dict(coeffs=(1, 2, 4))),
+    (ExponentSequence, dict(exps=(1, 0, 2)), dict(exps=(1, 0, 1))),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
@@ -92,7 +96,8 @@ HIT_REPR = (
     f"CandidateHit(conditions={CS_REPR}, shape={SHAPE_REPR}, order_checked=30, "
     "refined=None)"
 )
-# the text a frozen dataclass gives, for one instance of each public record
+# the text a frozen dataclass gives, for one instance of each public record;
+# the two series types keep their compact text, the coefficients as a list
 REPRS = {
     "SmallestPartRule": "SmallestPartRule(min_part=2, max_mult=1)",
     "DiffDistRule": "DiffDistRule(distance=2, min_diff=3)",
@@ -120,6 +125,8 @@ REPRS = {
         f"CandidateReport(grid_size=4, cells_run=3, order=12, p_max=64, min_repeats=2, "
         f"hits=({HIT_REPR},), failures=(('{{}}', 'boom'),), elapsed_ms=2.5)"
     ),
+    "TruncatedSeries": "TruncatedSeries([1, 2, 3], order=2)",
+    "ExponentSequence": "ExponentSequence([1, 0, 2], order=3)",
 }
 
 
@@ -195,6 +202,7 @@ def test_defaults_fill_trailing_fields():
         (SHAPE, dict(period=2), "profile length"),
         (IdentitySpec("X", CS, 5, {1, 4}), dict(modulus=3), "outside"),
         (SearchGrid((None,), ((),), ((),)), dict(order=0), "order"),
+        (TruncatedSeries((1, 2)), dict(order=0), "exceed order 0"),
     ],
 )
 def test_replace_runs_validation_again(record, change, message):

@@ -22,7 +22,7 @@ from sumside import (
 from sumside._record import replace
 from sumside.partitions import _repeat_bound
 from sumside.recursions import FAMILIES, _check_tables
-from sumside.series import _regular_count, packed_bits
+from sumside.series import _regular_count, packed_bits, unpack
 
 FAMILY_IDENTITY = {
     spec.recursion_family: spec for spec in BUILTIN_IDENTITIES.values()
@@ -78,7 +78,11 @@ class TestFamilyGeometry:
     def test_initial_state_truncates(self):
         state = initial_state("P1", 3)
         assert state.index == 3
-        assert state.current().coeffs == (1, 1, 1, 2)
+        assert unpack(state.registers[-1][0], state.order, state.bits).coeffs == (1, 1, 1, 2)
+
+    def test_initial_state_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            initial_state("P1", -1)
 
     @pytest.mark.parametrize(
         "defect",

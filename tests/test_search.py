@@ -58,6 +58,11 @@ class TestSearchGrid:
         )
         assert SearchGrid.from_json(grid.to_json()) == grid
 
+    def test_json_defaults(self):
+        grid = SearchGrid.from_json({"schema_version": 1})
+        assert (grid.order, grid.p_max, grid.min_repeats) == (30, 64, 2)
+        assert grid == SearchGrid((None,), ((),), ((),))
+
     def test_schema_version_checked(self):
         obj = tiny_grid().to_json()
         obj["schema_version"] = 99
