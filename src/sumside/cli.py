@@ -50,8 +50,14 @@ def _decode_json(path: str, text: str):
         raise _ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _load_json(path: str):
-    return _decode_json(path, _read_text(path))
+def _load(path: str, record):
+    """The record that the JSON file at path describes; the strict readers
+    raise ValueError naming the key path of the first bad entry."""
+    obj = _decode_json(path, _read_text(path))
+    try:
+        return record.from_json(obj)
+    except ValueError as exc:
+        raise _ConfigError(f"{path}: {exc}") from exc
 
 
 _CHUNK = 1 << 16
@@ -92,11 +98,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_search(args) -> int:
     from ._record import replace
 
-    obj = _load_json(args.config)
-    try:
-        grid = search.SearchGrid.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _ConfigError(f"{args.config}: {exc}") from exc
+    grid = _load(args.config, search.SearchGrid)
     overrides = {}
     for name, flag in (
         ("order", "--order"), ("p_max", "--p-max"), ("min_repeats", "--min-repeats")
@@ -207,11 +209,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    obj = _load_json(args.conditions)
-    try:
-        conds = partitions.ConditionSet.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _ConfigError(f"{args.conditions}: {exc}") from exc
+    conds = _load(args.conditions, partitions.ConditionSet)
     if args.n < 0:
         raise _ConfigError("--n must be >= 0")
     if args.list:

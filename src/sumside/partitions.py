@@ -84,13 +84,6 @@ def _json_int(obj: dict, key: str, where: str = "", default: int | None = None) 
     return value
 
 
-def _json_rules(items, where: str, rule) -> tuple:
-    """The rules a JSON array of rule objects describes, each error naming
-    its index, as in diffs[0]."""
-    items = _json_list(items, where)
-    return tuple(rule.from_json(r, f"{where}[{i}]") for i, r in enumerate(items))
-
-
 def _check_ints(record: Record, names) -> None:
     """Each named field of record must be an int, or None if None is its
     default; bool is rejected, as the JSON readers reject true."""
@@ -187,61 +180,75 @@ class CongruenceRule(_Rule):
             raise ValueError("residue must lie in 0..modulus-1")
 
 
-def _check_smallest(value, where: str) -> None:
-    if value is not None and not isinstance(value, SmallestPartRule):
-        raise ValueError(f"{where}: expected a SmallestPartRule or None, got {value!r}")
-
-
-def _rule_tuple(value, rule, where: str) -> tuple:
-    """value as a tuple of rule instances; a ValueError names the bad entry."""
-    try:
-        rules = tuple(value)
-    except TypeError:
-        raise ValueError(
-            f"{where}: expected a sequence of {rule.__name__}, got {value!r}"
-        ) from None
-    for i, r in enumerate(rules):
-        if not isinstance(r, rule):
-            raise ValueError(f"{where}[{i}]: expected a {rule.__name__}, got {r!r}")
-    return rules
-
-
 class ConditionSet(Record):
-    """Conjunction of sum-side rules; a partition must satisfy all of them."""
+    """Conjunction of sum-side rules; a partition must satisfy all of them.
+
+    Each slot holds one rule kind, smallest a rule or None and the others a
+    tuple of rules.  _check_slot, _read_slot and _write_slot handle one slot
+    value; a SearchGrid checks, reads and writes its options through them."""
 
     smallest: SmallestPartRule | None = None
     diffs: tuple[DiffDistRule, ...] = ()
     congruences: tuple[CongruenceRule, ...] = ()
+    _kinds = {
+        "smallest": SmallestPartRule, "diffs": DiffDistRule, "congruences": CongruenceRule
+    }
 
     def __post_init__(self):
         """Raises ValueError naming the first slot that does not hold its
         rule kind, as in diffs[0]: expected a DiffDistRule, got 3."""
-        _check_smallest(self.smallest, "smallest")
-        object.__setattr__(self, "diffs", _rule_tuple(self.diffs, DiffDistRule, "diffs"))
-        object.__setattr__(
-            self, "congruences", _rule_tuple(self.congruences, CongruenceRule, "congruences")
-        )
+        for slot in self._fields:
+            object.__setattr__(self, slot, self._check_slot(slot, getattr(self, slot), slot))
+
+    @classmethod
+    def _check_slot(cls, slot: str, value, where: str):
+        """value as slot holds it, any iterable of rules made a tuple; a
+        ValueError names the bad entry from where."""
+        rule = cls._kinds[slot]
+        if slot == "smallest":
+            if value is not None and not isinstance(value, rule):
+                raise ValueError(f"{where}: expected a {rule.__name__} or None, got {value!r}")
+            return value
+        try:
+            rules = tuple(value)
+        except TypeError:
+            raise ValueError(
+                f"{where}: expected a sequence of {rule.__name__}, got {value!r}"
+            ) from None
+        for i, r in enumerate(rules):
+            if not isinstance(r, rule):
+                raise ValueError(f"{where}[{i}]: expected a {rule.__name__}, got {r!r}")
+        return rules
+
+    @classmethod
+    def _read_slot(cls, slot: str, value, where: str):
+        """The slot value that JSON value describes, each error naming its
+        key path from where, as in diffs[0]."""
+        rule = cls._kinds[slot]
+        if slot == "smallest":
+            return None if value is None else rule.from_json(value, where)
+        items = _json_list(value, where)
+        return tuple(rule.from_json(r, f"{where}[{i}]") for i, r in enumerate(items))
+
+    @staticmethod
+    def _write_slot(slot: str, value):
+        """value as JSON; None for an empty smallest slot."""
+        if slot == "smallest":
+            return None if value is None else value.to_json()
+        return [r.to_json() for r in value]
 
     def to_json(self) -> dict:
-        obj: dict = {}
-        if self.smallest is not None:
-            obj["smallest"] = self.smallest.to_json()
-        obj["diffs"] = [r.to_json() for r in self.diffs]
-        obj["congruences"] = [r.to_json() for r in self.congruences]
-        return obj
+        """Every slot but an empty smallest, which is left out."""
+        obj = {slot: self._write_slot(slot, getattr(self, slot)) for slot in self._fields}
+        return {slot: v for slot, v in obj.items() if v is not None}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConditionSet":
         """Raises ValueError naming the key path of the first bad entry."""
         obj = _json_keys(obj, cls._fields, "")
-        sm = obj.get("smallest")
-        return cls(
-            smallest=None if sm is None else SmallestPartRule.from_json(sm, "smallest"),
-            diffs=_json_rules(obj.get("diffs", []), "diffs", DiffDistRule),
-            congruences=_json_rules(
-                obj.get("congruences", []), "congruences", CongruenceRule
-            ),
-        )
+        return cls(**{
+            slot: cls._read_slot(slot, obj[slot], slot) for slot in cls._fields if slot in obj
+        })
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

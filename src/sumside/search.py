@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import time
 from functools import partial
+from itertools import product
+from math import prod
 
 from ._record import Record, replace
 from .partitions import (
@@ -23,12 +25,9 @@ from .partitions import (
     DiffDistRule,
     SmallestPartRule,
     _check_ints,
-    _check_smallest,
     _json_int,
     _json_keys,
     _json_list,
-    _json_rules,
-    _rule_tuple,
     count_sum_side,
 )
 from .products import ProductShape, detect_period, describe, symmetry_classify
@@ -37,12 +36,23 @@ from .series import euler_factorize
 SCHEMA_VERSION = 1
 
 
+# Each grid axis lists options for one ConditionSet slot, in the slots' field
+# order, so one option from each axis gives ConditionSet's positional fields.
+_AXES = (
+    ("smallest_options", "smallest"),
+    ("diff_options", "diffs"),
+    ("congruence_options", "congruences"),
+)
+
+
 class SearchGrid(Record):
     """Cartesian product of condition options plus periodicity thresholds.
 
     Each diff/congruence option is itself a combination (possibly empty) of
     rules applied together; smallest options may include None for "no
-    smallest-part restriction".
+    smallest-part restriction".  An axis may be any iterable of options; it
+    is stored as a tuple of them, each checked and normalised by
+    ConditionSet._check_slot as the slot it fills.
     """
 
     smallest_options: tuple[SmallestPartRule | None, ...]
@@ -54,13 +64,14 @@ class SearchGrid(Record):
 
     def __post_init__(self):
         _check_ints(self, self._defaults)  # the defaulted fields: order and thresholds
-        if not (self.smallest_options and self.diff_options and self.congruence_options):
-            raise ValueError("every grid axis needs at least one option")
-        for i, sm in enumerate(self.smallest_options):
-            _check_smallest(sm, f"smallest_options[{i}]")
-        for axis, rule in (("diff_options", DiffDistRule), ("congruence_options", CongruenceRule)):
-            for i, combo in enumerate(getattr(self, axis)):
-                _rule_tuple(combo, rule, f"{axis}[{i}]")
+        for axis, slot in _AXES:
+            options = tuple(
+                ConditionSet._check_slot(slot, option, f"{axis}[{i}]")
+                for i, option in enumerate(getattr(self, axis))
+            )
+            if not options:
+                raise ValueError("every grid axis needs at least one option")
+            object.__setattr__(self, axis, options)
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.p_max < 1:
@@ -70,64 +81,42 @@ class SearchGrid(Record):
 
     @property
     def size(self) -> int:
-        return (
-            len(self.smallest_options)
-            * len(self.diff_options)
-            * len(self.congruence_options)
-        )
+        return prod(len(getattr(self, axis)) for axis, _ in _AXES)
 
     def cells(self) -> list[ConditionSet]:
         """Grid-order condition sets, deduplicated by value, so purely
         structurally: Smallest(1, unbounded) counts like the no-rule option,
         yet stays a cell of its own."""
-        return list(dict.fromkeys(
-            ConditionSet(smallest=sm, diffs=diffs, congruences=congs)
-            for sm in self.smallest_options
-            for diffs in self.diff_options
-            for congs in self.congruence_options
-        ))
+        axes = (getattr(self, axis) for axis, _ in _AXES)
+        return list(dict.fromkeys(ConditionSet(*slots) for slots in product(*axes)))
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "order": self.order,
-            "p_max": self.p_max,
-            "min_repeats": self.min_repeats,
-            "smallest": [
-                None if sm is None else sm.to_json() for sm in self.smallest_options
-            ],
-            "diffs": [[r.to_json() for r in combo] for combo in self.diff_options],
-            "congruences": [
-                [r.to_json() for r in combo] for combo in self.congruence_options
-            ],
-        }
+        obj = {"schema_version": SCHEMA_VERSION}
+        obj.update((k, getattr(self, k)) for k in self._defaults)
+        for axis, slot in _AXES:
+            obj[slot] = [ConditionSet._write_slot(slot, o) for o in getattr(self, axis)]
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchGrid":
-        """Raises ValueError naming the key path of the first bad entry."""
-        known = ("schema_version", "smallest", "diffs", "congruences", *cls._defaults)
+        """Raises ValueError naming the key path of the first bad entry.  An
+        absent axis has one option, the slot's ConditionSet default."""
+        known = ("schema_version", *ConditionSet._fields, *cls._defaults)
         obj = _json_keys(obj, known, "")
         version = obj.get("schema_version")
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported grid schema_version {version!r} (expected {SCHEMA_VERSION})"
             )
-        smallest = _json_list(obj.get("smallest", [None]), "smallest")
-
-        def combos(key, rule):
-            options = _json_list(obj.get(key, [[]]), key)
-            return tuple(
-                _json_rules(combo, f"{key}[{i}]", rule) for i, combo in enumerate(options)
-            )
-
+        axes = {axis: (ConditionSet._defaults[slot],) for axis, slot in _AXES}
+        for axis, slot in _AXES:
+            if slot in obj:
+                axes[axis] = [
+                    ConditionSet._read_slot(slot, o, f"{slot}[{i}]")
+                    for i, o in enumerate(_json_list(obj[slot], slot))
+                ]
         return cls(
-            smallest_options=tuple(
-                None if sm is None else SmallestPartRule.from_json(sm, f"smallest[{i}]")
-                for i, sm in enumerate(smallest)
-            ),
-            diff_options=combos("diffs", DiffDistRule),
-            congruence_options=combos("congruences", CongruenceRule),
-            **{k: _json_int(obj, k, default=d) for k, d in cls._defaults.items()},
+            **axes, **{k: _json_int(obj, k, default=d) for k, d in cls._defaults.items()}
         )
 
 
@@ -200,12 +189,14 @@ def _sift_cell(conditions: ConditionSet, order: int, p_max: int, min_repeats: in
 
 def _sift_all(cells: list[ConditionSet], order: int, grid: SearchGrid, jobs: int) -> list:
     """_sift_cell over cells at order with the grid's period thresholds, in
-    cell order: inline for jobs == 1, otherwise on a pool of jobs worker
-    processes."""
+    cell order: on a pool of at most one worker process per cell, or inline
+    when that is one worker.  The pool forks all its workers at the first
+    submit, so more workers than cells would only be forked and joined."""
     sift = partial(
         _sift_cell, order=order, p_max=grid.p_max, min_repeats=grid.min_repeats
     )
-    if jobs == 1:
+    jobs = min(jobs, len(cells))
+    if jobs <= 1:
         return [sift(c) for c in cells]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 

@@ -126,6 +126,36 @@ class TestSearchGrid:
                 SearchGrid(smallest_options=(5,), diff_options=((),), congruence_options=((),))
             )
 
+    @pytest.mark.parametrize(
+        "axis, error",
+        [
+            (lambda options: [list(o) if type(o) is tuple else o for o in options], None),
+            (lambda options: tuple(list(o) if type(o) is tuple else o for o in options), None),
+            (lambda options: iter([iter(o) if type(o) is tuple else o for o in options]), None),
+            (lambda options: iter(()), "every grid axis needs at least one option"),
+        ],
+        ids=["lists", "tuples of lists", "iterators", "empty iterators"],
+    )
+    def test_axes_are_stored_as_tuples(self, axis, error):
+        # a grid of lists used to be unhashable and unequal to its JSON
+        # round trip; an iterator option was consumed by the check, so the
+        # grid swept ConditionSet() in its place; an empty iterator axis
+        # passed the check
+        axes = (
+            (None, SmallestPartRule(2)),
+            (RR_DIFF, ()),
+            ((), (CongruenceRule(1, 1, 0, 3),)),
+        )
+        if error is not None:
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                SearchGrid(*map(axis, axes))
+            return
+        grid, want = SearchGrid(*map(axis, axes)), SearchGrid(*axes)
+        assert grid == want
+        assert hash(grid) == hash(want)
+        assert (grid.cells(), grid.size) == (want.cells(), want.size) and grid.size == 8
+        assert SearchGrid.from_json(grid.to_json()) == grid
+
     def test_cells_deduplicate_in_grid_order(self):
         grid = SearchGrid(
             smallest_options=(None, None, SmallestPartRule(2)),
@@ -202,6 +232,36 @@ class TestRunSearch:
         again = run_search(grid, jobs=1).dumps()
         assert strip_timing(solo) == strip_timing(duo)
         assert strip_timing(solo) == strip_timing(again)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8, 100_000])
+    def test_pool_starts_at_most_one_worker_per_cell(self, monkeypatch, jobs):
+        # the pool forks all its workers at the first submit, so a pool
+        # larger than its cells only forks idle workers; this one records
+        # the size asked for and maps in process, so it starts none
+        import concurrent.futures
+
+        grid = tiny_grid(diff_options=(RR_DIFF, (DiffDistRule(1, 3),), ()))
+        solo = run_search(grid, refine_order=60)
+        assert (solo.cells_run, len(solo.hits)) == (6, 3)
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        report = run_search(grid, jobs=jobs, refine_order=60)
+        assert sizes == [w for w in (min(jobs, 6), min(jobs, 3)) if w > 1]
+        assert strip_timing(report.dumps()) == strip_timing(solo.dumps())
 
     def test_refine_annotates_hits(self):
         report = run_search(tiny_grid(), refine_order=60)
