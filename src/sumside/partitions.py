@@ -30,7 +30,9 @@ of those parts it can still see, _window and _trim.
                       the whole series of the partitions that reach it.  The
                       work grows polynomially in n, not with the number of
                       partitions counted.  A cap on the largest part is just
-                      the value the sweep starts from.
+                      the value the sweep starts from.  It reaches the
+                      packing kernel through the package's lazy series
+                      module, so only processes that count run series.py.
   enumerate_sum_side  the listing, built as text over the same kind of
                       states, numbered as found: a sweep down collects the
                       (state, remainder) pairs a partial partition can pass
@@ -45,8 +47,8 @@ from __future__ import annotations
 
 import json
 
+from . import series
 from ._record import Record
-from .series import TruncatedSeries, pack, packed_bits, unpack
 
 
 def _json_fail(where: str, what: str, value) -> ValueError:
@@ -321,7 +323,7 @@ def _trim(parts: tuple[int, ...], width: int, limit: int) -> tuple[int, ...]:
 
 def count_sum_side(
     conditions: ConditionSet, n: int, cap: int | None = None
-) -> TruncatedSeries:
+) -> series.TruncatedSeries:
     """Generating function sum_s (#partitions of s satisfying conditions) q^s
     for s = 0..n, as an exact integer series.
 
@@ -349,8 +351,8 @@ def count_sum_side(
     max_mult = None if sm is None else sm.max_mult
     top = n if cap is None else min(cap, n)
     width, reach = _window(conditions)
-    bits = packed_bits(n, _repeat_bound(conditions))
-    states: dict[tuple[int, ...], int] = {(): pack((1,), n, bits)}
+    bits = series.packed_bits(n, _repeat_bound(conditions))
+    states: dict[tuple[int, ...], int] = {(): series.pack((1,), n, bits)}
     for v in range(top, min_part - 1, -1):
         shift = v * bits
         kmax = n // v
@@ -369,7 +371,7 @@ def count_sum_side(
                 parts += (v,)
                 x >>= shift
         states = step
-    return unpack(sum(states.values()), n, bits)
+    return series.unpack(sum(states.values()), n, bits)
 
 
 def _listing_text(conditions: ConditionSet, n: int) -> str:

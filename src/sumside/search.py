@@ -65,9 +65,15 @@ class SearchGrid(Record):
     def __post_init__(self):
         _check_ints(self, self._defaults)  # the defaulted fields: order and thresholds
         for axis, slot in _AXES:
+            value = getattr(self, axis)
+            try:
+                numbered = enumerate(value)
+            except TypeError:
+                raise ValueError(
+                    f"{axis}: expected a sequence of options, got {value!r}"
+                ) from None
             options = tuple(
-                ConditionSet._check_slot(slot, option, f"{axis}[{i}]")
-                for i, option in enumerate(getattr(self, axis))
+                ConditionSet._check_slot(slot, option, f"{axis}[{i}]") for i, option in numbered
             )
             if not options:
                 raise ValueError("every grid axis needs at least one option")

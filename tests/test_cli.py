@@ -647,5 +647,24 @@ class TestLazyImports:
             "import sumside.cli\n"
             f"sumside.cli.main(['enumerate', '--conditions', {i1_conditions_file!r}, '--n', '5'])"
         )
-        assert "sumside.partitions" in ran
+        assert {"sumside.partitions", "sumside.series"} <= ran  # counting runs the kernel
         assert not ran & {"sumside.recursions", "sumside.search"}
+
+    def test_enumerate_list_runs_only_partitions(self):
+        # partitions reaches the series kernel through the lazy module, and
+        # only counting calls it
+        path = Path(__file__).resolve().parents[1] / "configs" / "identities" / "I5.json"
+        _, ran = _run_modules(
+            "import sumside.cli\n"
+            f"sumside.cli.main(['enumerate', '--conditions', {str(path)!r}, '--n', '12', '--list'])"
+        )
+        assert ran == {"sumside", "sumside._record", "sumside.cli", "sumside.partitions"}
+
+    def test_loading_rules_does_not_run_series(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "identities" / "I5.json"
+        _, ran = _run_modules(
+            "import json\nfrom sumside import ConditionSet\n"
+            f"ConditionSet.from_json(json.loads(open({str(path)!r}).read()))"
+        )
+        assert "sumside.partitions" in ran
+        assert "sumside.series" not in ran

@@ -103,6 +103,7 @@ class TestSearchGrid:
         # the one-cell grid with smallest_options=(5,) used to construct and
         # then end run_search in an AttributeError from ConditionSet.to_json
         cases = [
+            (dict(smallest_options=5), "smallest_options: expected a sequence of options, got 5"),
             (
                 dict(smallest_options=(5,)),
                 "smallest_options[0]: expected a SmallestPartRule or None, got 5",
