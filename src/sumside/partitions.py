@@ -252,13 +252,6 @@ class ConditionSet(Record):
             slot: cls._read_slot(slot, obj[slot], slot) for slot in cls._fields if slot in obj
         })
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "ConditionSet":
-        return cls.from_json(json.loads(text))
-
     @property
     def min_part(self) -> int:
         return 1 if self.smallest is None else self.smallest.min_part

@@ -53,9 +53,7 @@ class IdentitySpec(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "residues", frozenset(self.residues))
-        bad = [r for r in self.residues if not 1 <= r <= self.modulus]
-        if bad:
-            raise ValueError(f"residues {sorted(bad)} outside 1..{self.modulus}")
+        ProductShape.from_residues(self.modulus, self.residues)  # checks both
         if self.recursion_family is not None and self.recursion_family not in FAMILIES:
             raise ValueError(f"unknown recursion family {self.recursion_family!r}")
 
@@ -434,16 +432,8 @@ class VerificationReport(Record):
     warnings: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "order": self.order,
-            "method": self.method,
-            "match": self.match,
-            "first_mismatch": self.first_mismatch,
-            "sum_digest": self.sum_digest,
-            "product_digest": self.product_digest,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """Every field but warnings."""
+        return {f: v for f, v in self.__dict__.items() if f != "warnings"}
 
 
 def _first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:

@@ -127,12 +127,13 @@ class SearchGrid(Record):
 
 
 class CandidateHit(Record):
-    """A condition set whose factored sum side has a certified period."""
+    """A condition set whose factored sum side has a certified period; a
+    refine pass sets refined to (its order, _sift_cell's shape and error)."""
 
     conditions: ConditionSet
     shape: ProductShape
     order_checked: int
-    refined: dict | None = None
+    refined: tuple[int, ProductShape | None, str | None] | None = None
 
     def to_json(self) -> dict:
         binary = self.shape.binary
@@ -146,7 +147,13 @@ class CandidateHit(Record):
             "order_checked": self.order_checked,
         }
         if self.refined is not None:
-            obj["refined"] = self.refined
+            order, shape, error = self.refined
+            refined = obj["refined"] = {"order": order, "persisted": shape == self.shape}
+            if error is not None:
+                refined["error"] = error
+            elif shape is not None:
+                refined["period"] = shape.period
+                refined["profile"] = list(shape.exponent_profile)
         return obj
 
 
@@ -159,22 +166,15 @@ class CandidateReport(Record):
     p_max: int
     min_repeats: int
     hits: tuple[CandidateHit, ...]
-    failures: tuple[tuple[str, str], ...]
+    failures: tuple[tuple[ConditionSet, str], ...]
     elapsed_ms: float
 
     def to_json(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "grid_size": self.grid_size,
-            "cells_run": self.cells_run,
-            "order": self.order,
-            "p_max": self.p_max,
-            "min_repeats": self.min_repeats,
+            **self.__dict__,
             "hits": [h.to_json() for h in self.hits],
-            "failures": [
-                {"conditions": json.loads(c), "error": msg} for c, msg in self.failures
-            ],
-            "elapsed_ms": self.elapsed_ms,
+            "failures": [{"conditions": c.to_json(), "error": e} for c, e in self.failures],
         }
 
     def dumps(self) -> str:
@@ -227,23 +227,16 @@ def run_search(
     t0 = time.perf_counter()
     cells = grid.cells()
     hits: list[CandidateHit] = []
-    failures: list[tuple[str, str]] = []
+    failures: list[tuple[ConditionSet, str]] = []
     for conds, (shape, error) in zip(cells, _sift_all(cells, grid.order, grid, jobs)):
         if error is not None:
-            failures.append((conds.dumps(), error))
+            failures.append((conds, error))
         elif shape is not None:
             hits.append(CandidateHit(conds, shape, grid.order))
 
     if refine_order is not None and hits:
         rechecked = _sift_all([h.conditions for h in hits], refine_order, grid, jobs)
-        for i, (shape, error) in enumerate(rechecked):
-            info = {"order": refine_order, "persisted": shape == hits[i].shape}
-            if error is not None:
-                info["error"] = error
-            elif shape is not None:
-                info["period"] = shape.period
-                info["profile"] = list(shape.exponent_profile)
-            hits[i] = replace(hits[i], refined=info)
+        hits = [replace(h, refined=(refine_order, *r)) for h, r in zip(hits, rechecked)]
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     return CandidateReport(

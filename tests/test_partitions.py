@@ -165,7 +165,7 @@ class TestJsonRoundTrip:
             diffs=(DiffDistRule(3, 3),),
             congruences=(CongruenceRule(2, 1, 2, 3),),
         )
-        assert ConditionSet.loads(cs.dumps()) == cs
+        assert ConditionSet.from_json(json.loads(json.dumps(cs.to_json()))) == cs
 
     def test_unbounded_serialization(self):
         obj = SmallestPartRule(2).to_json()

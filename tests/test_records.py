@@ -74,17 +74,23 @@ CASES = [
         dict(order_checked=40),
     ),
     (
+        CandidateHit,
+        dict(conditions=CS, shape=SHAPE, order_checked=30, refined=(60, SHAPE, None)),
+        dict(refined=(60, None, "boom")),
+    ),
+    (
         CandidateReport,
         dict(
             grid_size=4, cells_run=3, order=12, p_max=64, min_repeats=2, hits=(HIT,),
-            failures=(("{}", "boom"),), elapsed_ms=2.5,
+            failures=((ConditionSet(), "boom"),), elapsed_ms=2.5,
         ),
         dict(hits=()),
     ),
     (TruncatedSeries, dict(coeffs=(1, 2, 3), order=2), dict(coeffs=(1, 2, 4))),
     (ExponentSequence, dict(exps=(1, 0, 2)), dict(exps=(1, 0, 1))),
 ]
-IDS = [cls.__name__ for cls, _, _ in CASES]
+# one id per case, its class name; the second CandidateHit case is refined
+IDS = [cls.__name__ + "-refined" * bool(f.get("refined")) for cls, f, _ in CASES]
 
 CS_REPR = (
     "ConditionSet(smallest=SmallestPartRule(min_part=2, max_mult=1), "
@@ -123,7 +129,8 @@ REPRS = {
     "CandidateHit": HIT_REPR,
     "CandidateReport": (
         f"CandidateReport(grid_size=4, cells_run=3, order=12, p_max=64, min_repeats=2, "
-        f"hits=({HIT_REPR},), failures=(('{{}}', 'boom'),), elapsed_ms=2.5)"
+        f"hits=({HIT_REPR},), failures=((ConditionSet(smallest=None, diffs=(), "
+        "congruences=()), 'boom'),), elapsed_ms=2.5)"
     ),
     "TruncatedSeries": "TruncatedSeries([1, 2, 3], order=2)",
     "ExponentSequence": "ExponentSequence([1, 0, 2], order=3)",

@@ -21,7 +21,7 @@ from sumside import (
 )
 from sumside._record import replace
 from sumside.partitions import _repeat_bound
-from sumside.recursions import FAMILIES, _check_tables
+from sumside.recursions import FAMILIES, _check_tables, _Family, _Term
 from sumside.series import _regular_count, packed_bits, unpack
 
 FAMILY_IDENTITY = {
@@ -135,6 +135,17 @@ class TestStepGuards:
         monkeypatch.setitem(FAMILIES, "R", bad)
         with pytest.raises(IntegralityError):
             capped_polynomial("R", 5, order=20)
+
+    def test_negative_register_before_the_last_step_raises(self, monkeypatch):
+        # reg_k = reg_(k-1) - reg_(k-2) from 1, 1 runs 0, -1, -1, 0: index 3
+        # is negative, yet the register at cap 5 is a valid (zero) series, so
+        # only the check of every stepped register can raise
+        term = _Term(back=1, register=0, sign=1, factors=(), exponent=(0, 0))
+        minus = replace(term, back=2, sign=-1)
+        family = _Family(tables=(((term, minus),),), initial={0: ((1,),), 1: ((1,),)})
+        monkeypatch.setitem(FAMILIES, "P1", family)
+        with pytest.raises(IntegralityError):
+            capped_polynomial("P1", 5, order=3)
 
 
 class TestInitialPolynomials:
@@ -314,6 +325,8 @@ class TestIdentitySpecs:
             IdentitySpec("X", ConditionSet(), 9, frozenset({0}))
         with pytest.raises(ValueError):
             IdentitySpec("X", ConditionSet(), 9, frozenset({10}))
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            IdentitySpec("X", ConditionSet(), 0, frozenset())
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

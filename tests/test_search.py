@@ -220,9 +220,12 @@ class TestRunSearch:
         report = run_search(grid)
         assert report.hits == ()
         assert len(report.failures) == 2
-        for conds_json, error in report.failures:
-            ConditionSet.loads(conds_json)
+        entries = report.to_json()["failures"]
+        for (conds, error), entry in zip(report.failures, entries, strict=True):
+            assert isinstance(conds, ConditionSet)
+            assert entry == {"conditions": conds.to_json(), "error": error}
             assert "ValueError" in error
+        hash(report)  # its failures hold ConditionSets, not JSON text
 
     def test_deterministic_across_jobs(self):
         grid = tiny_grid(
@@ -269,8 +272,11 @@ class TestRunSearch:
         assert report.hits
         for hit in report.hits:
             assert hit.refined is not None
-            assert hit.refined["order"] == 60
-            assert hit.refined["persisted"] is True
+            refined = hit.to_json()["refined"]
+            assert refined["order"] == 60
+            assert refined["persisted"] is True
+            hash(hit)  # refined is a tuple of values, not a dict
+        hash(report)
 
     def test_refine_records_a_period_that_does_not_persist(self):
         # the gap-3 cell looks periodic with period 24 when min_repeats is 1
@@ -286,7 +292,7 @@ class TestRunSearch:
         report = run_search(grid, refine_order=60)
         (hit,) = report.hits
         assert hit.shape.period == 24
-        refined = hit.refined
+        refined = hit.to_json()["refined"]
         assert set(refined) == {"order", "persisted", "period", "profile"}
         assert refined["order"] == 60
         assert refined["persisted"] is False
@@ -312,7 +318,7 @@ class TestRunSearch:
         assert len(report.hits) == 2
         for hit in report.hits:
             assert hit.shape.period == 5
-            assert hit.refined == {
+            assert hit.to_json()["refined"] == {
                 "order": 60,
                 "persisted": False,
                 "error": "ArithmeticError: no exponents at order 60",
