@@ -35,6 +35,16 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def check_ints(record: Record, names) -> None:
+    """Each named field of record must be an int, or None if None is its
+    default; bool is rejected, as the JSON readers reject true."""
+    for name in names:
+        value = getattr(record, name)
+        unbounded = value is None and record._defaults.get(name, 0) is None
+        if type(value) is not int and not unbounded:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def replace(record: Record, **changes) -> Record:
     """record with changes, rebuilt through the constructor: checks run again."""
     return type(record)(**{**record.__dict__, **changes})

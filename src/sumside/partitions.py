@@ -48,7 +48,7 @@ from __future__ import annotations
 import json
 
 from . import series
-from ._record import Record
+from ._record import Record, check_ints
 
 
 def _json_fail(where: str, what: str, value) -> ValueError:
@@ -86,23 +86,13 @@ def _json_int(obj: dict, key: str, where: str = "", default: int | None = None) 
     return value
 
 
-def _check_ints(record: Record, names) -> None:
-    """Each named field of record must be an int, or None if None is its
-    default; bool is rejected, as the JSON readers reject true."""
-    for name in names:
-        value = getattr(record, name)
-        unbounded = value is None and record._defaults.get(name, 0) is None
-        if type(value) is not int and not unbounded:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 class _Rule(Record):
     """Base of the sum-side rules.  A rule declares its integer fields (one
     that defaults to None may be None) and its range checks, in _check; the
     integer check and the JSON form, which rejects unknown keys, live here."""
 
     def __post_init__(self):
-        _check_ints(self, self._fields)
+        check_ints(self, self._fields)
         self._check()
 
     def to_json(self) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import index
 
-from ._record import Record
+from ._record import Record, check_ints
 from .series import ExponentSequence
 
 
@@ -26,6 +26,7 @@ class ProductShape(Record):
     exponent_profile: tuple[int, ...]
 
     def __post_init__(self):
+        check_ints(self, ("period",))
         if self.period < 1:
             raise ValueError("period must be >= 1")
         object.__setattr__(self, "exponent_profile", tuple(map(index, self.exponent_profile)))
@@ -53,9 +54,9 @@ class ProductShape(Record):
     @classmethod
     def from_residues(cls, period: int, residues) -> "ProductShape":
         rs = set(residues)
-        bad = [r for r in rs if not 1 <= r <= period]
+        bad = [r for r in rs if type(r) is not int or not 1 <= r <= period]
         if bad:
-            raise ValueError(f"residues {sorted(bad)} outside 1..{period}")
+            raise ValueError(f"residues {sorted(bad, key=repr)} outside integers 1..{period}")
         return cls(period, tuple(1 if r in rs else 0 for r in range(1, period + 1)))
 
     def exponents(self, order: int) -> ExponentSequence:

@@ -11,13 +11,14 @@ independently from its residue classes, and the two are compared
 coefficientwise.
 
 A family is plain data (_Family): step tables in phases, one term table per
-register in each phase, and initial polynomials.  The window, the first step
-and the register carrying the full capped sum side (the last) follow from
-that data.
+register in each phase, and initial polynomials for a run of indices from its
+first.  The window, the first step and the register carrying the full capped
+sum side (the last) follow from that data, and a family checks the data
+against them when it is built.
 
 The recursion coefficients appear below in their factored form, exactly as
 each q-power arises from the combinatorial step, alongside the simplified
-exponent actually used; the two are cross-checked at import.  Every fixture
+exponent actually used; each family checks that the two agree.  Every fixture
 in this file is additionally validated against direct enumeration by the test
 suite, which is what pinned down one corrected initial value (see
 _P1_INITIAL).
@@ -85,16 +86,38 @@ class _Family(Record):
 
     `tables` holds one entry per phase; index k steps with phase
     k % len(tables) and step parameter m = k // len(tables).  A phase holds
-    one term table per register, computed in listed order.  `initial` maps
-    each of a contiguous run of indices to per-register coefficient tuples.
-    Everything else follows from these two fields: the window is
-    len(initial) indices, the register count is the width of an initial
-    entry, stepping starts at max(initial) + 1, and the last register carries
-    the full capped sum side.
+    one term table per register, computed in listed order.  `initial` holds
+    per-register coefficient tuples for the indices start, start + 1, ...
+    Everything else follows from these fields: the window is len(initial)
+    indices, the register count is the width of an initial entry, stepping
+    starts at start + len(initial), and the last register carries the full
+    capped sum side.
     """
 
     tables: tuple[tuple[tuple[_Term, ...], ...], ...]
-    initial: dict[int, tuple[tuple[int, ...], ...]]
+    start: int
+    initial: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self):
+        # stepping trusts the window, register count and exponents it takes
+        # from this data, so the data must agree with them
+        if not self.initial:
+            raise ValueError("a family needs at least one initial entry")
+        widths = {len(regs) for regs in self.initial} | {len(p) for p in self.tables}
+        if len(widths) != 1:
+            raise ValueError(f"register counts {sorted(widths)} differ")
+        (registers,) = widths
+        for t in (t for phase in self.tables for table in phase for t in table):
+            exponent = tuple(map(sum, zip((0, 0), *t.factors)))
+            if exponent != t.exponent:
+                raise ValueError(
+                    f"factored exponent {t.factors} simplifies to {exponent}, "
+                    f"table says {t.exponent}"
+                )
+            if not 0 <= t.back <= len(self.initial):
+                raise ValueError(f"back-reference {t.back}")
+            if not 0 <= t.register < registers:
+                raise ValueError(f"register {t.register}")
 
 
 # The three mod 9 sibling identities share one recursion of three phases,
@@ -170,84 +193,50 @@ _S_TABLES = ((
 # summing to 0 mod 3} gives 3+3 at q^6 and nothing at q^7, and only the
 # corrected value makes the recursion agree with enumeration at every larger
 # cap (and with the product side at high order).
-_P1_INITIAL = {
-    0: ((1,),),
-    1: ((1, 1),),
-    2: ((1, 1, 1, 1),),
-    3: ((1, 1, 1, 2, 1, 0, 1),),
-}
-_P2_INITIAL = {
-    0: ((1,),),
-    1: ((1,),),
-    2: ((1, 0, 1),),
-    3: ((1, 0, 1, 1, 0, 0, 1),),
-}
-_P3_INITIAL = {
-    0: ((1,),),
-    1: ((1,),),
-    2: ((1,),),
-    3: ((1, 0, 0, 1, 0, 0, 1),),
-}
-_Q_INITIAL = {
-    0: ((1,),),
-    1: ((1,),),
-    2: ((1, 0, 1),),
-    3: ((1, 0, 1, 1, 0, 1),),
-}
-_R_INITIAL = {
-    1: ((1, 1), (1, 1)),
-    2: ((1, 1, 1, 1), (1, 1, 1, 1, 1)),
-    3: ((1, 1, 1, 2, 2, 1, 1, 1), (1, 1, 1, 2, 2, 1, 2, 2)),
-    4: (
-        (1, 1, 1, 2, 3, 2, 3, 4, 2, 1, 2, 1),
-        (1, 1, 1, 2, 3, 2, 3, 4, 3, 2, 3, 2),
-    ),
-}
-_S_INITIAL = {
-    1: ((1,), (1,)),
-    2: ((1, 0, 1), (1, 0, 1)),
-    3: ((1, 0, 1, 1, 0, 1), (1, 0, 1, 1, 0, 1, 1, 0, 1)),
-}
+_P1_INITIAL = (  # caps 0 to 3
+    ((1,),),
+    ((1, 1),),
+    ((1, 1, 1, 1),),
+    ((1, 1, 1, 2, 1, 0, 1),),
+)
+_P2_INITIAL = (
+    ((1,),),
+    ((1,),),
+    ((1, 0, 1),),
+    ((1, 0, 1, 1, 0, 0, 1),),
+)
+_P3_INITIAL = (
+    ((1,),),
+    ((1,),),
+    ((1,),),
+    ((1, 0, 0, 1, 0, 0, 1),),
+)
+_Q_INITIAL = (
+    ((1,),),
+    ((1,),),
+    ((1, 0, 1),),
+    ((1, 0, 1, 1, 0, 1),),
+)
+_R_INITIAL = (  # caps 1 to 4
+    ((1, 1), (1, 1)),
+    ((1, 1, 1, 1), (1, 1, 1, 1, 1)),
+    ((1, 1, 1, 2, 2, 1, 1, 1), (1, 1, 1, 2, 2, 1, 2, 2)),
+    ((1, 1, 1, 2, 3, 2, 3, 4, 2, 1, 2, 1), (1, 1, 1, 2, 3, 2, 3, 4, 3, 2, 3, 2)),
+)
+_S_INITIAL = (  # caps 1 to 3
+    ((1,), (1,)),
+    ((1, 0, 1), (1, 0, 1)),
+    ((1, 0, 1, 1, 0, 1), (1, 0, 1, 1, 0, 1, 1, 0, 1)),
+)
 
 FAMILIES: dict[str, _Family] = {
-    "P1": _Family(_P_TABLES, _P1_INITIAL),
-    "P2": _Family(_P_TABLES, _P2_INITIAL),
-    "P3": _Family(_P_TABLES, _P3_INITIAL),
-    "Q": _Family(_Q_TABLES, _Q_INITIAL),
-    "R": _Family(_R_TABLES, _R_INITIAL),
-    "S": _Family(_S_TABLES, _S_INITIAL),
+    "P1": _Family(_P_TABLES, 0, _P1_INITIAL),
+    "P2": _Family(_P_TABLES, 0, _P2_INITIAL),
+    "P3": _Family(_P_TABLES, 0, _P3_INITIAL),
+    "Q": _Family(_Q_TABLES, 0, _Q_INITIAL),
+    "R": _Family(_R_TABLES, 1, _R_INITIAL),
+    "S": _Family(_S_TABLES, 1, _S_INITIAL),
 }
-
-
-def _check_tables():
-    # factored exponents must simplify to the exponent actually applied,
-    # back-references must stay inside the window, and every initial entry
-    # and every phase must have the register count that stepping assumes
-    for name, fam in FAMILIES.items():
-        widths = {len(regs) for regs in fam.initial.values()}
-        widths |= {len(phase) for phase in fam.tables}
-        if len(widths) != 1:
-            raise AssertionError(f"{name}: register counts {sorted(widths)} differ")
-        (registers,) = widths
-        for phase in fam.tables:
-            for table in phase:
-                for t in table:
-                    c = sum(f[0] for f in t.factors)
-                    d = sum(f[1] for f in t.factors)
-                    if (c, d) != t.exponent:
-                        raise AssertionError(
-                            f"{name}: factored exponent {t.factors} simplifies "
-                            f"to {(c, d)}, table says {t.exponent}"
-                        )
-                    if not 0 <= t.back <= len(fam.initial):
-                        raise AssertionError(f"{name}: back-reference {t.back}")
-                    if not 0 <= t.register < registers:
-                        raise AssertionError(f"{name}: register {t.register}")
-        if max(fam.initial) - min(fam.initial) + 1 != len(fam.initial):
-            raise AssertionError(f"{name}: initial conditions not contiguous")
-
-
-_check_tables()
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +272,10 @@ def initial_state(family: str, order: int) -> RecursionState:
     spec = next(s for s in BUILTIN_IDENTITIES.values() if s.recursion_family == family)
     bits = packed_bits(order, _repeat_bound(spec.conditions))
     window = tuple(
-        tuple(pack(coeffs[: order + 1], order, bits) for coeffs in fam.initial[idx])
-        for idx in sorted(fam.initial)
+        tuple(pack(coeffs[: order + 1], order, bits) for coeffs in regs)
+        for regs in fam.initial
     )
-    return RecursionState(max(fam.initial), window, order, bits)
+    return RecursionState(fam.start + len(fam.initial) - 1, window, order, bits)
 
 
 def capped_polynomial(family: str, cap: int, order: int | None = None):
@@ -304,8 +293,8 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
     polynomial padded with zeros.
     """
     fam = FAMILIES[family]
-    if cap < min(fam.initial):
-        raise ValueError(f"{family} is defined from cap {min(fam.initial)}")
+    if cap < fam.start:
+        raise ValueError(f"{family} is defined from cap {fam.start}")
     if order is None:
         order = max(1, 2 * cap * (cap + 1))
     state = initial_state(family, order)

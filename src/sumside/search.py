@@ -18,13 +18,12 @@ from functools import partial
 from itertools import product
 from math import prod
 
-from ._record import Record, replace
+from ._record import Record, check_ints, replace
 from .partitions import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
     SmallestPartRule,
-    _check_ints,
     _json_int,
     _json_keys,
     _json_list,
@@ -63,7 +62,7 @@ class SearchGrid(Record):
     min_repeats: int = 2
 
     def __post_init__(self):
-        _check_ints(self, self._defaults)  # the defaulted fields: order and thresholds
+        check_ints(self, self._defaults)  # the defaulted fields: order and thresholds
         for axis, slot in _AXES:
             value = getattr(self, axis)
             try:

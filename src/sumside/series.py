@@ -1,11 +1,11 @@
 """Exact arithmetic on truncated formal power series, plus Euler's algorithm
 for turning a series into an infinite-product representation.
 
-A series f(q) = c_0 + c_1 q + ... + c_N q^N is held as N+1 arbitrary-precision
-integers together with its truncation order N.  All operations are exact; there
-is no floating-point mode.  Partition counts overflow 64-bit machine words long
-before the orders this package verifies at (p(500) is about 2.3e21), so Python
-ints are the coefficient type throughout.
+A series f(q) = c_0 + c_1 q + ... + c_N q^N is held as its N+1
+arbitrary-precision integers; its truncation order N is their count less one.
+All operations are exact; there is no floating-point mode.  Partition counts
+overflow 64-bit machine words long before the orders this package verifies at
+(p(500) is about 2.3e21), so Python ints are the coefficient type throughout.
 
 Euler's algorithm writes any integer series with constant term 1 as
 
@@ -75,29 +75,20 @@ class IntegralityError(ArithmeticError):
 class TruncatedSeries(Record):
     """Integer power series truncated at q^order (inclusive), a frozen record.
 
-    Given an order, the coefficients are padded with zeros up to it; they
-    are never dropped implicitly, so use ``truncate`` for explicit shortening.
+    The order is len(coeffs) - 1: coefficients are never padded or dropped
+    implicitly, so use ``truncate`` for explicit shortening.
     """
 
     coeffs: tuple[int, ...]
-    order: int | None = None
 
     def __post_init__(self):
-        cs, order = tuple(map(index, self.coeffs)), self.order
-        if order is None:
-            if not cs:
-                raise ValueError("a series needs at least the constant term")
-        elif order < 0:
-            raise ValueError("order must be >= 0")
-        elif len(cs) > order + 1:
-            raise ValueError(
-                f"{len(cs)} coefficients exceed order {order}; "
-                "use truncate() to drop terms deliberately"
-            )
-        else:
-            cs += (0,) * (order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", len(cs) - 1)
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
+        if not self.coeffs:
+            raise ValueError("a series needs at least the constant term")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]

@@ -97,13 +97,13 @@ def test_criterion_3_identities_by_recursion_to_500(criterion):
 def test_criterion_4_initial_polynomials_against_enumeration(criterion):
     with criterion(4, "every recursion initial polynomial equals direct enumeration"):
         for name in ("P1", "P2", "P3", "Q"):
-            conds = FAMILY_IDENTITY[name].conditions
-            for cap, (coeffs,) in FAMILIES[name].initial.items():
+            conds, fam = FAMILY_IDENTITY[name].conditions, FAMILIES[name]
+            for cap, (coeffs,) in enumerate(fam.initial, fam.start):
                 got = count_sum_side(conds, len(coeffs) - 1, cap=cap)
                 assert list(got) == list(coeffs), (name, cap)
         for name, key in (("R", "I5"), ("S", "I6")):
-            rules = oracles.IDENTITY_RULES[key]
-            for cap, registers in FAMILIES[name].initial.items():
+            rules, fam = oracles.IDENTITY_RULES[key], FAMILIES[name]
+            for cap, registers in enumerate(fam.initial, fam.start):
                 for mult, coeffs in zip((1, 2), registers):
                     got = oracles.oracle_counts(
                         len(coeffs) - 1, cap=cap, mult_of_cap=mult, **rules
@@ -119,7 +119,7 @@ def test_criterion_5_recursion_polynomials_match_capped_enumeration(criterion):
     ):
         for name, fam in FAMILIES.items():
             spec = FAMILY_IDENTITY[name]
-            for cap in range(max(fam.initial) + 1, 26):
+            for cap in range(fam.start + len(fam.initial), 26):
                 poly = capped_polynomial(name, cap)[-1]
                 got = count_sum_side(spec.conditions, poly.order, cap=cap)
                 assert got == poly, (name, cap)

@@ -21,6 +21,8 @@ from sumside import (
     IdentitySpec,
     SearchGrid,
     SmallestPartRule,
+    TruncatedSeries,
+    count_sum_side,
     product_side,
 )
 
@@ -105,6 +107,22 @@ class TestVerifyCommand:
         assert rc == 0
         assert len(lines) == 6
         assert all("match through q^200 (both" in line for line in lines)
+
+    def test_disagreeing_routes_print_a_warning_line(self, capsys, monkeypatch):
+        # perturb only the enumeration route, so the two sum sides disagree
+        def perturbed(conditions, n, cap=None):
+            coeffs = list(count_sum_side(conditions, n, cap=cap))
+            coeffs[11] += 1
+            return TruncatedSeries(coeffs)
+
+        monkeypatch.setattr(cli.recursions, "count_sum_side", perturbed)
+        rc = cli.main(["verify", "--identity", "I1", "--order", "30", "--method", "both"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "I1: MISMATCH, first mismatch at q^11 (both)\n"
+        assert captured.err == (
+            "warning: recursion and enumeration sum sides disagree first at q^11\n"
+        )
 
 
 class TestFactorCommand:

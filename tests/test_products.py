@@ -26,6 +26,11 @@ class TestProductShape:
     def test_period_must_be_positive(self):
         with pytest.raises(ValueError, match="period must be >= 1"):
             ProductShape(0, ())
+        # a float or a bool period is refused, as a rule's fields are
+        with pytest.raises(ValueError, match="period must be an integer"):
+            ProductShape(2.0, (1, 0))
+        with pytest.raises(ValueError, match="period must be an integer"):
+            ProductShape(True, (1,))
 
     def test_profile_entries_must_be_integers(self):
         # exact arithmetic: 1.9 or "1" is never truncated or parsed to 1
@@ -52,6 +57,10 @@ class TestProductShape:
             ProductShape.from_residues(9, {0})
         with pytest.raises(ValueError):
             ProductShape.from_residues(9, {10})
+        # a residue that is not an integer is named, not left out
+        for bad in (1.5, "1", True):
+            with pytest.raises(ValueError, match=rf"\[{bad!r}\]"):
+                ProductShape.from_residues(9, {bad})
 
     def test_exponents_extend_periodically(self):
         shape = ProductShape.from_residues(5, {1, 4})

@@ -71,7 +71,7 @@ FAMILY_SPECS = sorted(
 def family_caps(draw):
     """A recursion family, a cap it is defined at, and a truncation order."""
     family, spec = draw(st.sampled_from(FAMILY_SPECS))
-    cap = draw(st.integers(min(FAMILIES[family].initial), 130))
+    cap = draw(st.integers(FAMILIES[family].start, 130))
     return family, spec, cap, draw(st.integers(0, 120))
 
 

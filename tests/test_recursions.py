@@ -21,7 +21,7 @@ from sumside import (
 )
 from sumside._record import replace
 from sumside.partitions import _repeat_bound
-from sumside.recursions import FAMILIES, _check_tables, _Family, _Term
+from sumside.recursions import FAMILIES, _Family, _Term
 from sumside.series import _regular_count, packed_bits, unpack
 
 FAMILY_IDENTITY = {
@@ -41,7 +41,7 @@ def combine(order, *terms) -> list[int]:
 
 
 def first_step(name: str) -> int:
-    return max(FAMILIES[name].initial) + 1
+    return FAMILIES[name].start + len(FAMILIES[name].initial)
 
 
 def trim(series: TruncatedSeries) -> list[int]:
@@ -57,7 +57,7 @@ class TestFamilyGeometry:
         geometry = {
             name: (
                 len(fam.tables),
-                len(fam.initial[min(fam.initial)]),
+                len(fam.initial[0]),
                 len(fam.initial),
                 first_step(name),
             )
@@ -86,25 +86,28 @@ class TestFamilyGeometry:
 
     @pytest.mark.parametrize(
         "defect",
-        ["initial-width", "phase-width", "initial-gap", "register"],
+        ["initial-width", "phase-width", "register", "exponent", "empty"],
     )
-    def test_check_tables_rejects_inconsistent_families(self, monkeypatch, defect):
+    def test_check_tables_rejects_inconsistent_families(self, defect):
         # the window, register count and first step are derived from the
-        # data, so _check_tables must hold the data to them
+        # data, so a family must hold the data to them when it is built
         fam = FAMILIES["S"]
         ((reg0, reg1),) = fam.tables
         change, message = {
-            "initial-width": ({"initial": {**fam.initial, 1: ((1,),)}}, "register counts"),
+            "initial-width": ({"initial": (((1,),),) + fam.initial[1:]}, "register counts"),
             "phase-width": ({"tables": ((reg0,),)}, "register counts"),
-            "initial-gap": ({"initial": {**fam.initial, 9: fam.initial[3]}}, "not contiguous"),
             "register": (
                 {"tables": ((reg0 + (replace(reg0[0], register=2),), reg1),)},
                 "register 2",
             ),
+            "exponent": (
+                {"tables": ((reg0 + (replace(reg0[0], exponent=(2, 0)),), reg1),)},
+                "factored exponent",
+            ),
+            "empty": ({"initial": ()}, "at least one initial entry"),
         }[defect]
-        monkeypatch.setitem(FAMILIES, "S", replace(fam, **change))
-        with pytest.raises(AssertionError, match=message):
-            _check_tables()
+        with pytest.raises(ValueError, match=message):
+            replace(fam, **change)
 
 
 class TestStepGuards:
@@ -118,20 +121,19 @@ class TestStepGuards:
         with pytest.raises(ValueError, match="defined from cap 1"):
             capped_polynomial("R", 0)
 
-    def test_step_with_short_window(self, monkeypatch):
+    def test_step_with_short_window(self):
         # S keeps three indices; a term reaching back four is refused
         fam = FAMILIES["S"]
         ((reg0, reg1),) = fam.tables
         far = reg0 + (replace(reg0[0], back=4),)
-        monkeypatch.setitem(FAMILIES, "S", replace(fam, tables=((far, reg1),)))
-        with pytest.raises(AssertionError, match="back-reference 4"):
-            _check_tables()
+        with pytest.raises(ValueError, match="back-reference 4"):
+            replace(fam, tables=((far, reg1),))
 
     def test_negative_minus_term_raises(self, monkeypatch):
         # R's register 0 at index 5 subtracts q^15 times its cap 1 value;
         # inflating that value drives the q^15 coefficient to 3 - 5 < 0
         fam = FAMILIES["R"]
-        bad = replace(fam, initial={**fam.initial, 1: ((5, 1), (1, 1))})
+        bad = replace(fam, initial=(((5, 1), (1, 1)),) + fam.initial[1:])
         monkeypatch.setitem(FAMILIES, "R", bad)
         with pytest.raises(IntegralityError):
             capped_polynomial("R", 5, order=20)
@@ -142,7 +144,7 @@ class TestStepGuards:
         # only the check of every stepped register can raise
         term = _Term(back=1, register=0, sign=1, factors=(), exponent=(0, 0))
         minus = replace(term, back=2, sign=-1)
-        family = _Family(tables=(((term, minus),),), initial={0: ((1,),), 1: ((1,),)})
+        family = _Family(tables=(((term, minus),),), start=0, initial=(((1,),), ((1,),)))
         monkeypatch.setitem(FAMILIES, "P1", family)
         with pytest.raises(IntegralityError):
             capped_polynomial("P1", 5, order=3)
@@ -151,15 +153,15 @@ class TestStepGuards:
 class TestInitialPolynomials:
     def test_single_register_families_match_capped_counts(self):
         for name in ("P1", "P2", "P3", "Q"):
-            conds = FAMILY_IDENTITY[name].conditions
-            for cap, (coeffs,) in FAMILIES[name].initial.items():
+            conds, fam = FAMILY_IDENTITY[name].conditions, FAMILIES[name]
+            for cap, (coeffs,) in enumerate(fam.initial, fam.start):
                 deg = len(coeffs) - 1
                 assert list(count_sum_side(conds, deg, cap=cap)) == list(coeffs), (name, cap)
 
     def test_two_register_families_match_oracle(self):
         for name, rules_key in (("R", "I5"), ("S", "I6")):
-            rules = oracles.IDENTITY_RULES[rules_key]
-            for cap, registers in FAMILIES[name].initial.items():
+            rules, fam = oracles.IDENTITY_RULES[rules_key], FAMILIES[name]
+            for cap, registers in enumerate(fam.initial, fam.start):
                 for mult, coeffs in zip((1, 2), registers):
                     deg = len(coeffs) - 1
                     got = oracles.oracle_counts(deg, cap=cap, mult_of_cap=mult, **rules)
@@ -218,7 +220,7 @@ class TestRecursionVsEnumeration:
         # caps below the first step are the initial polynomials themselves
         for name, fam in FAMILIES.items():
             spec = FAMILY_IDENTITY[name]
-            for cap in range(min(fam.initial), 13):
+            for cap in range(fam.start, 13):
                 registers = capped_polynomial(name, cap, order=30)
                 want = count_sum_side(spec.conditions, 30, cap=cap)
                 assert registers[-1] == want, (name, cap)
@@ -250,7 +252,7 @@ class TestFrozenPolynomials:
         # register 0 at index 5 subtracts a q^15 multiple of the cap 1 value
         order = 40
         r42 = capped_polynomial("R", 4, order=order)[1]
-        r11 = FAMILIES["R"].initial[1][0]
+        r11 = FAMILIES["R"].initial[0][0]
         want = combine(order, (r42, 0, +1), (r42, 5, +1), (r11, 15, -1))
         assert capped_polynomial("R", 5, order=order)[0] == TruncatedSeries(want)
 
@@ -327,6 +329,9 @@ class TestIdentitySpecs:
             IdentitySpec("X", ConditionSet(), 9, frozenset({10}))
         with pytest.raises(ValueError, match="period must be >= 1"):
             IdentitySpec("X", ConditionSet(), 0, frozenset())
+        # a residue that is not an integer is refused, not left out
+        with pytest.raises(ValueError, match=r"\[7\.5\]"):
+            IdentitySpec("X", BUILTIN_IDENTITIES["I1"].conditions, 9, {1, 3, 6, 7.5})
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Grid construction, the sweep itself, and report determinism."""
 
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -360,6 +362,22 @@ class TestRunSearch:
         assert obj["cells_run"] == 2
         parsed = json.loads(report.dumps())
         assert parsed == json.loads(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "refine, digest",
+        [
+            (None, "586c280cd18cdd74de6053f0891fbdec96147d477c3c86aae744536799d92b27"),
+            (60, "a022fa1ac33fdd602074cd3171f7f21760e166b4cebb7957b2413f4132c91258"),
+        ],
+    )
+    def test_classics_report_bytes_are_pinned(self, refine, digest):
+        # the report text, timing masked, of the classics grid at order 30;
+        # a change to any hit, failure or key shows up as a new digest
+        config = Path(__file__).resolve().parents[1] / "configs" / "classics.json"
+        grid = SearchGrid.from_json(json.loads(config.read_text()))
+        obj = {**run_search(grid, refine_order=refine).to_json(), "elapsed_ms": None}
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_hit_json_fields(self):
         hit = CandidateHit(
