@@ -53,6 +53,8 @@ class ProductShape(Record):
 
     @classmethod
     def from_residues(cls, period: int, residues) -> "ProductShape":
+        if type(period) is not int or period < 1:
+            cls(period, ())  # the constructor's own period check raises
         rs = set(residues)
         bad = [r for r in rs if type(r) is not int or not 1 <= r <= period]
         if bad:

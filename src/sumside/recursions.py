@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 
 from ._record import Record
 from .partitions import (
@@ -425,9 +424,10 @@ class VerificationReport(Record):
         return {f: v for f, v in self.__dict__.items() if f != "warnings"}
 
 
-def _first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> int | None:
-    for n in range(min(len(a), len(b))):
-        if a[n] != b[n]:
+def _first_mismatch(*series: TruncatedSeries) -> int | None:
+    """The first power at which the series do not all agree, or None."""
+    for n, column in enumerate(zip(*series)):
+        if len(set(column)) > 1:
             return n
     return None
 
@@ -438,57 +438,46 @@ def verify_identity(
     """Compare the identity's sum side against its product side through
     q^order.
 
-    method "recursion" advances the identity's recursion family (falling back
-    to enumeration, with a warning, if the spec has none); "enumeration"
-    counts the sum side with count_sum_side's transfer sweep; "both" runs the
-    two independently, requires them to agree with each other, and compares
-    against the product.  A
-    mismatch is an outcome, not an error: the report carries the first
-    differing power.
+    The spec picks the sum-side route: a spec with a recursion family
+    advances it to cap order, and one without counts the sum side with
+    count_sum_side's transfer sweep (the report's method is then
+    "enumeration").  method "both" runs the sweep beside the family as well,
+    requires the two to agree, and compares both against the product; a spec
+    without a family has nothing to check the sweep against, so it raises.
+    A mismatch is an outcome, not an error: the report carries the first
+    power at which a sum side differs from the product.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if method not in ("recursion", "enumeration", "both"):
+    if method not in ("recursion", "both"):
         raise ValueError(f"unknown method {method!r}")
+    family = spec.recursion_family
+    if family is None and method == "both":
+        raise ValueError(f"{spec.name} has no recursion family to check the sweep against")
     t0 = time.perf_counter()
-    warn: list[str] = []
-    if method != "enumeration" and spec.recursion_family is None:
-        warn.append(
-            f"{spec.name} has no recursion family; verified by enumeration instead"
-        )
-        warnings.warn(warn[-1], stacklevel=2)
-        method = "enumeration"
-
     sums: list[TruncatedSeries] = []
-    if method in ("recursion", "both"):
+    if family is not None:
         # partitions of n <= order have every part <= order, so the family
         # at cap `order` carries the full sum side through q^order
-        sums.append(capped_polynomial(spec.recursion_family, order, order=order)[-1])
-    if method in ("enumeration", "both"):
+        sums.append(capped_polynomial(family, order, order=order)[-1])
+    if family is None or method == "both":
         sums.append(count_sum_side(spec.conditions, order))
-    if method == "both" and sums[0] != sums[1]:
-        n = _first_mismatch(sums[0], sums[1])
-        warn.append(
-            f"recursion and enumeration sum sides disagree first at q^{n}"
-        )
-    sum_series = sums[0]
     product = product_side(spec, order)
-
-    mismatch = _first_mismatch(sum_series, product)
-    if mismatch is None and len(sums) == 2:
-        mismatch = _first_mismatch(sums[1], product)
+    mismatch = _first_mismatch(product, *sums)
     # routes that disagree cannot both equal the product, so a disagreement
-    # always leaves a mismatch here
-    match = mismatch is None
+    # always comes with a mismatch
+    split = _first_mismatch(*sums) if method == "both" else None
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity=spec.name,
         order=order,
-        method=method,
-        match=match,
+        method=method if family is not None else "enumeration",
+        match=mismatch is None,
         first_mismatch=mismatch,
-        sum_digest=coefficient_digest(sum_series),
+        sum_digest=coefficient_digest(sums[0]),
         product_digest=coefficient_digest(product),
         elapsed_ms=elapsed,
-        warnings=tuple(warn),
+        warnings=() if split is None else (
+            f"recursion and enumeration sum sides disagree first at q^{split}",
+        ),
     )

@@ -1,4 +1,8 @@
-"""The package's public names: a fixed list, so any growth is a test edit."""
+"""The package's public names: a fixed list, so any growth is a test edit.
+Also runs the README's library example."""
+
+import warnings
+from pathlib import Path
 
 import sumside
 
@@ -59,3 +63,15 @@ def test_public_names_are_the_submodules_objects():
 
 def test_unknown_name_raises_attribute_error():
     assert not hasattr(sumside, "no_such_name")
+
+
+def test_readme_library_example_runs(capsys):
+    # the first python block under "## Library", run with warnings as errors,
+    # prints the two values its comments document
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(code, {})
+    assert capsys.readouterr().out == "parts ≡ 1, 4 (mod 5)\n3\n"

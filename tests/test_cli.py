@@ -577,6 +577,14 @@ class TestParser:
             cli.main([])
         assert exc.value.code == 2
 
+    def test_verify_has_no_enumeration_method(self, capsys):
+        # each builtin spec has a recursion family, so its route is that
+        # family, or the family and the sweep under --method both
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--identity", "I1", "--method", "enumeration"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'enumeration'" in capsys.readouterr().err
+
     def test_verify_help_lists_the_builtin_identities(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["verify", "--help"])

@@ -61,6 +61,11 @@ class TestProductShape:
         for bad in (1.5, "1", True):
             with pytest.raises(ValueError, match=rf"\[{bad!r}\]"):
                 ProductShape.from_residues(9, {bad})
+        # the period is checked before the residues are held against it
+        with pytest.raises(ValueError, match="period must be an integer, got 9.0"):
+            ProductShape.from_residues(9.0, {1})
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            ProductShape.from_residues(0, {1})
 
     def test_exponents_extend_periodically(self):
         shape = ProductShape.from_residues(5, {1, 4})

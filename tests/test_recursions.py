@@ -1,6 +1,7 @@
 """Recursion families against direct enumeration, and identity verification."""
 
 import hashlib
+import warnings
 
 import pytest
 
@@ -332,6 +333,11 @@ class TestIdentitySpecs:
         # a residue that is not an integer is refused, not left out
         with pytest.raises(ValueError, match=r"\[7\.5\]"):
             IdentitySpec("X", BUILTIN_IDENTITIES["I1"].conditions, 9, {1, 3, 6, 7.5})
+        # a bad modulus is named as such, before any residue is checked
+        with pytest.raises(ValueError, match="period must be an integer, got 9.0"):
+            IdentitySpec("X", BUILTIN_IDENTITIES["I1"].conditions, 9.0, {1})
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            IdentitySpec("X", BUILTIN_IDENTITIES["I1"].conditions, 0, {1})
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -380,31 +386,36 @@ class TestVerifyIdentity:
             frozenset({1, 3, 6, 7}),
             "P1",
         )
-        report = verify_identity(wrong, 30)
-        assert not report.match
-        assert report.first_mismatch == 7
-        assert report.sum_digest != report.product_digest
+        # under "both" the two sum sides agree with each other, not the product
+        for method in ("recursion", "both"):
+            report = verify_identity(wrong, 30, method)
+            assert not report.match
+            assert report.first_mismatch == 7
+            assert report.sum_digest != report.product_digest
+            assert report.warnings == ()
 
-    def test_enumeration_fallback_warns(self):
-        spec = IdentitySpec(
-            "bare",
-            BUILTIN_IDENTITIES["I1"].conditions,
-            9,
-            frozenset({1, 3, 6, 8}),
-            None,
-        )
-        with pytest.warns(UserWarning, match="enumeration"):
+    def test_spec_without_family_verifies_by_the_sweep(self):
+        spec = replace(BUILTIN_IDENTITIES["I1"], name="bare", recursion_family=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = verify_identity(spec, 20)
         assert report.method == "enumeration"
         assert report.match
-        assert report.warnings
+        assert report.warnings == ()
+        assert report.sum_digest == coefficient_digest(count_sum_side(spec.conditions, 20))
+
+    def test_both_needs_a_family_to_check_the_sweep_against(self):
+        spec = replace(BUILTIN_IDENTITIES["I1"], name="bare", recursion_family=None)
+        with pytest.raises(ValueError, match="bare has no recursion family"):
+            verify_identity(spec, 20, method="both")
 
     def test_rejects_bad_arguments(self):
         spec = BUILTIN_IDENTITIES["I1"]
         with pytest.raises(ValueError):
             verify_identity(spec, 0)
-        with pytest.raises(ValueError):
-            verify_identity(spec, 10, method="guess")
+        for method in ("guess", "enumeration"):
+            with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+                verify_identity(spec, 10, method=method)
 
     def test_report_json_fields(self):
         report = verify_identity(BUILTIN_IDENTITIES["I2"], 20)

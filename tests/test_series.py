@@ -221,6 +221,13 @@ class TestEulerFactorize:
     def test_integrality_error_is_arithmetic_error(self):
         assert issubclass(IntegralityError, ArithmeticError)
 
+    def test_non_integral_exponent_raises(self, monkeypatch):
+        # a log-derivative that leaves a remainder after the sieve peels the
+        # divisors off c_3: 0 - 1*a_1 = -1 is not a multiple of 3
+        monkeypatch.setattr(sumside.series, "_divide", lambda y, b, n: [0, 1, 1, 0])
+        with pytest.raises(IntegralityError, match=r"exponent a_3 came out non-integral \(-1/3\)"):
+            euler_factorize(TruncatedSeries([1, 1, 2, 3]))
+
 
 def _naive_product(f, g, n):
     return [
