@@ -99,16 +99,11 @@ def _cmd_search(args) -> int:
     from ._record import replace
 
     grid = _load(args.config, search.SearchGrid)
-    overrides = {}
-    for name, flag in (
-        ("order", "--order"), ("p_max", "--p-max"), ("min_repeats", "--min-repeats")
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            if value < 1:
-                raise _ConfigError(f"{flag} must be >= 1")
-            overrides[name] = value
-    grid = replace(grid, **overrides)
+    if args.order is not None:
+        try:
+            grid = replace(grid, order=args.order)
+        except ValueError as exc:
+            raise _ConfigError(f"--order: {exc}") from exc
     if args.jobs < 1:
         raise _ConfigError("--jobs must be >= 1")
     if args.refine is not None and args.refine <= grid.order:
@@ -237,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True, help="grid config JSON file")
     p.add_argument("--order", type=int, default=None, help="override grid order")
-    p.add_argument("--p-max", type=int, default=None, help="override largest period")
-    p.add_argument(
-        "--min-repeats", type=int, default=None,
-        help="override required full repetitions of a period",
-    )
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument(
         "--refine", type=int, default=None,

@@ -77,12 +77,15 @@ class SearchGrid(Record):
             if not options:
                 raise ValueError("every grid axis needs at least one option")
             object.__setattr__(self, axis, options)
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
         if self.p_max < 1:
             raise ValueError("p_max must be >= 1")
         if self.min_repeats < 1:
             raise ValueError("min_repeats must be >= 1")
+        if self.order < self.min_repeats:  # detect_period would raise for every cell
+            raise ValueError(
+                f"order {self.order} is below min_repeats {self.min_repeats}, "
+                "too short to certify any period"
+            )
 
     @property
     def size(self) -> int:
@@ -184,11 +187,12 @@ def _sift_cell(conditions: ConditionSet, order: int, p_max: int, min_repeats: in
     """Worker: count, factor, and test one cell for periodicity.
 
     A cell and its shape cross a process boundary as the frozen records
-    they are.  Returns (ProductShape | None, error | None)."""
+    they are.  Returns (ProductShape | None, error | None); the grid refuses
+    an order too short to certify a period, so an error is a bug."""
     try:
         exps = euler_factorize(count_sum_side(conditions, order))
         return detect_period(exps, p_max=p_max, min_repeats=min_repeats), None
-    except Exception as exc:  # per-cell failures must not abort the sweep
+    except Exception as exc:  # one cell's fault must not abort the sweep
         return None, f"{type(exc).__name__}: {exc}"
 
 
@@ -196,7 +200,8 @@ def _sift_all(cells: list[ConditionSet], order: int, grid: SearchGrid, jobs: int
     """_sift_cell over cells at order with the grid's period thresholds, in
     cell order: on a pool of at most one worker process per cell, or inline
     when that is one worker.  The pool forks all its workers at the first
-    submit, so more workers than cells would only be forked and joined."""
+    submit, so more workers than cells would only be forked and joined.
+    About four chunks per worker save round trips yet keep the load even."""
     sift = partial(
         _sift_cell, order=order, p_max=grid.p_max, min_repeats=grid.min_repeats
     )
@@ -206,7 +211,7 @@ def _sift_all(cells: list[ConditionSet], order: int, grid: SearchGrid, jobs: int
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(sift, cells))
+        return list(pool.map(sift, cells, chunksize=-(-len(cells) // (4 * jobs))))
 
 
 def run_search(
@@ -217,7 +222,8 @@ def run_search(
     Cells are independent; with jobs > 1 they are distributed over a process
     pool but results are consumed in submission order, so the report is
     identical for any jobs value.  The refine pass re-runs only the hit cells
-    at refine_order and records whether the period survives.
+    at refine_order and records whether the period survives.  A failures
+    entry, a cell whose sift raised, is a bug (see _sift_cell).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

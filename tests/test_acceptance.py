@@ -161,7 +161,7 @@ def test_criterion_8_search_reports_are_deterministic(tmp_path, criterion):
     with criterion(8, "classics sweep: byte-identical reports across runs and --jobs"):
         config = str(ROOT / "configs" / "classics.json")
         outputs = []
-        for i, jobs in enumerate(("1", "1", "2")):
+        for i, jobs in enumerate(("1", "1", "2", "3")):
             out = tmp_path / f"report{i}.json"
             rc = cli.main(
                 ["search", "--config", config, "--jobs", jobs, "--out", str(out)]
@@ -171,6 +171,7 @@ def test_criterion_8_search_reports_are_deterministic(tmp_path, criterion):
             outputs.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', text))
         assert outputs[0] == outputs[1]
         assert outputs[0] == outputs[2]
+        assert outputs[0] == outputs[3]
         # the sweep must actually find the shipped identities
         report = json.loads(outputs[0])
         residue_sets = {

@@ -441,16 +441,35 @@ class TestSearchCommand:
         assert rc == 2
         assert "--order" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--p-max", "0"), ("--p-max", "-3"), ("--min-repeats", "0")],
-    )
-    def test_bad_period_flags_exit_two(self, grid_config, capsys, flag, value):
-        rc = cli.main(["search", "--config", grid_config, flag, value])
+    def test_period_threshold_flags_are_not_options(self, grid_config, capsys):
+        # p_max and min_repeats come from the grid file alone
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--config", grid_config, "--p-max", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p-max 3" in capsys.readouterr().err
+
+    def test_uncertifiable_config_exits_two_before_any_cell(self, grid_config, capsys):
+        obj = json.loads(Path(grid_config).read_text())
+        obj.update(order=1, min_repeats=2)
+        Path(grid_config).write_text(json.dumps(obj))
+        rc = cli.main(["search", "--config", grid_config])
         captured = capsys.readouterr()
         assert rc == 2
-        assert f"{flag} must be >= 1" in captured.err
         assert captured.out == ""
+        assert captured.err == (
+            f"error: {grid_config}: order 1 is below min_repeats 2, "
+            "too short to certify any period\n"
+        )
+
+    def test_uncertifiable_order_flag_exits_two(self, capsys):
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "classics.json")
+        rc = cli.main(["search", "--config", config, "--order", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --order: order 1 is below min_repeats 2, too short to certify any period\n"
+        )
 
     @pytest.mark.parametrize("key", ["p_max", "min_repeats"])
     def test_bad_period_in_config_exits_two(self, grid_config, capsys, key):

@@ -103,15 +103,20 @@ any_condition_set = st.builds(
     st.lists(any_diff, max_size=3),
     st.lists(any_congruence, max_size=3),
 )
-any_grid = st.builds(
-    SearchGrid,
-    st.lists(any_smallest, min_size=1, max_size=3).map(tuple),
-    st.lists(st.lists(any_diff, max_size=2).map(tuple), min_size=1, max_size=3).map(tuple),
-    st.lists(st.lists(any_congruence, max_size=2).map(tuple), min_size=1, max_size=3).map(tuple),
-    st.integers(min_value=1),
-    st.integers(min_value=1),
-    st.integers(min_value=1),
-)
+
+
+@st.composite
+def any_grid(draw):
+    """Any valid grid: its order is min_repeats + k for some k >= 0."""
+    min_repeats = draw(st.integers(min_value=1))
+    return SearchGrid(
+        draw(st.lists(any_smallest, min_size=1, max_size=3)),
+        draw(st.lists(st.lists(any_diff, max_size=2).map(tuple), min_size=1, max_size=3)),
+        draw(st.lists(st.lists(any_congruence, max_size=2).map(tuple), min_size=1, max_size=3)),
+        order=min_repeats + draw(st.integers(min_value=0)),
+        p_max=draw(st.integers(min_value=1)),
+        min_repeats=min_repeats,
+    )
 
 
 def through_json_text(obj: dict) -> dict:
@@ -125,7 +130,7 @@ def test_condition_set_json_round_trip(cs):
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(any_grid)
+@given(any_grid())
 def test_search_grid_json_round_trip(grid):
     assert SearchGrid.from_json(through_json_text(grid.to_json())) == grid
 

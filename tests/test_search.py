@@ -52,6 +52,16 @@ class TestSearchGrid:
                 with pytest.raises(ValueError, match=key):
                     tiny_grid(**{key: value})
 
+    def test_order_below_min_repeats_rejected(self):
+        # detect_period would raise for every cell of such a grid
+        message = "^order 1 is below min_repeats 2, too short to certify any period$"
+        with pytest.raises(ValueError, match=message):
+            tiny_grid(order=1, min_repeats=2)
+        obj = {**tiny_grid().to_json(), "order": 1, "min_repeats": 2}
+        with pytest.raises(ValueError, match=message):
+            SearchGrid.from_json(obj)
+        assert tiny_grid(order=2, min_repeats=2).order == 2
+
     def test_json_round_trip(self):
         grid = tiny_grid(
             congruence_options=((), (CongruenceRule(1, 1, 0, 3),)),
@@ -216,17 +226,32 @@ class TestRunSearch:
         assert shape.period == 12
         assert shape.residues == frozenset({2, 3, 9, 10})
 
-    def test_per_cell_failure_is_recorded(self):
-        # order 1 cannot certify two repeats of any period
-        grid = tiny_grid(order=1)
+    def test_per_cell_failure_is_recorded(self, monkeypatch):
+        # in process only: the patch does not reach pool workers; a grid
+        # cannot be built so that every cell fails, so one cell's factoring
+        # is made to raise, as a bug would
+        import sumside.search as search
+
+        real = search.euler_factorize
+        calls = []
+
+        def fails_on_the_second_cell(series):
+            calls.append(series)
+            if len(calls) == 2:
+                raise ValueError("planted fault")
+            return real(series)
+
+        monkeypatch.setattr(search, "euler_factorize", fails_on_the_second_cell)
+        grid = tiny_grid()
         report = run_search(grid)
-        assert report.hits == ()
-        assert len(report.failures) == 2
+        assert [h.conditions for h in report.hits] == grid.cells()[:1]
+        assert len(report.failures) == 1
         entries = report.to_json()["failures"]
         for (conds, error), entry in zip(report.failures, entries, strict=True):
             assert isinstance(conds, ConditionSet)
+            assert conds == grid.cells()[1]
             assert entry == {"conditions": conds.to_json(), "error": error}
-            assert "ValueError" in error
+            assert error == "ValueError: planted fault"
         hash(report)  # its failures hold ConditionSets, not JSON text
 
     def test_deterministic_across_jobs(self):
@@ -235,8 +260,10 @@ class TestRunSearch:
         )
         solo = run_search(grid, jobs=1).dumps()
         duo = run_search(grid, jobs=2).dumps()
+        trio = run_search(grid, jobs=3).dumps()
         again = run_search(grid, jobs=1).dumps()
         assert strip_timing(solo) == strip_timing(duo)
+        assert strip_timing(solo) == strip_timing(trio)
         assert strip_timing(solo) == strip_timing(again)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8, 100_000])
@@ -261,7 +288,7 @@ class TestRunSearch:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
