@@ -441,12 +441,19 @@ class TestSearchCommand:
         assert rc == 2
         assert "--order" in capsys.readouterr().err
 
-    def test_period_threshold_flags_are_not_options(self, grid_config, capsys):
-        # p_max and min_repeats come from the grid file alone
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p-max", "0"), ("--p-max", "-3"), ("--min-repeats", "0")],
+    )
+    def test_bad_period_flags_exit_two(self, grid_config, capsys, flag, value):
+        # p_max and min_repeats come from the grid file alone, so the CLI
+        # refuses the period flags themselves, good value or bad
         with pytest.raises(SystemExit) as exc:
-            cli.main(["search", "--config", grid_config, "--p-max", "3"])
+            cli.main(["search", "--config", grid_config, flag, value])
+        captured = capsys.readouterr()
         assert exc.value.code == 2
-        assert "unrecognized arguments: --p-max 3" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert captured.out == ""
 
     def test_uncertifiable_config_exits_two_before_any_cell(self, grid_config, capsys):
         obj = json.loads(Path(grid_config).read_text())
