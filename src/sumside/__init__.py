@@ -20,7 +20,7 @@ _EXPORTS = {
         "ConditionSet", "CongruenceRule", "DiffDistRule", "SmallestPartRule",
         "count_sum_side", "enumerate_sum_side",
     ),
-    "products": ("ProductShape", "describe", "detect_period", "symmetry_classify"),
+    "products": ("ProductShape", "describe", "detect_period"),
     "recursions": (
         "BUILTIN_IDENTITIES", "IdentitySpec", "VerificationReport", "capped_polynomial",
         "coefficient_digest", "initial_state", "product_side", "verify_identity",

@@ -4,7 +4,7 @@ A sum side whose factorization has purely periodic exponents is a candidate
 identity: binary profiles (all exponents 0 or 1) say "partitions into parts
 in these congruence classes", the classical product-side shape.  This module
 finds the smallest certified period, renders shapes as congruence statements,
-and classifies residue sets as symmetric or not under r -> p - r.
+and tells whether a residue set is symmetric under r -> p - r.
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ class ProductShape(Record):
             r for r in range(1, self.period + 1) if self.exponent_profile[r - 1] == 1
         )
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether the residue set is closed under r -> period - r, the
+        residue period (class 0) being its own mirror.  Raises on non-binary
+        profiles, as residues does."""
+        p, rs = self.period, self.residues
+        return all((p - r or p) in rs for r in rs)
+
     @classmethod
     def from_residues(cls, period: int, residues) -> "ProductShape":
         if type(period) is not int or period < 1:
@@ -70,6 +78,22 @@ class ProductShape(Record):
         return ExponentSequence(prof[(m - 1) % p] for m in range(1, order + 1))
 
 
+def _period_limit(order: int, p_max: int, min_repeats: int) -> int:
+    """The largest period that order can certify: min(p_max, order //
+    min_repeats), so that min_repeats full copies fit in the window.  Raises
+    when a threshold is below 1 or order is too short for any period."""
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+    if min_repeats < 1:
+        raise ValueError("min_repeats must be >= 1")
+    if order < min_repeats:
+        raise ValueError(
+            f"order {order} is below min_repeats {min_repeats}, "
+            "too short to certify any period"
+        )
+    return min(p_max, order // min_repeats)
+
+
 def detect_period(
     a: ExponentSequence, p_max: int = 64, min_repeats: int = 2
 ) -> ProductShape | None:
@@ -78,23 +102,11 @@ def detect_period(
     A period p is certified only when the window holds min_repeats full
     copies of the profile (p * min_repeats <= order) and a_m == a_{m+p} for
     every m with both indices in range; no preperiod is allowed.  Candidate
-    periods are therefore capped at min(p_max, order // min_repeats).
-    Returning the smallest such p also rules out reporting a proper multiple
-    of the true period.
+    periods therefore run up to _period_limit.  Returning the smallest such p
+    also rules out reporting a proper multiple of the true period.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    if min_repeats < 1:
-        raise ValueError("min_repeats must be >= 1")
-    order = a.order
-    p_limit = min(p_max, order // min_repeats)
-    if p_limit < 1:
-        raise ValueError(
-            f"order {order} too short to certify {min_repeats} repetitions "
-            "of any period"
-        )
-    exps = a.exps
-    for p in range(1, p_limit + 1):
+    exps, order = a.exps, a.order
+    for p in range(1, _period_limit(order, p_max, min_repeats) + 1):
         if all(exps[i] == exps[i + p] for i in range(order - p)):
             return ProductShape(p, exps[:p])
     return None
@@ -114,17 +126,3 @@ def describe(shape: ProductShape) -> str:
     if not rs:
         return "no parts allowed"
     return f"parts ≡ {', '.join(str(r) for r in rs)} (mod {shape.period})"
-
-
-def symmetry_classify(shape: ProductShape) -> str:
-    """'symmetric' when the residue set is closed under r -> p - r (mod p),
-    'asymmetric' otherwise.  Binary shapes only; the residue p (class 0) is
-    its own mirror.
-    """
-    p = shape.period
-    rs = shape.residues  # raises for non-binary shapes
-    for r in rs:
-        mirror = p if r == p else p - r
-        if mirror not in rs:
-            return "asymmetric"
-    return "symmetric"

@@ -7,7 +7,7 @@ q-power coefficients, so the sum side can be pushed to order 500 and beyond in
 seconds: capped_polynomial steps the recursion with all arithmetic modulo
 q^(N+1) until the cap reaches N, at which point the polynomial's first N+1
 coefficients are those of the full sum side.  The product side is expanded
-independently from its residue classes, and the two are compared
+independently from the spec's ProductShape, and the two are compared
 coefficientwise.
 
 A family is plain data (_Family): step tables in phases, one term table per
@@ -43,17 +43,17 @@ from .series import TruncatedSeries, check_packed, expand_product, pack, packed_
 
 
 class IdentitySpec(Record):
-    """A claimed identity: sum-side conditions against a residue-class product."""
+    """A claimed identity: sum-side conditions against a periodic product, the
+    pair a search hit holds, so (hit.conditions, hit.shape) is a spec."""
 
     name: str
     conditions: ConditionSet
-    modulus: int
-    residues: frozenset[int]
+    shape: ProductShape
     recursion_family: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "residues", frozenset(self.residues))
-        ProductShape.from_residues(self.modulus, self.residues)  # checks both
+        if not isinstance(self.shape, ProductShape):
+            raise ValueError(f"shape: expected a ProductShape, got {self.shape!r}")
         if self.recursion_family is not None and self.recursion_family not in FAMILIES:
             raise ValueError(f"unknown recursion family {self.recursion_family!r}")
 
@@ -333,8 +333,7 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
             diffs=(DiffDistRule(2, 3),),
             congruences=(CongruenceRule(1, 1, 0, 3),),
         ),
-        9,
-        frozenset({1, 3, 6, 8}),
+        ProductShape.from_residues(9, {1, 3, 6, 8}),
         "P1",
     ),
     "I2": IdentitySpec(
@@ -344,8 +343,7 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
             diffs=(DiffDistRule(2, 3),),
             congruences=(CongruenceRule(1, 1, 0, 3),),
         ),
-        9,
-        frozenset({2, 3, 6, 7}),
+        ProductShape.from_residues(9, {2, 3, 6, 7}),
         "P2",
     ),
     "I3": IdentitySpec(
@@ -355,8 +353,7 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
             diffs=(DiffDistRule(2, 3),),
             congruences=(CongruenceRule(1, 1, 0, 3),),
         ),
-        9,
-        frozenset({3, 4, 5, 6}),
+        ProductShape.from_residues(9, {3, 4, 5, 6}),
         "P3",
     ),
     "I4": IdentitySpec(
@@ -366,8 +363,7 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
             diffs=(DiffDistRule(2, 3),),
             congruences=(CongruenceRule(1, 1, 2, 3),),
         ),
-        9,
-        frozenset({2, 3, 5, 8}),
+        ProductShape.from_residues(9, {2, 3, 5, 8}),
         "Q",
     ),
     "I5": IdentitySpec(
@@ -377,8 +373,7 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
             diffs=(DiffDistRule(3, 3),),
             congruences=(CongruenceRule(2, 1, 1, 3),),
         ),
-        12,
-        frozenset({1, 3, 4, 6, 7, 10, 11}),
+        ProductShape.from_residues(12, {1, 3, 4, 6, 7, 10, 11}),
         "R",
     ),
     "I6": IdentitySpec(
@@ -388,17 +383,15 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
             diffs=(DiffDistRule(3, 3),),
             congruences=(CongruenceRule(2, 1, 2, 3),),
         ),
-        12,
-        frozenset({2, 3, 5, 6, 7, 8, 11}),
+        ProductShape.from_residues(12, {2, 3, 5, 6, 7, 8, 11}),
         "S",
     ),
 }
 
 
 def product_side(spec: IdentitySpec, order: int) -> TruncatedSeries:
-    """Coefficients of the product over parts in the allowed residue classes."""
-    shape = ProductShape.from_residues(spec.modulus, spec.residues)
-    return expand_product(shape.exponents(order)) if order >= 1 else TruncatedSeries([1])
+    """Coefficients of the spec's product through q^order."""
+    return expand_product(spec.shape.exponents(order)) if order >= 1 else TruncatedSeries([1])
 
 
 def coefficient_digest(series: TruncatedSeries) -> str:

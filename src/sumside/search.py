@@ -3,11 +3,12 @@
 A SearchGrid is the cartesian product of smallest-part options, difference
 rule combinations, and congruence rule combinations.  Each resulting
 ConditionSet is counted to the grid's order, factored into an Euler product,
-and kept as a hit when the exponent sequence is purely periodic.  Cells and
-their product shapes are frozen records that pickle as they are, so they
-cross the worker pool unconverted, and the sweep and the refine pass sift
-through the same helper.  Output order follows grid order, never worker
-completion order, so reports are deterministic for any worker count.
+and kept as a hit when the exponent sequence is purely periodic.  Cells, the
+grid and their product shapes are frozen records that pickle as they are, so
+they cross the worker pool unconverted, and the sweep and the refine pass
+(the grid at the refine order) sift through the same helper.  Output order
+follows grid order, never worker completion order, so reports are
+deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .partitions import (
     _json_list,
     count_sum_side,
 )
-from .products import ProductShape, detect_period, describe, symmetry_classify
+from .products import ProductShape, _period_limit, describe, detect_period
 from .series import euler_factorize
 
 SCHEMA_VERSION = 1
@@ -77,15 +78,7 @@ class SearchGrid(Record):
             if not options:
                 raise ValueError("every grid axis needs at least one option")
             object.__setattr__(self, axis, options)
-        if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
-        if self.min_repeats < 1:
-            raise ValueError("min_repeats must be >= 1")
-        if self.order < self.min_repeats:  # detect_period would raise for every cell
-            raise ValueError(
-                f"order {self.order} is below min_repeats {self.min_repeats}, "
-                "too short to certify any period"
-            )
+        _period_limit(self.order, self.p_max, self.min_repeats)  # else every cell would raise
 
     @property
     def size(self) -> int:
@@ -144,7 +137,7 @@ class CandidateHit(Record):
             "period": self.shape.period,
             "profile": list(self.shape.exponent_profile),
             "residues": sorted(self.shape.residues) if binary else None,
-            "symmetric": symmetry_classify(self.shape) == "symmetric" if binary else None,
+            "symmetric": self.shape.symmetric if binary else None,
             "description": describe(self.shape),
             "order_checked": self.order_checked,
         }
@@ -183,28 +176,26 @@ class CandidateReport(Record):
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def _sift_cell(conditions: ConditionSet, order: int, p_max: int, min_repeats: int):
-    """Worker: count, factor, and test one cell for periodicity.
+def _sift_cell(conditions: ConditionSet, grid: SearchGrid):
+    """Worker: count, factor, and test one cell at the grid's order and thresholds.
 
-    A cell and its shape cross a process boundary as the frozen records
-    they are.  Returns (ProductShape | None, error | None); the grid refuses
-    an order too short to certify a period, so an error is a bug."""
+    A cell, its grid and its shape cross a process boundary as the frozen
+    records they are.  Returns (ProductShape | None, error | None); the grid
+    refuses an order too short to certify a period, so an error is a bug."""
     try:
-        exps = euler_factorize(count_sum_side(conditions, order))
-        return detect_period(exps, p_max=p_max, min_repeats=min_repeats), None
+        exps = euler_factorize(count_sum_side(conditions, grid.order))
+        return detect_period(exps, p_max=grid.p_max, min_repeats=grid.min_repeats), None
     except Exception as exc:  # one cell's fault must not abort the sweep
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _sift_all(cells: list[ConditionSet], order: int, grid: SearchGrid, jobs: int) -> list:
-    """_sift_cell over cells at order with the grid's period thresholds, in
-    cell order: on a pool of at most one worker process per cell, or inline
-    when that is one worker.  The pool forks all its workers at the first
-    submit, so more workers than cells would only be forked and joined.
-    About four chunks per worker save round trips yet keep the load even."""
-    sift = partial(
-        _sift_cell, order=order, p_max=grid.p_max, min_repeats=grid.min_repeats
-    )
+def _sift_all(cells: list[ConditionSet], grid: SearchGrid, jobs: int) -> list:
+    """_sift_cell over cells with grid, in cell order: on a pool of at most
+    one worker process per cell, or inline when that is one worker.  The
+    pool forks all its workers at the first submit, so more workers than
+    cells would only be forked and joined.  About four chunks per worker
+    save round trips yet keep the load even."""
+    sift = partial(_sift_cell, grid=grid)
     jobs = min(jobs, len(cells))
     if jobs <= 1:
         return [sift(c) for c in cells]
@@ -233,14 +224,15 @@ def run_search(
     cells = grid.cells()
     hits: list[CandidateHit] = []
     failures: list[tuple[ConditionSet, str]] = []
-    for conds, (shape, error) in zip(cells, _sift_all(cells, grid.order, grid, jobs)):
+    for conds, (shape, error) in zip(cells, _sift_all(cells, grid, jobs)):
         if error is not None:
             failures.append((conds, error))
         elif shape is not None:
             hits.append(CandidateHit(conds, shape, grid.order))
 
     if refine_order is not None and hits:
-        rechecked = _sift_all([h.conditions for h in hits], refine_order, grid, jobs)
+        refine_grid = replace(grid, order=refine_order)
+        rechecked = _sift_all([h.conditions for h in hits], refine_grid, jobs)
         hits = [replace(h, refined=(refine_order, *r)) for h, r in zip(hits, rechecked)]
 
     elapsed = (time.perf_counter() - t0) * 1000.0

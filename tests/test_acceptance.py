@@ -182,6 +182,7 @@ def test_criterion_8_search_reports_are_deterministic(tmp_path, criterion):
         assert (5, (2, 3)) in residue_sets
         assert (2, (1,)) in residue_sets
         assert (12, (2, 3, 9, 10)) in residue_sets
+        profiles = {(h["period"], tuple(h["profile"])) for h in report["hits"]}
         for spec in BUILTIN_IDENTITIES.values():
-            assert (spec.modulus, tuple(sorted(spec.residues))) in residue_sets
+            assert (spec.shape.period, spec.shape.exponent_profile) in profiles
         assert report["failures"] == []

@@ -1,6 +1,8 @@
 """The package's public names: a fixed list, so any growth is a test edit.
-Also runs the README's library example."""
+Also runs the README's library example, and parses the sources at the
+oldest Python the package declares."""
 
+import ast
 import warnings
 from pathlib import Path
 
@@ -32,7 +34,6 @@ PUBLIC_NAMES = [
     "initial_state",
     "product_side",
     "run_search",
-    "symmetry_classify",
     "verify_identity",
 ]
 
@@ -75,3 +76,14 @@ def test_readme_library_example_runs(capsys):
         warnings.simplefilter("error")
         exec(code, {})
     assert capsys.readouterr().out == "parts ≡ 1, 4 (mod 5)\n3\n"
+
+
+def test_sources_parse_at_the_python_floor():
+    """Every file under src/ parses as Python 3.10, pyproject's
+    requires-python floor.  This catches syntax newer than 3.10, but not a
+    call to a standard-library name that 3.10 lacks."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = sorted(src.rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

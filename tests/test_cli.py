@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from sumside import (
     CongruenceRule,
     DiffDistRule,
     IdentitySpec,
+    ProductShape,
     SearchGrid,
     SmallestPartRule,
     TruncatedSeries,
@@ -73,8 +75,7 @@ class TestVerifyCommand:
         wrong = IdentitySpec(
             "I1",
             I1_CONDITIONS,
-            9,
-            frozenset({1, 3, 6, 7}),
+            ProductShape.from_residues(9, {1, 3, 6, 7}),
             "P1",
         )
         monkeypatch.setitem(cli.recursions.BUILTIN_IDENTITIES, "I1", wrong)
@@ -521,6 +522,23 @@ class TestSearchCommand:
         rc = cli.main(["search", "--config", str(path)])
         assert rc == 2
         assert f"error: {path}: {where}" in capsys.readouterr().err
+
+    def test_report_does_not_depend_on_the_hash_seed(self):
+        # set and dict order of str keys changes with PYTHONHASHSEED; the
+        # report, timing masked, must not
+        root = Path(__file__).resolve().parents[1]
+        config = root / "configs" / "classics.json"
+        reports = []
+        for seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "sumside.cli", "search",
+                 "--config", str(config), "--order", "30"],
+                cwd=root / "src", env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            reports.append(re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": null', proc.stdout))
+        assert json.loads(reports[0])["cells_run"] == 150
+        assert reports[0] == reports[1]
 
     def test_unwritable_out_exits_two(self, grid_config, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "x.json"

@@ -1,6 +1,7 @@
 """Periodic product shapes: detection, description, symmetry."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,6 @@ from sumside import (
     describe,
     detect_period,
     euler_factorize,
-    symmetry_classify,
 )
 
 
@@ -135,7 +135,15 @@ class TestDetectPeriod:
 
     @pytest.mark.parametrize(
         "thresholds, message",
-        [(dict(p_max=0), "p_max must be >= 1"), (dict(min_repeats=0), "min_repeats must be >= 1")],
+        [
+            (dict(p_max=0), "p_max must be >= 1"),
+            (dict(min_repeats=0), "min_repeats must be >= 1"),
+            # the grid's message: a sequence shorter than min_repeats
+            (
+                dict(min_repeats=11),
+                "^order 10 is below min_repeats 11, too short to certify any period$",
+            ),
+        ],
     )
     def test_thresholds_below_one_raise(self, thresholds, message):
         exps = ProductShape(1, (1,)).exponents(10)
@@ -162,18 +170,29 @@ class TestDescribe:
 
 
 class TestSymmetryClassify:
+    """ProductShape.symmetric: the residue set closed under r -> p - r."""
+
     def test_symmetric_residue_set(self):
-        assert symmetry_classify(ProductShape.from_residues(9, {1, 3, 6, 8})) == "symmetric"
+        assert ProductShape.from_residues(9, {1, 3, 6, 8}).symmetric is True
 
     def test_asymmetric_residue_set(self):
-        assert symmetry_classify(ProductShape.from_residues(9, {2, 3, 5, 8})) == "asymmetric"
+        assert ProductShape.from_residues(9, {2, 3, 5, 8}).symmetric is False
 
     def test_empty_set_is_symmetric(self):
-        assert symmetry_classify(ProductShape(4, (0, 0, 0, 0))) == "symmetric"
+        assert ProductShape(4, (0, 0, 0, 0)).symmetric is True
 
     def test_residue_equal_to_period_self_mirrors(self):
-        assert symmetry_classify(ProductShape.from_residues(4, {2, 4})) == "symmetric"
+        assert ProductShape.from_residues(4, {2, 4}).symmetric is True
+
+    def test_every_binary_profile_follows_the_mirror_rule(self):
+        # r mirrors to p - r, and the class 0 (residue p) to itself
+        for p in range(1, 11):
+            for profile in product((0, 1), repeat=p):
+                shape = ProductShape(p, profile)
+                rs = shape.residues
+                mirrored = {p - r if r < p else p for r in rs}
+                assert shape.symmetric is (mirrored == rs), shape
 
     def test_non_binary_raises(self):
-        with pytest.raises(ValueError):
-            symmetry_classify(ProductShape(2, (2, 0)))
+        with pytest.raises(ValueError, match="only defined for binary profiles"):
+            ProductShape(2, (2, 0)).symmetric

@@ -27,6 +27,7 @@ DD = DiffDistRule(2, 3)
 CG = CongruenceRule(1, 1, 0, 3)
 CS = ConditionSet(SM, (DD,), (CG,))
 SHAPE = ProductShape(3, (1, 1, 0))
+RR_SHAPE = ProductShape.from_residues(5, {1, 4})
 HIT = CandidateHit(CS, SHAPE, 30)
 TERM = _Term(back=1, register=0, sign=1, factors=(), exponent=(0, 0))
 
@@ -39,8 +40,8 @@ CASES = [
     (ProductShape, dict(period=3, exponent_profile=(1, 1, 0)), dict(exponent_profile=(1, 0, 1))),
     (
         IdentitySpec,
-        dict(name="X", conditions=CS, modulus=5, residues=frozenset({1, 4}), recursion_family="P1"),
-        dict(residues=frozenset({1})),
+        dict(name="X", conditions=CS, shape=RR_SHAPE, recursion_family="P1"),
+        dict(shape=ProductShape.from_residues(5, {1})),
     ),
     (
         _Term,
@@ -116,8 +117,8 @@ REPRS = {
     "ConditionSet": CS_REPR,
     "ProductShape": SHAPE_REPR,
     "IdentitySpec": (
-        f"IdentitySpec(name='X', conditions={CS_REPR}, modulus=5, "
-        "residues=frozenset({1, 4}), recursion_family='P1')"
+        f"IdentitySpec(name='X', conditions={CS_REPR}, "
+        "shape=ProductShape(period=5, exponent_profile=(1, 0, 0, 1, 0)), recursion_family='P1')"
     ),
     "RecursionState": "RecursionState(index=3, registers=((1,), (2,)), order=4, bits=3)",
     "VerificationReport": (
@@ -208,7 +209,7 @@ def test_defaults_fill_trailing_fields():
         (DD, dict(distance=0), "distance"),
         (CG, dict(residue=3), "residue"),
         (SHAPE, dict(period=2), "profile length"),
-        (IdentitySpec("X", CS, 5, {1, 4}), dict(modulus=3), "outside"),
+        (IdentitySpec("X", CS, RR_SHAPE), dict(shape=(1, 0, 0, 1, 0)), "expected a ProductShape"),
         (SearchGrid((None,), ((),), ((),)), dict(order=0), "order"),
         (TruncatedSeries((1, 2)), dict(coeffs=()), "constant term"),
     ],

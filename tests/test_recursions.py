@@ -12,6 +12,7 @@ from sumside import (
     ConditionSet,
     IdentitySpec,
     IntegralityError,
+    ProductShape,
     TruncatedSeries,
     capped_polynomial,
     coefficient_digest,
@@ -318,30 +319,38 @@ class TestIdentitySpecs:
         assert sorted(BUILTIN_IDENTITIES) == ["I1", "I2", "I3", "I4", "I5", "I6"]
         for key, spec in BUILTIN_IDENTITIES.items():
             assert spec.name == key
-        assert BUILTIN_IDENTITIES["I1"].modulus == 9
-        assert BUILTIN_IDENTITIES["I1"].residues == frozenset({1, 3, 6, 8})
-        assert BUILTIN_IDENTITIES["I5"].modulus == 12
-        assert BUILTIN_IDENTITIES["I6"].residues == frozenset({2, 3, 5, 6, 7, 8, 11})
+        assert BUILTIN_IDENTITIES["I1"].shape.period == 9
+        assert BUILTIN_IDENTITIES["I1"].shape.residues == frozenset({1, 3, 6, 8})
+        assert BUILTIN_IDENTITIES["I5"].shape.period == 12
+        assert BUILTIN_IDENTITIES["I6"].shape.residues == frozenset({2, 3, 5, 6, 7, 8, 11})
 
     def test_residue_validation(self):
+        def spec(conditions, modulus, residues):
+            return IdentitySpec("X", conditions, ProductShape.from_residues(modulus, residues))
+
         with pytest.raises(ValueError):
-            IdentitySpec("X", ConditionSet(), 9, frozenset({0}))
+            spec(ConditionSet(), 9, frozenset({0}))
         with pytest.raises(ValueError):
-            IdentitySpec("X", ConditionSet(), 9, frozenset({10}))
+            spec(ConditionSet(), 9, frozenset({10}))
         with pytest.raises(ValueError, match="period must be >= 1"):
-            IdentitySpec("X", ConditionSet(), 0, frozenset())
+            spec(ConditionSet(), 0, frozenset())
         # a residue that is not an integer is refused, not left out
         with pytest.raises(ValueError, match=r"\[7\.5\]"):
-            IdentitySpec("X", BUILTIN_IDENTITIES["I1"].conditions, 9, {1, 3, 6, 7.5})
+            spec(BUILTIN_IDENTITIES["I1"].conditions, 9, {1, 3, 6, 7.5})
         # a bad modulus is named as such, before any residue is checked
         with pytest.raises(ValueError, match="period must be an integer, got 9.0"):
-            IdentitySpec("X", BUILTIN_IDENTITIES["I1"].conditions, 9.0, {1})
+            spec(BUILTIN_IDENTITIES["I1"].conditions, 9.0, {1})
         with pytest.raises(ValueError, match="period must be >= 1"):
-            IdentitySpec("X", BUILTIN_IDENTITIES["I1"].conditions, 0, {1})
+            spec(BUILTIN_IDENTITIES["I1"].conditions, 0, {1})
+        # the product side is a shape, never a modulus or a residue set
+        for bad in (9, frozenset({1, 3, 6, 8}), (1, 0, 1, 0, 0, 1, 0, 1, 0)):
+            with pytest.raises(ValueError) as info:
+                IdentitySpec("X", ConditionSet(), bad)
+            assert str(info.value) == f"shape: expected a ProductShape, got {bad!r}"
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            IdentitySpec("X", ConditionSet(), 9, frozenset({1}), "nope")
+        with pytest.raises(ValueError, match="unknown recursion family 'nope'"):
+            IdentitySpec("X", ConditionSet(), ProductShape.from_residues(9, {1}), "nope")
 
 
 class TestProductSide:
@@ -353,6 +362,11 @@ class TestProductSide:
     def test_constant_term(self):
         for spec in BUILTIN_IDENTITIES.values():
             assert product_side(spec, 10)[0] == 1
+
+    def test_non_binary_shape(self):
+        # exponent 2 on every part: partitions into parts of two colours
+        spec = IdentitySpec("two-colour", ConditionSet(), ProductShape(1, (2,)))
+        assert list(product_side(spec, 6)) == [1, 2, 5, 10, 20, 36, 65]
 
 
 class TestVerifyIdentity:
@@ -382,8 +396,7 @@ class TestVerifyIdentity:
         wrong = IdentitySpec(
             "I1-wrong",
             BUILTIN_IDENTITIES["I1"].conditions,
-            9,
-            frozenset({1, 3, 6, 7}),
+            ProductShape.from_residues(9, {1, 3, 6, 7}),
             "P1",
         )
         # under "both" the two sum sides agree with each other, not the product

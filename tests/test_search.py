@@ -12,11 +12,18 @@ from sumside import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
+    IdentitySpec,
     ProductShape,
     SearchGrid,
     SmallestPartRule,
+    count_sum_side,
+    detect_period,
+    euler_factorize,
+    expand_product,
     run_search,
+    verify_identity,
 )
+from sumside._record import replace
 
 RR_DIFF = (DiffDistRule(1, 2),)
 
@@ -405,6 +412,21 @@ class TestRunSearch:
         obj = {**run_search(grid, refine_order=refine).to_json(), "elapsed_ms": None}
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_every_classics_hit_is_a_spec_that_verifies(self):
+        # a hit's (conditions, shape) is an identity spec as it stands; with
+        # no recursion family, verify counts its sum side by the sweep
+        config = Path(__file__).resolve().parents[1] / "configs" / "classics.json"
+        grid = replace(SearchGrid.from_json(json.loads(config.read_text())), order=40)
+        report = run_search(grid)
+        assert len(report.hits) == 38
+        for i, hit in enumerate(report.hits):
+            result = verify_identity(IdentitySpec(f"hit{i}", hit.conditions, hit.shape), 40)
+            assert (result.method, result.match) == ("enumeration", True), hit
+            series = count_sum_side(hit.conditions, 40)
+            exps = euler_factorize(series)
+            assert detect_period(exps, grid.p_max, grid.min_repeats) == hit.shape
+            assert expand_product(hit.shape.exponents(40)) == series
 
     def test_hit_json_fields(self):
         hit = CandidateHit(

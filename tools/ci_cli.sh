@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# The CLI checks of the "installed sumside script" CI step, run from the
+# repository root.  SUMSIDE is the command that runs the CLI: `sumside` by
+# default, the console script that pyproject.toml declares, as installed by
+# `pip install .`; from a checkout, `SUMSIDE="python -m sumside.cli"` with
+# PYTHONPATH=src.  Files the checks write go to a temporary directory that
+# is removed on exit.
+#
+# Orders 1000 and 2000 with both engines are above what Tier-1 verifies;
+# the listing must hold one line per counted partition, after its count
+# line (56,291 lines for I5 at n = 66); factor must return every exponent of
+# a period-12 product expanded to order 3000, which runs the 2-adic route
+# and its certificate; search must sweep all 150 classics cells to the same
+# 38 hits, with or without the pool (3 workers take the cells in chunks of
+# 13), and --refine must recheck all 38 at order 60 to the same report
+# either way; an order too short to certify any period must exit 2 at load,
+# printing nothing to stdout.
+set -eu
+SUMSIDE=${SUMSIDE:-sumside}
+w=$(mktemp -d)
+trap 'rm -rf "$w"' EXIT
+
+$SUMSIDE verify --identity all --order 200
+$SUMSIDE verify --identity all --order 1000 --method both
+$SUMSIDE verify --identity all --order 2000 --method both
+$SUMSIDE enumerate --conditions configs/identities/I5.json --n 30
+count=$($SUMSIDE enumerate --conditions configs/identities/I5.json --n 66)
+lines=$($SUMSIDE enumerate --conditions configs/identities/I5.json --n 66 --list | wc -l)
+echo "I5 at n = 66: count $count, listing $lines lines"
+test "$lines" -eq $((count + 1))
+p="[1, 0, -1, 2, 0, 1, 1, -1, 0, 2, 0, 1]"
+python -c "from sumside import ExponentSequence, expand_product; p = $p; print(*expand_product(ExponentSequence(p[m % 12] for m in range(3000))), sep='\n')" > "$w/p12.txt"
+python -c "p = $p; print(''.join(f'a_{m} = {p[(m - 1) % 12]}\n' for m in range(1, 3001)), end='')" > "$w/p12.want"
+$SUMSIDE factor --coeffs "$w/p12.txt" > "$w/p12.out"
+diff -q "$w/p12.want" "$w/p12.out"
+echo "factor at order 3000: $(wc -l < "$w/p12.out") exponents match"
+$SUMSIDE search --config configs/classics.json --order 40 --jobs 1 > "$w/s1.json"
+$SUMSIDE search --config configs/classics.json --order 40 --jobs 2 > "$w/s2.json"
+$SUMSIDE search --config configs/classics.json --order 40 --jobs 3 > "$w/s3.json"
+python -c "import json; a, b, c = (json.load(open(f'$w/{f}')) for f in ('s1.json', 's2.json', 's3.json')); [r.pop('elapsed_ms') for r in (a, b, c)]; assert (a['cells_run'], len(a['hits']), a['failures']) == (150, 38, []), a; assert a == b == c, 'reports differ across --jobs'"
+echo "search at order 40: 150 cells, 38 hits, same report at --jobs 1, 2 and 3"
+$SUMSIDE search --config configs/classics.json --order 30 --refine 60 --jobs 1 > "$w/r1.json"
+$SUMSIDE search --config configs/classics.json --order 30 --refine 60 --jobs 2 > "$w/r2.json"
+python -c "import json; a, b = (json.load(open(f'$w/{f}')) for f in ('r1.json', 'r2.json')); a.pop('elapsed_ms'), b.pop('elapsed_ms'); assert a == b, 'refined reports differ across --jobs'; assert len(a['hits']) == 38 and all(h['refined']['order'] == 60 for h in a['hits']), a"
+echo "search at order 30 refined at 60: 38 hits rechecked, same report at --jobs 1 and 2"
+rc=0; $SUMSIDE search --config configs/classics.json --order 1 > "$w/o1.json" || rc=$?
+test "$rc" -eq 2
+test ! -s "$w/o1.json"
+echo "search at order 1: exit 2 at load, nothing on stdout"
