@@ -7,9 +7,9 @@ shipped identities to high order via polynomial recursions.
 
 Submodules run on first use: importing the package registers them in
 ``sys.modules`` unexecuted, and a public name resolves on first access.
-Every value passed between modules (rules, condition sets, series, exponent
-sequences, shapes, specs, grids and reports) is a frozen record (``_record``),
-not a dataclass, so a CLI process does not import inspect or exec methods.
+Every value passed between modules (rules, condition sets, series, shapes,
+specs, grids and reports) is a frozen record (``_record``), not a dataclass,
+so a CLI process does not import inspect or exec methods.
 """
 
 import importlib.util
@@ -27,8 +27,7 @@ _EXPORTS = {
     ),
     "search": ("CandidateHit", "CandidateReport", "SearchGrid", "run_search"),
     "series": (
-        "ExponentSequence", "IntegralityError", "TruncatedSeries", "euler_factorize",
-        "expand_product",
+        "IntegralityError", "TruncatedSeries", "euler_factorize", "expand_product",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,4 @@
-"""Periodic structure in Euler exponent sequences.
+"""Periodic structure in Euler exponents.
 
 A sum side whose factorization has purely periodic exponents is a candidate
 identity: binary profiles (all exponents 0 or 1) say "partitions into parts
@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import index
 
 from ._record import Record, check_ints
-from .series import ExponentSequence
+from .series import TruncatedSeries
 
 
 class ProductShape(Record):
@@ -69,19 +69,23 @@ class ProductShape(Record):
             raise ValueError(f"residues {sorted(bad, key=repr)} outside integers 1..{period}")
         return cls(period, tuple(1 if r in rs else 0 for r in range(1, period + 1)))
 
-    def exponents(self, order: int) -> ExponentSequence:
-        """The profile repeated out to a_1..a_order."""
+    def exponents(self, order: int) -> TruncatedSeries:
+        """The profile repeated out to a_1..a_order, as the exponent series
+        a_1 q + ... + a_order q^order (constant term 0)."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        prof = self.exponent_profile
-        p = self.period
-        return ExponentSequence(prof[(m - 1) % p] for m in range(1, order + 1))
+        prof, p = self.exponent_profile, self.period
+        return TruncatedSeries((0,) + prof * (order // p) + prof[: order % p])
 
 
 def _period_limit(order: int, p_max: int, min_repeats: int) -> int:
     """The largest period that order can certify: min(p_max, order //
     min_repeats), so that min_repeats full copies fit in the window.  Raises
-    when a threshold is below 1 or order is too short for any period."""
+    when one of the three is not an int (bool included), a threshold is
+    below 1, or order is too short for any period."""
+    for name, value in (("order", order), ("p_max", p_max), ("min_repeats", min_repeats)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     if min_repeats < 1:
@@ -95,9 +99,10 @@ def _period_limit(order: int, p_max: int, min_repeats: int) -> int:
 
 
 def detect_period(
-    a: ExponentSequence, p_max: int = 64, min_repeats: int = 2
+    a: TruncatedSeries, p_max: int = 64, min_repeats: int = 2
 ) -> ProductShape | None:
-    """Smallest pure period of an exponent sequence, or None.
+    """Smallest pure period of an exponent series a_1 q + ... + a_N q^N, as
+    euler_factorize returns it, or None.  The constant term is not read.
 
     A period p is certified only when the window holds min_repeats full
     copies of the profile (p * min_repeats <= order) and a_m == a_{m+p} for
@@ -105,10 +110,10 @@ def detect_period(
     periods therefore run up to _period_limit.  Returning the smallest such p
     also rules out reporting a proper multiple of the true period.
     """
-    exps, order = a.exps, a.order
+    exps, order = a.coeffs, a.order
     for p in range(1, _period_limit(order, p_max, min_repeats) + 1):
-        if all(exps[i] == exps[i + p] for i in range(order - p)):
-            return ProductShape(p, exps[:p])
+        if all(exps[m] == exps[m + p] for m in range(1, order + 1 - p)):
+            return ProductShape(p, exps[1 : p + 1])
     return None
 
 

@@ -52,8 +52,10 @@ class IdentitySpec(Record):
     recursion_family: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.shape, ProductShape):
-            raise ValueError(f"shape: expected a ProductShape, got {self.shape!r}")
+        for name, kind in (("conditions", ConditionSet), ("shape", ProductShape)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name}: expected a {kind.__name__}, got {value!r}")
         if self.recursion_family is not None and self.recursion_family not in FAMILIES:
             raise ValueError(f"unknown recursion family {self.recursion_family!r}")
 

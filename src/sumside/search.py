@@ -19,7 +19,7 @@ from functools import partial
 from itertools import product
 from math import prod
 
-from ._record import Record, check_ints, replace
+from ._record import Record, replace
 from .partitions import (
     ConditionSet,
     CongruenceRule,
@@ -63,7 +63,7 @@ class SearchGrid(Record):
     min_repeats: int = 2
 
     def __post_init__(self):
-        check_ints(self, self._defaults)  # the defaulted fields: order and thresholds
+        _period_limit(self.order, self.p_max, self.min_repeats)  # else every cell would raise
         for axis, slot in _AXES:
             value = getattr(self, axis)
             try:
@@ -78,7 +78,6 @@ class SearchGrid(Record):
             if not options:
                 raise ValueError("every grid axis needs at least one option")
             object.__setattr__(self, axis, options)
-        _period_limit(self.order, self.p_max, self.min_repeats)  # else every cell would raise
 
     @property
     def size(self) -> int:

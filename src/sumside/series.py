@@ -11,7 +11,9 @@ Euler's algorithm writes any integer series with constant term 1 as
 
     b(q) = prod_{m>=1} (1 - q^m)^(-a_m)
 
-with integer exponents a_m.  Taking q*d/dq of the logarithm gives
+with integer exponents a_m, carried as the series a(q) = a_1 q + a_2 q^2 +
+..., whose constant term is 0, so that a[m] is a_m.  Taking q*d/dq of the
+logarithm gives
 
     c(q) = q*b'(q)/b(q),   c_n = sum_{d|n} d*a_d,
 
@@ -310,55 +312,16 @@ def _narrow(y: list[int], b: Sequence[int], n: int) -> list[int] | None:
     return x if lo[:h] == y[:h] and list(map(add, lo[h:], hi)) == y[h:] else None
 
 
-class ExponentSequence(Record):
-    """Integer exponents a_1..a_N of a product prod (1 - q^m)^(-a_m), a
-    frozen record.
-
-    Indexing is 1-based to match the q-power each exponent belongs to;
-    ``a[m]`` is the exponent of the (1 - q^m) factor.
-    """
-
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(map(index, self.exps)))
-        if not self.exps:
-            raise ValueError("an exponent sequence needs order >= 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.exps)
-
-    def __getitem__(self, m: int) -> int:
-        if not 1 <= m <= len(self.exps):
-            raise IndexError(f"exponent index {m} outside 1..{len(self.exps)}")
-        return self.exps[m - 1]
-
-    def __len__(self) -> int:
-        return len(self.exps)
-
-    def __iter__(self):
-        return iter(self.exps)
-
-    def truncate(self, k: int) -> "ExponentSequence":
-        if not 1 <= k <= self.order:
-            raise ValueError(f"cannot truncate order-{self.order} exponents to {k}")
-        return ExponentSequence(self.exps[:k])
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(e) for e in self.exps[:10])
-        tail = ", ..." if len(self.exps) > 10 else ""
-        return f"ExponentSequence([{head}{tail}], order={self.order})"
-
-
-def euler_factorize(b: TruncatedSeries) -> ExponentSequence:
-    """Exponents a_1..a_N with b(q) = prod (1 - q^m)^(-a_m) mod q^(N+1).
+def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
+    """Exponents a_1..a_N with b(q) = prod (1 - q^m)^(-a_m) mod q^(N+1), as
+    the series a(q) = a_1 q + ... + a_N q^N: a[m] is a_m, and a[0] is 0.
 
     Takes the logarithmic derivative: c = q*b'/b has c_n = sum_{d|n} d*a_d.
     Above _SEED terms, _narrow first tries c in 32-bit words, certified by
     one exact product; when it declines, _divide computes c with O(log N)
     big-int products at the width of b.  A sieve over multiples then peels
-    the proper divisors off each c_n in O(N log N).
+    the proper divisors off each c_n in O(N log N), leaving a_n in c's slot
+    n; c_0 = 0 already, as y_0 = 0*b_0.
 
     Raises ValueError unless b has constant term 1, and IntegralityError if
     the division by n is ever inexact (it cannot be, for integer input).
@@ -384,11 +347,13 @@ def euler_factorize(b: TruncatedSeries) -> ExponentSequence:
             na = n * a_n
             for j in range(2 * n, n_max + 1, n):
                 c[j] -= na
-    return ExponentSequence(c[1:])
+    return TruncatedSeries(c)
 
 
-def expand_product(a: ExponentSequence) -> TruncatedSeries:
-    """Coefficients of prod_{m=1..N} (1 - q^m)^(-a_m) modulo q^(N+1).
+def expand_product(a: TruncatedSeries) -> TruncatedSeries:
+    """Coefficients of prod_{m=1..N} (1 - q^m)^(-a_m) modulo q^(N+1), for
+    the exponent series a(q) = a_1 q + ... + a_N q^N; ValueError unless a's
+    constant term is 0.
 
     Inverse of ``euler_factorize``, through the same logarithmic derivative:
     a sieve over multiples gives c_n = sum_{d|n} d*a_d, and b = prod then
@@ -399,10 +364,12 @@ def expand_product(a: ExponentSequence) -> TruncatedSeries:
     direct sum.  Each division by n is exact for integer exponents;
     IntegralityError signals a remainder.
     """
+    if a[0] != 0:
+        raise ValueError(f"constant term must be 0, got {a[0]}")
     n_max = a.order
     c = [0] * (n_max + 1)
-    for d, e in enumerate(a.exps, 1):
-        if e:
+    for d, e in enumerate(a.coeffs):
+        if e:  # never d = 0: a_0 is 0
             de = d * e
             for j in range(d, n_max + 1, d):
                 c[j] += de

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "ConditionSet",
     "CongruenceRule",
     "DiffDistRule",
-    "ExponentSequence",
     "IdentitySpec",
     "IntegralityError",
     "ProductShape",

@@ -641,6 +641,9 @@ class TestParser:
 
     def test_shipped_condition_files_match_builtins(self, capsys):
         root = Path(__file__).resolve().parents[1]
+        # one file per builtin and no other, each loading to its conditions
+        files = sorted(p.stem for p in (root / "configs" / "identities").iterdir())
+        assert files == sorted(BUILTIN_IDENTITIES)
         for name, spec in sorted(BUILTIN_IDENTITIES.items()):
             path = root / "configs" / "identities" / f"{name}.json"
             loaded = ConditionSet.from_json(json.loads(path.read_text()))

@@ -343,7 +343,7 @@ class TestCountSumSide:
     def test_distinct_parts_factor_to_odd_residues(self):
         distinct = ConditionSet(diffs=(DiffDistRule(1, 1),))
         exps = euler_factorize(count_sum_side(distinct, 24))
-        assert exps.exps == tuple(m % 2 for m in range(1, 25))
+        assert exps.coeffs == tuple(m % 2 for m in range(25))
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):

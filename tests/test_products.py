@@ -9,8 +9,8 @@ from sumside import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
-    ExponentSequence,
     ProductShape,
+    TruncatedSeries,
     count_sum_side,
     describe,
     detect_period,
@@ -70,7 +70,8 @@ class TestProductShape:
     def test_exponents_extend_periodically(self):
         shape = ProductShape.from_residues(5, {1, 4})
         exps = shape.exponents(12)
-        assert tuple(exps.exps) == (1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0)
+        # the exponent series: constant term 0, then a_1..a_12
+        assert exps.coeffs == (0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0)
 
     def test_exponents_need_order_one(self):
         with pytest.raises(ValueError, match="order must be >= 1"):
@@ -116,11 +117,11 @@ class TestDetectPeriod:
             assert shape is not None
             # the found period divides the planted one
             assert p % shape.period == 0
-            assert shape.exponents(exps.order).exps == exps.exps
+            assert shape.exponents(exps.order) == exps
 
     def test_aperiodic_returns_none(self):
-        # strictly increasing exponents, so no period can hold
-        exps = ExponentSequence(range(1, 31))
+        # strictly increasing exponents a_m = m, so no period can hold
+        exps = TruncatedSeries(range(31))
         assert detect_period(exps, p_max=10) is None
 
     def test_min_repeats_limits_candidates(self):
@@ -143,6 +144,9 @@ class TestDetectPeriod:
                 dict(min_repeats=11),
                 "^order 10 is below min_repeats 11, too short to certify any period$",
             ),
+            # the grid's type check: range() would refuse them with a TypeError
+            (dict(p_max=2.5), "^p_max must be an integer, got 2.5$"),
+            (dict(min_repeats=True), "^min_repeats must be an integer, got True$"),
         ],
     )
     def test_thresholds_below_one_raise(self, thresholds, message):

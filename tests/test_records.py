@@ -11,7 +11,6 @@ from sumside import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
-    ExponentSequence,
     IdentitySpec,
     ProductShape,
     SearchGrid,
@@ -93,7 +92,6 @@ CASES = [
         dict(hits=()),
     ),
     (TruncatedSeries, dict(coeffs=(1, 2, 3)), dict(coeffs=(1, 2, 4))),
-    (ExponentSequence, dict(exps=(1, 0, 2)), dict(exps=(1, 0, 1))),
 ]
 # one id per case, its class name; the second CandidateHit case is refined
 IDS = [cls.__name__ + "-refined" * bool(f.get("refined")) for cls, f, _ in CASES]
@@ -109,7 +107,7 @@ HIT_REPR = (
     "refined=None)"
 )
 # the text a frozen dataclass gives, for one instance of each public record;
-# the two series types keep their compact text, the coefficients as a list
+# the series type keeps its compact text, the coefficients as a list
 REPRS = {
     "SmallestPartRule": "SmallestPartRule(min_part=2, max_mult=1)",
     "DiffDistRule": "DiffDistRule(distance=2, min_diff=3)",
@@ -139,7 +137,6 @@ REPRS = {
         "congruences=()), 'boom'),), elapsed_ms=2.5)"
     ),
     "TruncatedSeries": "TruncatedSeries([1, 2, 3], order=2)",
-    "ExponentSequence": "ExponentSequence([1, 0, 2], order=3)",
 }
 
 
@@ -212,6 +209,7 @@ def test_defaults_fill_trailing_fields():
         (IdentitySpec("X", CS, RR_SHAPE), dict(shape=(1, 0, 0, 1, 0)), "expected a ProductShape"),
         (SearchGrid((None,), ((),), ((),)), dict(order=0), "order"),
         (TruncatedSeries((1, 2)), dict(coeffs=()), "constant term"),
+        (IdentitySpec("X", CS, RR_SHAPE), dict(conditions=3), "expected a ConditionSet, got 3"),
     ],
 )
 def test_replace_runs_validation_again(record, change, message):

@@ -347,6 +347,11 @@ class TestIdentitySpecs:
             with pytest.raises(ValueError) as info:
                 IdentitySpec("X", ConditionSet(), bad)
             assert str(info.value) == f"shape: expected a ProductShape, got {bad!r}"
+        # the sum side is a condition set, never a spec or a bare value
+        for bad in (3, None, BUILTIN_IDENTITIES["I1"]):
+            with pytest.raises(ValueError) as info:
+                IdentitySpec("X", bad, ProductShape(1, (1,)))
+            assert str(info.value) == f"conditions: expected a ConditionSet, got {bad!r}"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown recursion family 'nope'"):

@@ -5,13 +5,7 @@ import random
 import oracles
 import pytest
 
-from sumside import (
-    ExponentSequence,
-    IntegralityError,
-    TruncatedSeries,
-    euler_factorize,
-    expand_product,
-)
+from sumside import IntegralityError, TruncatedSeries, euler_factorize, expand_product
 import sumside.series
 from sumside.series import (
     _at_word,
@@ -37,8 +31,6 @@ class TestTruncatedSeries:
         for bad in (1.9, 1.0, "3"):
             with pytest.raises(TypeError):
                 TruncatedSeries([1, bad])
-            with pytest.raises(TypeError):
-                ExponentSequence([bad])
         assert [type(c) for c in TruncatedSeries([True, 2]).coeffs] == [int, int]
 
     def test_indexing_and_iteration(self):
@@ -165,50 +157,53 @@ class TestPackedKernel:
             pack([1, 1 << (bits - 1), 0], 2, bits)
 
 
-class TestExponentSequence:
-    def test_one_based_indexing(self):
-        a = ExponentSequence([5, 6, 7])
-        assert a[1] == 5 and a[3] == 7
+class TestExponentSeries:
+    """Euler exponents a_1..a_N travel as the series a_1 q + ... + a_N q^N,
+    constant term 0, so a[m] is the exponent of the (1 - q^m) factor."""
+
+    def test_index_m_is_a_m(self):
+        # 1/((1-q)^5 (1-q^2)^6 (1-q^3)^7)
+        a = euler_factorize(expand_product(TruncatedSeries([0, 5, 6, 7])))
+        assert a[0] == 0
+        assert a[1] == 5 and a[2] == 6 and a[3] == 7
         assert a.order == 3
-        with pytest.raises(IndexError):
-            a[0]
         with pytest.raises(IndexError):
             a[4]
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ExponentSequence([])
+    def test_expand_rejects_a_nonzero_constant_term(self):
+        # a coefficient series (constant term 1) is not an exponent series
+        with pytest.raises(ValueError, match="constant term must be 0, got 1"):
+            expand_product(TruncatedSeries([1, 1]))
 
     def test_truncate(self):
-        a = ExponentSequence([1, 2, 3])
-        assert a.truncate(2).exps == (1, 2)
+        a = TruncatedSeries([0, 1, 2, 3])
+        assert a.truncate(2).coeffs == (0, 1, 2)
+        assert euler_factorize(expand_product(a).truncate(2)) == a.truncate(2)
         with pytest.raises(ValueError):
-            a.truncate(0)
+            a.truncate(4)
 
     def test_equality(self):
-        assert ExponentSequence([1, 0]) == ExponentSequence([1, 0])
-        assert ExponentSequence([1, 0]) != ExponentSequence([1, 1])
+        assert euler_factorize(TruncatedSeries([1, 1])) == TruncatedSeries([0, 1])
+        assert TruncatedSeries([0, 1, 0]) != TruncatedSeries([0, 1, 1])
 
 
 class TestEulerFactorize:
     def test_geometric_series_is_single_factor(self):
         # 1/(1-q) has every coefficient 1
         b = TruncatedSeries([1] * 11)
-        assert euler_factorize(b).exps == (1,) + (0,) * 9
+        assert euler_factorize(b).coeffs == (0, 1) + (0,) * 9
 
     def test_one_plus_q(self):
         # 1+q = (1-q^2)/(1-q)
         b = TruncatedSeries([1, 1] + [0] * 9)
-        assert euler_factorize(b).exps == (1, -1) + (0,) * 8
+        assert euler_factorize(b).coeffs == (0, 1, -1) + (0,) * 8
 
     def test_rogers_ramanujan_prefix(self):
         # partitions with parts differing by >= 2; counts of 0..20 computed
         # by brute force, factor to parts congruent to 1, 4 mod 5
         counts = [1, 1, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 9, 10, 12, 14, 17, 19, 23, 26, 31]
         exps = euler_factorize(TruncatedSeries(counts))
-        assert exps.exps == tuple(
-            1 if m % 5 in (1, 4) else 0 for m in range(1, 21)
-        )
+        assert exps.coeffs == tuple(1 if m % 5 in (1, 4) else 0 for m in range(21))
 
     def test_rejects_wrong_constant_term(self):
         with pytest.raises(ValueError, match="constant term"):
@@ -279,7 +274,7 @@ class TestFactorizeAgainstOracle:
             signed = [1] + [rng.randrange(-6, 7) for _ in range(order)]
             for coeffs in (counts, signed):
                 got = euler_factorize(TruncatedSeries(coeffs))
-                assert list(got) == oracles.oracle_factorize(coeffs), order
+                assert list(got)[1:] == oracles.oracle_factorize(coeffs), order
 
     def test_forty_digit_signed_coefficients(self):
         rng = random.Random(1040)
@@ -293,11 +288,11 @@ class TestFactorizeAgainstOracle:
         ]
         for coeffs in cases:
             got = euler_factorize(TruncatedSeries(coeffs))
-            assert list(got) == oracles.oracle_factorize(coeffs), len(coeffs)
+            assert list(got)[1:] == oracles.oracle_factorize(coeffs), len(coeffs)
 
     def test_periodic_profile_round_trips_at_order_2000(self):
         profile = [2, -1, 0, 1, 1, 0, -1, 2, 0, 1, 0, 2]
-        a = ExponentSequence(profile[(m - 1) % len(profile)] for m in range(1, 2001))
+        a = TruncatedSeries([0] + [profile[(m - 1) % len(profile)] for m in range(1, 2001)])
         assert euler_factorize(expand_product(a)) == a
 
 
@@ -310,7 +305,7 @@ def _quotient_routes(b):
 
 def _single_factor(a1, order):
     """(1 - q)^(-a1) through q^order: every c_n, n >= 1, equals a1."""
-    return expand_product(ExponentSequence([a1] + [0] * (order - 1)))
+    return expand_product(TruncatedSeries([0, a1] + [0] * (order - 1)))
 
 
 class TestNarrowRoute:
@@ -325,7 +320,7 @@ class TestNarrowRoute:
         t = _over(_at_word(y), _at_word(b.coeffs), 32 * 101)
         assert [t >> 32 * i & 0xFFFFFFFF for i in range(101)] == [0, 5] + [6] * 99
         assert _narrow(y, b.coeffs, 101) is None
-        assert list(euler_factorize(b)) == oracles.oracle_factorize(list(b))
+        assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
 
     def test_edge_band(self):
         # a digit within 2^29 of +-2^31 sends the series to Newton unasked
@@ -348,9 +343,9 @@ class TestNarrowRoute:
         # only c_60 (in the certificate's high half) wraps, to 1
         heads = ([2**31 - 2**28, 1], [2**30, 2**30 + 3], [-(2**40), 7], [1] + [0] * 58 + [2**32])
         for head in heads:
-            b = expand_product(ExponentSequence(head + [0] * (100 - len(head))))
+            b = expand_product(TruncatedSeries([0] + head + [0] * (100 - len(head))))
             calls.clear()
-            assert list(euler_factorize(b)) == oracles.oracle_factorize(list(b))
+            assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
             assert calls and calls[0] == 101, head[:2]
 
     @pytest.mark.parametrize("order", [65, 66, 127, 128, 2000])
@@ -360,26 +355,26 @@ class TestNarrowRoute:
             period = rng.randint(6, 24)
             profile = [rng.randint(-1, 2) for _ in range(period)]
             b = expand_product(
-                ExponentSequence(profile[(m - 1) % period] for m in range(1, order + 1))
+                TruncatedSeries([0] + [profile[(m - 1) % period] for m in range(1, order + 1)])
             )
             narrow, newton = _quotient_routes(b)
             assert narrow is not None and narrow == newton
-            assert list(euler_factorize(b)) == oracles.oracle_factorize(list(b))
+            assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
 
 
 class TestExpandProduct:
     def test_single_factor(self):
-        a = ExponentSequence([1] + [0] * 9)
+        a = TruncatedSeries([0, 1] + [0] * 9)
         assert expand_product(a).coeffs == (1,) * 11
 
     def test_residue_pattern_coefficient(self):
         # parts from {1, 3} below order 4: partitions of 3 are {3} and {1,1,1}
-        a = ExponentSequence([1 if m % 9 in (1, 3, 6, 8) else 0 for m in (1, 2, 3)])
+        a = TruncatedSeries([0] + [1 if m % 9 in (1, 3, 6, 8) else 0 for m in (1, 2, 3)])
         assert expand_product(a)[3] == 2
 
     def test_negative_exponent(self):
         # (1-q)^2 / (1-q) = 1 - q
-        a = ExponentSequence([-1, 0, 0])
+        a = TruncatedSeries([0, -1, 0, 0])
         assert expand_product(a).coeffs == (1, -1, 0, 0)
 
     def test_matches_stride_oracle_at_every_order_to_300(self):
@@ -391,19 +386,19 @@ class TestExpandProduct:
             exps = rng.choices(range(-3, 4), weights=weights, k=300)
             want = oracles.oracle_expand_product(exps)
             for order in range(1, 301):
-                got = expand_product(ExponentSequence(exps[:order]))
+                got = expand_product(TruncatedSeries([0] + exps[:order]))
                 assert list(got) == want[: order + 1], order
 
     def test_matches_stride_oracle_on_fresh_sequences(self):
         rng = random.Random(301)
         for order in (1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200):
             exps = [rng.randrange(-3, 4) for _ in range(order)]
-            got = expand_product(ExponentSequence(exps))
+            got = expand_product(TruncatedSeries([0] + exps))
             assert list(got) == oracles.oracle_expand_product(exps), order
 
     def test_round_trip_seeded_exponents_at_order_2000(self):
         rng = random.Random(2000)
-        a = ExponentSequence(rng.randrange(-3, 4) for _ in range(2000))
+        a = TruncatedSeries([0] + [rng.randrange(-3, 4) for _ in range(2000)])
         assert euler_factorize(expand_product(a)) == a
 
     def test_inexact_division_raises(self, monkeypatch):
@@ -416,14 +411,14 @@ class TestExpandProduct:
 
         monkeypatch.setattr(sumside.series, "_mul", off_by_one)
         with pytest.raises(IntegralityError, match="non-integral"):
-            expand_product(ExponentSequence([1] * 100))
+            expand_product(TruncatedSeries([0] + [1] * 100))
 
     def test_round_trip_seeded_sample(self):
         rng = random.Random(1729)
         for _ in range(60):
             order = rng.randrange(1, 24)
             exps = [rng.randrange(-3, 4) for _ in range(order)]
-            a = ExponentSequence(exps)
+            a = TruncatedSeries([0] + exps)
             assert euler_factorize(expand_product(a)) == a
 
 
@@ -454,6 +449,6 @@ class TestPrefixStability:
             b2 = TruncatedSeries(perturbed)
             full = euler_factorize(b)
             other = euler_factorize(b2)
-            assert full.exps[: order - 1] == other.exps[: order - 1]
-            assert full.exps[order - 1] != other.exps[order - 1]
+            assert full.coeffs[:order] == other.coeffs[:order]
+            assert full[order] != other[order]
 

@@ -29,7 +29,7 @@ lines=$($SUMSIDE enumerate --conditions configs/identities/I5.json --n 66 --list
 echo "I5 at n = 66: count $count, listing $lines lines"
 test "$lines" -eq $((count + 1))
 p="[1, 0, -1, 2, 0, 1, 1, -1, 0, 2, 0, 1]"
-python -c "from sumside import ExponentSequence, expand_product; p = $p; print(*expand_product(ExponentSequence(p[m % 12] for m in range(3000))), sep='\n')" > "$w/p12.txt"
+python -c "from sumside import ProductShape, expand_product; p = $p; print(*expand_product(ProductShape(12, p).exponents(3000)), sep='\n')" > "$w/p12.txt"
 python -c "p = $p; print(''.join(f'a_{m} = {p[(m - 1) % 12]}\n' for m in range(1, 3001)), end='')" > "$w/p12.want"
 $SUMSIDE factor --coeffs "$w/p12.txt" > "$w/p12.out"
 diff -q "$w/p12.want" "$w/p12.out"
