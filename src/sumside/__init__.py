@@ -23,7 +23,7 @@ _EXPORTS = {
     "products": ("ProductShape", "describe", "detect_period"),
     "recursions": (
         "BUILTIN_IDENTITIES", "IdentitySpec", "VerificationReport", "capped_polynomial",
-        "coefficient_digest", "initial_state", "product_side", "verify_identity",
+        "coefficient_digest", "initial_state", "verify_identity",
     ),
     "search": ("CandidateHit", "CandidateReport", "SearchGrid", "run_search"),
     "series": (

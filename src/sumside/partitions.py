@@ -362,16 +362,16 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
     in decreasing lexicographic order; "0\n" for n = 0 and "" when there
     are none.
 
-    A node is a partial partition.  Its state is (key, v, c): _trim of its
-    parts with top v (not the sweep's v - 1, since the node may take another
-    copy of v), its last part v, and its count c of min_part copies.  c is
-    tracked only when max_mult is set and below n // min_part; otherwise it
-    stays 0, or the states would grow without end.  A node's admissible
-    children depend on its state alone, and its completions on its state and
-    its remainder rest, so each (state, rest) pair gets one text block.
+    A node is a partial partition.  Its state is (key, v): the counter's
+    kind of key, _trim of its parts with top v (not the sweep's v - 1, since
+    the node may take another copy of v), and its last part v.  Its children
+    depend on its state alone, its completions also on its remainder rest,
+    so each (state, rest) pair gets one text block.  The first copy of
+    min_part forces every later part to be min_part, so one check carries
+    the cap: an edge u == min_part needs rest <= fill = max_mult * min_part.
 
     Each state is numbered when the sweep down first creates it, the root
-    ((), n, 0) as 0, and only numbers are hashed after that.  The sweep
+    ((), n) as 0, and only numbers are hashed after that.  The sweep
     from rest = n down collects the ids reachable at each rest, entering a
     child by part u only when u < rest.  A state's (u, child id) edges,
     u <= rest in increasing u, are computed once, when the sweep first
@@ -392,10 +392,8 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
     width, reach = _window(conditions)
     min_part = conditions.min_part
     sm = conditions.smallest
-    mult = None if sm is None else sm.max_mult
-    if mult is not None and mult >= n // min_part:
-        mult = None  # no partition of n can exceed the cap
-    root = ((), n, 0)
+    fill = n if sm is None or sm.max_mult is None else sm.max_mult * min_part
+    root = ((), n)
     ids: dict[tuple, int] = {root: 0}
     states: list[tuple] = [root]
     edges: list[list | None] = [None]
@@ -405,16 +403,11 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
         for s in levels[rest]:
             kids = edges[s]
             if kids is None:
-                key, v, c = states[s]
+                key, v = states[s]
                 kids = edges[s] = []
                 for u in range(min_part, min(v, rest) + 1):
-                    cu = 0
-                    if u == min_part and mult is not None:
-                        if c == mult:
-                            continue
-                        cu = c + 1
                     if _admits(conditions, key, u):
-                        child = (_trim(key + (u,), width, u + reach), u, cu)
+                        child = (_trim(key + (u,), width, u + reach), u)
                         i = ids.get(child)
                         if i is None:
                             i = ids[child] = len(states)
@@ -434,13 +427,15 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
             for u, i in reversed(edges[s]):
                 if u == rest:
                     lines.append(f"\n{u}")
-                elif u < rest:
+                elif u < rest and (u > min_part or rest <= fill):
                     block = blocks[rest - u][i]
                     if block:
                         lines.append(block.replace("\n", pre[u]))
             table[s] = "".join(lines)
         blocks.append(table)
     text = blocks[n][0]
+    # the tables hold the listing again: free them before its last copy
+    del blocks, levels, edges, states, ids, table, lines
     return text[1:] + "\n" if text else ""
 
 

@@ -71,9 +71,9 @@ class ProductShape(Record):
 
     def exponents(self, order: int) -> TruncatedSeries:
         """The profile repeated out to a_1..a_order, as the exponent series
-        a_1 q + ... + a_order q^order (constant term 0)."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        a_1 q + ... + a_order q^order (constant term 0), 0 at order 0."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
         prof, p = self.exponent_profile, self.period
         return TruncatedSeries((0,) + prof * (order // p) + prof[: order % p])
 
@@ -102,7 +102,7 @@ def detect_period(
     a: TruncatedSeries, p_max: int = 64, min_repeats: int = 2
 ) -> ProductShape | None:
     """Smallest pure period of an exponent series a_1 q + ... + a_N q^N, as
-    euler_factorize returns it, or None.  The constant term is not read.
+    euler_factorize returns it, or None; ValueError unless a[0] == 0.
 
     A period p is certified only when the window holds min_repeats full
     copies of the profile (p * min_repeats <= order) and a_m == a_{m+p} for
@@ -111,6 +111,8 @@ def detect_period(
     also rules out reporting a proper multiple of the true period.
     """
     exps, order = a.coeffs, a.order
+    if exps[0] != 0:
+        raise ValueError(f"constant term must be 0, got {exps[0]}")
     for p in range(1, _period_limit(order, p_max, min_repeats) + 1):
         if all(exps[m] == exps[m + p] for m in range(1, order + 1 - p)):
             return ProductShape(p, exps[1 : p + 1])

@@ -6,9 +6,9 @@ largest part may appear).  The families satisfy short linear recursions with
 q-power coefficients, so the sum side can be pushed to order 500 and beyond in
 seconds: capped_polynomial steps the recursion with all arithmetic modulo
 q^(N+1) until the cap reaches N, at which point the polynomial's first N+1
-coefficients are those of the full sum side.  The product side is expanded
-independently from the spec's ProductShape, and the two are compared
-coefficientwise.
+coefficients are those of the full sum side.  The product side is
+expand_product of the spec's ProductShape.exponents, independent of the sum
+side, and the two are compared coefficientwise.
 
 A family is plain data (_Family): step tables in phases, one term table per
 register in each phase, and initial polynomials for a run of indices from its
@@ -391,11 +391,6 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
 }
 
 
-def product_side(spec: IdentitySpec, order: int) -> TruncatedSeries:
-    """Coefficients of the spec's product through q^order."""
-    return expand_product(spec.shape.exponents(order)) if order >= 1 else TruncatedSeries([1])
-
-
 def coefficient_digest(series: TruncatedSeries) -> str:
     """Stable hex digest of a coefficient vector, for regression tracking:
     sha256 over the comma-joined decimal coefficients."""
@@ -457,7 +452,7 @@ def verify_identity(
         sums.append(capped_polynomial(family, order, order=order)[-1])
     if family is None or method == "both":
         sums.append(count_sum_side(spec.conditions, order))
-    product = product_side(spec, order)
+    product = expand_product(spec.shape.exponents(order))
     mismatch = _first_mismatch(product, *sums)
     # routes that disagree cannot both equal the product, so a disagreement
     # always comes with a mismatch

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "euler_factorize",
     "expand_product",
     "initial_state",
-    "product_side",
     "run_search",
     "verify_identity",
 ]

@@ -25,7 +25,7 @@ from sumside import (
     SmallestPartRule,
     TruncatedSeries,
     count_sum_side,
-    product_side,
+    expand_product,
 )
 
 I1_CONDITIONS = BUILTIN_IDENTITIES["I1"].conditions
@@ -327,7 +327,7 @@ class TestEnumerateCommand:
     def test_count_beyond_listing_reach(self, i1_conditions_file, capsys):
         rc = cli.main(["enumerate", "--conditions", i1_conditions_file, "--n", "400"])
         assert rc == 0
-        want = product_side(BUILTIN_IDENTITIES["I1"], 400)[400]
+        want = expand_product(BUILTIN_IDENTITIES["I1"].shape.exponents(400))[400]
         assert capsys.readouterr().out == f"{want}\n"
 
     def test_negative_n(self, i1_conditions_file, capsys):

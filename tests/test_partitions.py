@@ -412,8 +412,8 @@ class TestEnumerateSumSide:
             enumerate_sum_side(I1, -1)
 
     def test_huge_multiplicity_cap_lists_small_n(self):
-        # a cap far above n // min_part binds nothing, so the lister's
-        # states must not count min_part copies up to it
+        # a cap far above n // min_part binds nothing: the lister's check
+        # on min_part edges never fires
         cs = ConditionSet(smallest=SmallestPartRule(1, 10**9))
         assert len(enumerate_sum_side(cs, 5)) == 7
 

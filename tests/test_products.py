@@ -15,6 +15,7 @@ from sumside import (
     describe,
     detect_period,
     euler_factorize,
+    expand_product,
 )
 
 
@@ -73,9 +74,13 @@ class TestProductShape:
         # the exponent series: constant term 0, then a_1..a_12
         assert exps.coeffs == (0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0)
 
-    def test_exponents_need_order_one(self):
-        with pytest.raises(ValueError, match="order must be >= 1"):
-            ProductShape(1, (1,)).exponents(0)
+    def test_exponents_start_at_order_zero(self):
+        # order 0 is the series 0, whose product is 1
+        exps = ProductShape(1, (1,)).exponents(0)
+        assert exps.coeffs == (0,)
+        assert expand_product(exps).coeffs == (1,)
+        with pytest.raises(ValueError, match="^order must be >= 0$"):
+            ProductShape(1, (1,)).exponents(-1)
 
 
 class TestDetectPeriod:
@@ -123,6 +128,11 @@ class TestDetectPeriod:
         # strictly increasing exponents a_m = m, so no period can hold
         exps = TruncatedSeries(range(31))
         assert detect_period(exps, p_max=10) is None
+
+    def test_rejects_a_coefficient_series(self):
+        # 1/(1-q) has coefficients 1, 1, 1, ... but exponents 0, 1, 0, 0, ...
+        with pytest.raises(ValueError, match="^constant term must be 0, got 1$"):
+            detect_period(TruncatedSeries([1] * 11))
 
     def test_min_repeats_limits_candidates(self):
         # period 4 pattern over order 7 cannot repeat twice

@@ -17,8 +17,8 @@ from sumside import (
     capped_polynomial,
     coefficient_digest,
     count_sum_side,
+    expand_product,
     initial_state,
-    product_side,
     verify_identity,
 )
 from sumside._record import replace
@@ -311,7 +311,8 @@ class TestRuleWidth:
         for spec in BUILTIN_IDENTITIES.values():
             repeat = _repeat_bound(spec.conditions)
             bits = packed_bits(2000, repeat)
-            assert_within_rule_width(product_side(spec, 2000), 2000, repeat, bits)
+            product = expand_product(spec.shape.exponents(2000))
+            assert_within_rule_width(product, 2000, repeat, bits)
 
 
 class TestIdentitySpecs:
@@ -360,18 +361,18 @@ class TestIdentitySpecs:
 
 class TestProductSide:
     def test_small_coefficients(self):
-        assert product_side(BUILTIN_IDENTITIES["I1"], 3)[3] == 2
-        assert product_side(BUILTIN_IDENTITIES["I4"], 5)[5] == 2
-        assert product_side(BUILTIN_IDENTITIES["I3"], 2)[2] == 0
+        assert expand_product(BUILTIN_IDENTITIES["I1"].shape.exponents(3))[3] == 2
+        assert expand_product(BUILTIN_IDENTITIES["I4"].shape.exponents(5))[5] == 2
+        assert expand_product(BUILTIN_IDENTITIES["I3"].shape.exponents(2))[2] == 0
 
     def test_constant_term(self):
         for spec in BUILTIN_IDENTITIES.values():
-            assert product_side(spec, 10)[0] == 1
+            assert expand_product(spec.shape.exponents(10))[0] == 1
 
     def test_non_binary_shape(self):
         # exponent 2 on every part: partitions into parts of two colours
         spec = IdentitySpec("two-colour", ConditionSet(), ProductShape(1, (2,)))
-        assert list(product_side(spec, 6)) == [1, 2, 5, 10, 20, 36, 65]
+        assert list(expand_product(spec.shape.exponents(6))) == [1, 2, 5, 10, 20, 36, 65]
 
 
 class TestVerifyIdentity:

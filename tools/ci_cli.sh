@@ -8,8 +8,10 @@
 #
 # Orders 1000 and 2000 with both engines are above what Tier-1 verifies;
 # the listing must hold one line per counted partition, after its count
-# line (56,291 lines for I5 at n = 66); factor must return every exponent of
-# a period-12 product expanded to order 3000, which runs the 2-adic route
+# line (56,291 lines for I5 at n = 66, which caps the copies of 1, and
+# 42,165 for I6 at n = 70, which caps the copies of 2); factor must return
+# every exponent of a period-12 product expanded to order 3000, which runs
+# the 2-adic route
 # and its certificate; search must sweep all 150 classics cells to the same
 # 38 hits, with or without the pool (3 workers take the cells in chunks of
 # 13), and --refine must recheck all 38 at order 60 to the same report
@@ -24,10 +26,13 @@ $SUMSIDE verify --identity all --order 200
 $SUMSIDE verify --identity all --order 1000 --method both
 $SUMSIDE verify --identity all --order 2000 --method both
 $SUMSIDE enumerate --conditions configs/identities/I5.json --n 30
-count=$($SUMSIDE enumerate --conditions configs/identities/I5.json --n 66)
-lines=$($SUMSIDE enumerate --conditions configs/identities/I5.json --n 66 --list | wc -l)
-echo "I5 at n = 66: count $count, listing $lines lines"
-test "$lines" -eq $((count + 1))
+for check in I5:66 I6:70; do
+  id=${check%:*} n=${check#*:}
+  count=$($SUMSIDE enumerate --conditions "configs/identities/$id.json" --n "$n")
+  lines=$($SUMSIDE enumerate --conditions "configs/identities/$id.json" --n "$n" --list | wc -l)
+  echo "$id at n = $n: count $count, listing $lines lines"
+  test "$lines" -eq $((count + 1))
+done
 p="[1, 0, -1, 2, 0, 1, 1, -1, 0, 2, 0, 1]"
 python -c "from sumside import ProductShape, expand_product; p = $p; print(*expand_product(ProductShape(12, p).exponents(3000)), sep='\n')" > "$w/p12.txt"
 python -c "p = $p; print(''.join(f'a_{m} = {p[(m - 1) % 12]}\n' for m in range(1, 3001)), end='')" > "$w/p12.want"
