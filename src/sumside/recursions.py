@@ -5,10 +5,10 @@ the largest part (and, for the mod 12 identities, a bound on how often that
 largest part may appear).  The families satisfy short linear recursions with
 q-power coefficients, so the sum side can be pushed to order 500 and beyond in
 seconds: capped_polynomial steps the recursion with all arithmetic modulo
-q^(N+1) until the cap reaches N, at which point the polynomial's first N+1
-coefficients are those of the full sum side.  The product side is
-expand_product of the spec's ProductShape.exponents, independent of the sum
-side, and the two are compared coefficientwise.
+q^(N+1).  verify_identity steps it only to a cap K near N/2 (_split_cap),
+adds the partitions with a part above K by one prefix sum, compares the
+sum side's Euler exponents with the spec's ProductShape.exponents, and
+expands the product only on a mismatch, to give it a digest.
 
 A family is plain data (_Family): step tables in phases, one term table per
 register in each phase, and initial polynomials for a run of indices from its
@@ -36,10 +36,12 @@ from .partitions import (
     DiffDistRule,
     SmallestPartRule,
     _repeat_bound,
+    _window,
     count_sum_side,
 )
 from .products import ProductShape
-from .series import TruncatedSeries, check_packed, expand_product, pack, packed_bits, unpack
+from .series import TruncatedSeries, check_packed, euler_factorize, expand_product
+from .series import pack, packed_bits, unpack
 
 
 class IdentitySpec(Record):
@@ -270,8 +272,7 @@ def initial_state(family: str, order: int) -> RecursionState:
     fam = FAMILIES[family]
     if order < 0:
         raise ValueError("order must be >= 0")
-    spec = next(s for s in BUILTIN_IDENTITIES.values() if s.recursion_family == family)
-    bits = packed_bits(order, _repeat_bound(spec.conditions))
+    bits = packed_bits(order, _repeat_bound(_FAMILY_RULES[family]))
     window = tuple(
         tuple(pack(coeffs[: order + 1], order, bits) for coeffs in regs)
         for regs in fam.initial
@@ -390,6 +391,9 @@ BUILTIN_IDENTITIES: dict[str, IdentitySpec] = {
     ),
 }
 
+# what each family's registers count: the rules of the identity naming it
+_FAMILY_RULES = {s.recursion_family: s.conditions for s in BUILTIN_IDENTITIES.values()}
+
 
 def coefficient_digest(series: TruncatedSeries) -> str:
     """Stable hex digest of a coefficient vector, for regression tracking:
@@ -422,20 +426,41 @@ def _first_mismatch(*series: TruncatedSeries) -> int | None:
     return None
 
 
+def _split_cap(conditions: ConditionSet, n: int) -> int:
+    """A cap K <= n above which a part joins the rest of its partition
+    freely.  In a partition of at most n, a part j > K is >= min_part, is the
+    only part above n/2, and leaves every other part <= n - j < j - reach
+    (_window), so it triggers no rule."""
+    reach = _window(conditions)[1]
+    return min(n, max(conditions.min_part - 1, (n + max(reach, 0)) // 2))
+
+
+def _add_large_parts(capped: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """The sum side through capped's order from the series at a cap from
+    _split_cap: G_N = G_K + sum_(j=K+1..N) q^j G_K, one prefix sum."""
+    coeffs, total = list(capped), 0
+    for n in range(cap + 1, len(coeffs)):
+        total += capped[n - cap - 1]
+        coeffs[n] += total
+    return TruncatedSeries(coeffs)
+
+
 def verify_identity(
     spec: IdentitySpec, order: int, method: str = "recursion"
 ) -> VerificationReport:
     """Compare the identity's sum side against its product side through
     q^order.
 
-    The spec picks the sum-side route: a spec with a recursion family
-    advances it to cap order, and one without counts the sum side with
-    count_sum_side's transfer sweep (the report's method is then
-    "enumeration").  method "both" runs the sweep beside the family as well,
-    requires the two to agree, and compares both against the product; a spec
-    without a family has nothing to check the sweep against, so it raises.
-    A mismatch is an outcome, not an error: the report carries the first
-    power at which a sum side differs from the product.
+    The spec picks the sum-side route: a spec with a recursion family steps
+    it to _split_cap under the family's own rules and adds the larger parts,
+    and one without counts the sum side with count_sum_side's transfer sweep
+    (the report's method is then "enumeration").  method "both" runs the
+    sweep beside the family as well, requires the two to agree, and compares
+    both against the product; a spec without a family has nothing to check
+    the sweep against, so it raises.  The first sum side's Euler exponents
+    are compared with the shape's; the product is expanded only on a
+    mismatch.  A mismatch is an outcome, not an error: the report carries
+    the first power at which a sum side differs from the product.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -447,16 +472,21 @@ def verify_identity(
     t0 = time.perf_counter()
     sums: list[TruncatedSeries] = []
     if family is not None:
-        # partitions of n <= order have every part <= order, so the family
-        # at cap `order` carries the full sum side through q^order
-        sums.append(capped_polynomial(family, order, order=order)[-1])
+        # the family at cap k, with the parts above k added, carries the
+        # full sum side through q^order
+        k = max(FAMILIES[family].start, _split_cap(_FAMILY_RULES[family], order))
+        sums.append(_add_large_parts(capped_polynomial(family, k, order=order)[-1], k))
     if family is None or method == "both":
         sums.append(count_sum_side(spec.conditions, order))
-    product = expand_product(spec.shape.exponents(order))
-    mismatch = _first_mismatch(product, *sums)
-    # routes that disagree cannot both equal the product, so a disagreement
-    # always comes with a mismatch
+    # a_1..a_m fix b_1..b_m and back, so the exponents first differ where
+    # the sum side and the product do, and on a match the two are one series
+    exponents = spec.shape.exponents(order)
+    factored = _first_mismatch(euler_factorize(sums[0]), exponents)
+    product = sums[0] if factored is None else expand_product(exponents)
+    # the product and the sums first fail to agree at the earlier of the
+    # two; routes that disagree cannot both equal the product
     split = _first_mismatch(*sums) if method == "both" else None
+    mismatch = min((m for m in (factored, split) if m is not None), default=None)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity=spec.name,

@@ -19,7 +19,8 @@ from sumside import (
     enumerate_sum_side,
     euler_factorize,
 )
-from sumside.partitions import _listing_text, _repeat_bound
+from sumside.partitions import _listing_text, _repeat_bound, _window
+from sumside.recursions import _add_large_parts, _split_cap
 from sumside.series import _partition_numbers, _regular_count, packed_bits
 
 I1 = ConditionSet(diffs=(DiffDistRule(2, 3),), congruences=(CongruenceRule(1, 1, 0, 3),))
@@ -79,6 +80,24 @@ def wide_case(rng: random.Random) -> tuple[dict, int | None]:
         ],
     }
     return rules, rng.choice([None, 0, 1, 5, 30])
+
+
+def split_rules(rng: random.Random) -> dict:
+    """A rule set for the split at _split_cap: often no diff rule, smallest
+    parts up to 9, multiplicity caps, and congruence gaps from -1 to 3."""
+    return {
+        "min_part": rng.choice((1, 1, 1, 2, 2, 3, 4, 6, 9)),
+        "max_mult": rng.choice([None, 1, 2, 3]),
+        "diffs": [
+            (rng.randrange(1, 4), rng.randrange(0, 5))
+            for _ in range(rng.randrange(0, 3))
+        ],
+        "congruences": [
+            (rng.randrange(1, 4), rng.randrange(-1, 4), rng.randrange(0, mod), mod)
+            for mod in (rng.randrange(2, 5),)
+            for _ in range(rng.randrange(0, 2))
+        ],
+    }
 
 
 def as_text(listing: list[tuple[int, ...]]) -> str:
@@ -499,3 +518,31 @@ class TestCountWithCap:
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError):
             count_sum_side(I1, 5, cap=-1)
+
+    def test_large_parts_join_the_series_at_the_split_cap(self):
+        # a part above _split_cap meets no other part of its partition, so
+        # the series at that cap and one prefix sum give the full count
+        rng = random.Random(8209)
+        guarded = {"no reach": 0, "min_part above n/2": 0}
+        for _ in range(400):
+            rules = split_rules(rng)
+            cs = conditions_from_rules(rules)
+            reach = _window(cs)[1]
+            for n in (0, 1, 2, 3, 5, 8, 13, 21, 30, 41):
+                k = _split_cap(cs, n)
+                assert 0 <= k <= n
+                got = _add_large_parts(count_sum_side(cs, n, cap=k), k)
+                assert got == count_sum_side(cs, n), (rules, n, k)
+                guarded["no reach"] += reach < 0
+                guarded["min_part above n/2"] += cs.min_part - 1 > (n + max(reach, 0)) // 2
+        # both guards of the cap are exercised, not only the plain half
+        assert min(guarded.values()) >= 200, guarded
+
+    def test_split_cap_is_about_half_the_order(self):
+        for name in ("I1", "I3", "I5"):
+            cs = BUILTIN_IDENTITIES[name].conditions
+            assert [_split_cap(cs, n) for n in (1, 2, 3, 4, 500, 2000)] == [
+                1, 2, 2, 3, 251, 1001
+            ], name
+        assert _split_cap(ConditionSet(), 41) == 20
+        assert _split_cap(conditions_from_rules({"min_part": 9}), 13) == 8

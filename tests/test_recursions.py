@@ -1,6 +1,7 @@
 """Recursion families against direct enumeration, and identity verification."""
 
 import hashlib
+import itertools
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from sumside import (
     IdentitySpec,
     IntegralityError,
     ProductShape,
+    SmallestPartRule,
     TruncatedSeries,
     capped_polynomial,
     coefficient_digest,
@@ -23,7 +25,7 @@ from sumside import (
 )
 from sumside._record import replace
 from sumside.partitions import _repeat_bound
-from sumside.recursions import FAMILIES, _Family, _Term
+from sumside.recursions import FAMILIES, _Family, _first_mismatch, _Term
 from sumside.series import _regular_count, packed_bits, unpack
 
 FAMILY_IDENTITY = {
@@ -44,6 +46,41 @@ def combine(order, *terms) -> list[int]:
 
 def first_step(name: str) -> int:
     return FAMILIES[name].start + len(FAMILIES[name].initial)
+
+
+def direct_report(spec: IdentitySpec, order: int, method: str = "recursion") -> dict:
+    """The report's fields but elapsed_ms by the direct route: the family
+    stepped to cap order, the product expanded, and every series compared
+    coefficientwise.  The sweep is the module's count_sum_side, so a test
+    that patches it patches this route too."""
+    family = spec.recursion_family
+    sums = []
+    if family is not None:
+        sums.append(capped_polynomial(family, order, order=order)[-1])
+    if family is None or method == "both":
+        sums.append(sumside.recursions.count_sum_side(spec.conditions, order))
+    product = expand_product(spec.shape.exponents(order))
+    mismatch = _first_mismatch(product, *sums)
+    split = _first_mismatch(*sums) if method == "both" else None
+    return {
+        "identity": spec.name,
+        "order": order,
+        "method": method if family is not None else "enumeration",
+        "match": mismatch is None,
+        "first_mismatch": mismatch,
+        "sum_digest": coefficient_digest(sums[0]),
+        "product_digest": coefficient_digest(product),
+        "warnings": () if split is None else (
+            f"recursion and enumeration sum sides disagree first at q^{split}",
+        ),
+    }
+
+
+def report_fields(spec: IdentitySpec, order: int, method: str = "recursion") -> dict:
+    """verify_identity's report as a dict, every field but elapsed_ms."""
+    fields = dict(verify_identity(spec, order, method).__dict__)
+    del fields["elapsed_ms"]
+    return fields
 
 
 def trim(series: TruncatedSeries) -> list[int]:
@@ -397,6 +434,14 @@ class TestVerifyIdentity:
         assert not report.match
         assert report.first_mismatch == 11
         assert any("disagree first at q^11" in w for w in report.warnings)
+        # with a wrong shape too, the mismatch is the earlier of the two
+        spec = BUILTIN_IDENTITIES["I1"]
+        profile = spec.shape.exponent_profile * 2
+        late = replace(spec, shape=ProductShape(18, profile[:17] + (1,)))
+        for s in [spec, late] + other_shapes(spec):
+            assert report_fields(s, 30, "both") == direct_report(s, 30, "both"), s
+        assert report_fields(late, 30, "both")["first_mismatch"] == 11
+        assert report_fields(late, 30)["first_mismatch"] == 18
 
     def test_mismatch_is_reported_not_raised(self):
         wrong = IdentitySpec(
@@ -412,6 +457,7 @@ class TestVerifyIdentity:
             assert report.first_mismatch == 7
             assert report.sum_digest != report.product_digest
             assert report.warnings == ()
+            assert report_fields(wrong, 30, method) == direct_report(wrong, 30, method)
 
     def test_spec_without_family_verifies_by_the_sweep(self):
         spec = replace(BUILTIN_IDENTITIES["I1"], name="bare", recursion_family=None)
@@ -452,3 +498,82 @@ class TestVerifyIdentity:
     def test_digest_definition(self):
         series = TruncatedSeries([1, 1])
         assert coefficient_digest(series) == hashlib.sha256(b"1,1").hexdigest()
+
+
+def other_shapes(spec: IdentitySpec) -> list[IdentitySpec]:
+    """spec with every other builtin identity's shape, and with one
+    non-binary shape, each of which the sum side fails at some power."""
+    shapes = [s.shape for s in BUILTIN_IDENTITIES.values() if s.shape != spec.shape]
+    shapes.append(ProductShape(12, (1, 0, -1, 2, 0, 1, 1, -1, 0, 2, 0, 1)))
+    return [replace(spec, name=f"{spec.name}-wrong{i}", shape=s) for i, s in enumerate(shapes)]
+
+
+class TestVerifyMatchesTheDirectRoute:
+    """verify_identity steps each family to _split_cap and compares Euler
+    exponents; every report field but elapsed_ms must equal the direct
+    route's (direct_report)."""
+
+    def test_every_identity_at_every_order_to_120(self):
+        for spec in BUILTIN_IDENTITIES.values():
+            for order in range(1, 121):
+                assert report_fields(spec, order) == direct_report(spec, order), (spec.name, order)
+
+    @pytest.mark.parametrize("order", [500, 1000])
+    def test_every_identity_at_high_order(self, order):
+        for spec in BUILTIN_IDENTITIES.values():
+            assert report_fields(spec, order) == direct_report(spec, order), spec.name
+
+    @pytest.mark.parametrize("method", ["recursion", "both"])
+    def test_wrong_shapes(self, method):
+        for spec in BUILTIN_IDENTITIES.values():
+            for wrong in other_shapes(spec):
+                for order in (1, 2, 5, 13, 40):
+                    got = report_fields(wrong, order, method)
+                    assert got == direct_report(wrong, order, method), (wrong, order)
+        wrong = other_shapes(BUILTIN_IDENTITIES["I5"])[0]
+        got = report_fields(wrong, 200, method)
+        assert got == direct_report(wrong, 200, method)
+        assert (got["first_mismatch"], got["warnings"]) == (4, ())
+
+    @pytest.mark.parametrize("method", ["recursion", "both"])
+    def test_family_under_other_rules(self, method):
+        # the family counts its own identity's partitions, so it is split
+        # by that identity's rules, not by the spec's
+        for spec, rules in itertools.product(
+            BUILTIN_IDENTITIES.values(), (ConditionSet(), ConditionSet(SmallestPartRule(9)))
+        ):
+            mixed = replace(spec, conditions=rules)
+            for order in (1, 5, 17, 30):
+                got = report_fields(mixed, order, method)
+                assert got == direct_report(mixed, order, method), (mixed, order)
+
+    def test_specs_without_a_family(self):
+        for spec in BUILTIN_IDENTITIES.values():
+            bare = replace(spec, recursion_family=None)
+            for s in [bare] + other_shapes(bare)[:2]:
+                for order in (1, 2, 7, 30, 60):
+                    assert report_fields(s, order) == direct_report(s, order), (s, order)
+
+    def test_product_is_expanded_only_on_a_mismatch(self, monkeypatch):
+        calls = {"expand": 0, "caps": []}
+        expand, step = sumside.recursions.expand_product, sumside.recursions.capped_polynomial
+
+        def counted_expand(a):
+            calls["expand"] += 1
+            return expand(a)
+
+        def recorded_step(family, cap, order=None):
+            calls["caps"].append(cap)
+            return step(family, cap, order=order)
+
+        monkeypatch.setattr(sumside.recursions, "expand_product", counted_expand)
+        monkeypatch.setattr(sumside.recursions, "capped_polynomial", recorded_step)
+        for spec in BUILTIN_IDENTITIES.values():
+            for method in ("recursion", "both"):
+                assert verify_identity(spec, 500, method).match
+        assert calls["expand"] == 0
+        # every family stops near half the order
+        assert calls["caps"] == [251] * 12
+        wrong = other_shapes(BUILTIN_IDENTITIES["I1"])[0]
+        assert not verify_identity(wrong, 500).match
+        assert calls["expand"] == 1

@@ -6,7 +6,9 @@
 # PYTHONPATH=src.  Files the checks write go to a temporary directory that
 # is removed on exit.
 #
-# Orders 1000 and 2000 with both engines are above what Tier-1 verifies;
+# Orders 1000 and 2000 with both engines are above what Tier-1 verifies,
+# and each product digest at order 2000 must equal that of the product
+# expanded here, since verify expands a product only on a mismatch;
 # the listing must hold one line per counted partition, after its count
 # line (56,291 lines for I5 at n = 66, which caps the copies of 1, and
 # 42,165 for I6 at n = 70, which caps the copies of 2); factor must return
@@ -24,7 +26,9 @@ trap 'rm -rf "$w"' EXIT
 
 $SUMSIDE verify --identity all --order 200
 $SUMSIDE verify --identity all --order 1000 --method both
-$SUMSIDE verify --identity all --order 2000 --method both
+$SUMSIDE verify --identity all --order 2000 --method both --out "$w/v2000.json"
+python -c "import json; from sumside import BUILTIN_IDENTITIES as ids, coefficient_digest, expand_product; rs = json.load(open('$w/v2000.json')); assert len(rs) == 6 and all(r['product_digest'] == coefficient_digest(expand_product(ids[r['identity']].shape.exponents(2000))) for r in rs), rs"
+echo "verify at order 2000: all 6 product digests match the expanded products"
 $SUMSIDE enumerate --conditions configs/identities/I5.json --n 30
 for check in I5:66 I6:70; do
   id=${check%:*} n=${check#*:}
