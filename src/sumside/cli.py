@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success (all identities verified, sweep completed), 1 when a
 verification finds a mismatch or stdout closes or fails before the output is
-written, 2 for usage and configuration errors.  JSON reports go to --out when
-given, otherwise to stdout; progress and warnings go to stderr so piped output
-stays machine-readable.
+written, 2 for usage and configuration errors, 130 when interrupted (SIGINT).
+JSON reports go to --out when given, otherwise to stdout; progress and
+warnings go to stderr so piped output stays machine-readable.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 # Lazy submodules (see the package docstring): each subcommand runs only the
 # ones it calls, so `factor` never executes partitions, recursions or search.
@@ -84,15 +85,37 @@ def _write(text: str) -> None:
         raise _StdoutError(f"stdout: {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None):
+    """Yields the function that writes the report: to stdout when out is
+    None, else to a temporary file beside out, opened here, before any work,
+    so that an unwritable out fails first, and moved onto out by os.replace.
+    A run that fails or is interrupted before that leaves no file."""
     if out is None:
-        _write(text)
+        yield _write
         return
+    if os.path.isdir(out):
+        raise _ConfigError(f"{out}: Is a directory")
+    tmp = f"{out}.{os.getpid()}.tmp"
     try:
-        with open(out, "w") as f:
-            f.write(text)
+        f = open(tmp, "w")
     except OSError as exc:
         raise _ConfigError(f"{out}: {exc.strerror or exc}") from exc
+
+    def emit(text: str) -> None:
+        try:
+            with f:
+                f.write(text)
+            os.replace(tmp, out)
+        except OSError as exc:
+            raise _ConfigError(f"{out}: {exc.strerror or exc}") from exc
+
+    try:
+        yield emit
+    finally:
+        f.close()
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _cmd_search(args) -> int:
@@ -109,16 +132,17 @@ def _cmd_search(args) -> int:
     if args.refine is not None and args.refine <= grid.order:
         raise _ConfigError(f"--refine must exceed the grid order ({grid.order})")
     cells = grid.cells()
-    print(
-        f"grid: {grid.size} cells ({len(cells)} after dedup), order {grid.order}",
-        file=sys.stderr,
-    )
-    report = search.run_search(grid, jobs=args.jobs, refine_order=args.refine)
-    print(
-        f"hits: {len(report.hits)}, failures: {len(report.failures)}",
-        file=sys.stderr,
-    )
-    _emit(report.dumps(), args.out)
+    with _output(args.out) as emit:
+        print(
+            f"grid: {grid.size} cells ({len(cells)} after dedup), order {grid.order}",
+            file=sys.stderr,
+        )
+        report = search.run_search(grid, jobs=args.jobs, refine_order=args.refine)
+        print(
+            f"hits: {len(report.hits)}, failures: {len(report.failures)}",
+            file=sys.stderr,
+        )
+        emit(report.dumps())
     return 0
 
 
@@ -136,28 +160,26 @@ def _cmd_verify(args) -> int:
             )
         names = [args.identity]
     reports = []
-    for name in names:
-        report = recursions.verify_identity(identities[name], args.order, args.method)
-        reports.append(report)
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        if report.match:
-            _write(
-                f"{name}: match through q^{report.order} "
-                f"({report.method}, {report.elapsed_ms:.0f} ms)\n"
-            )
-        else:
-            _write(
-                f"{name}: MISMATCH, first mismatch at q^{report.first_mismatch} "
-                f"({report.method})\n"
-            )
-    if args.out is not None:
-        import json
+    with _output(args.out) as emit:
+        for name in names:
+            report = recursions.verify_identity(identities[name], args.order, args.method)
+            reports.append(report)
+            for w in report.warnings:
+                print(f"warning: {w}", file=sys.stderr)
+            if report.match:
+                _write(
+                    f"{name}: match through q^{report.order} "
+                    f"({report.method}, {report.elapsed_ms:.0f} ms)\n"
+                )
+            else:
+                _write(
+                    f"{name}: MISMATCH, first mismatch at q^{report.first_mismatch} "
+                    f"({report.method})\n"
+                )
+        if args.out is not None:
+            import json
 
-        payload = json.dumps(
-            [r.to_json() for r in reports], indent=2, sort_keys=True
-        ) + "\n"
-        _emit(payload, args.out)
+            emit(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True) + "\n")
     return 0 if all(r.match for r in reports) else 1
 
 
@@ -292,6 +314,9 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (BrokenPipeError, _StdoutError) as exc:
         if isinstance(exc, _StdoutError):
             print(f"error: {exc}", file=sys.stderr)

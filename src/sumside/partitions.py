@@ -304,6 +304,20 @@ def _trim(parts: tuple[int, ...], width: int, limit: int) -> tuple[int, ...]:
     return key
 
 
+def _stop(smallest: SmallestPartRule | None) -> tuple[int, int | None]:
+    return (1, None) if smallest is None else (smallest.min_part, smallest.max_mult)
+
+
+_rows: tuple[frozenset, dict] | None = None  # (stops, series by row), while open
+
+
+def _open_rows(smallest_options) -> None:
+    """Open the row cache for a grid's smallest-part options, or close it
+    with None.  Only search opens it, for one sweep of a grid."""
+    global _rows
+    _rows = None if smallest_options is None else (frozenset(map(_stop, smallest_options)), {})
+
+
 def count_sum_side(
     conditions: ConditionSet, n: int, cap: int | None = None
 ) -> series.TruncatedSeries:
@@ -324,37 +338,63 @@ def count_sum_side(
     obey the diff rules.  Adding a copy of v multiplies by q^v and truncates
     at q^n, which is one right shift by v*B bits, and states that reach the
     same tuple are merged by adding.
+
+    A SmallestPartRule(m, c) acts only at the sweep's stop (_sweep): the
+    sweep ends once value m is done, and with a cap c its step at m takes at
+    most c copies.  The states before that step do not depend on the rule,
+    so one sweep of a row (diffs, congruences), read at each stop, gives
+    every smallest-part option of the row exactly the series of its own
+    sweep.  While search holds the row cache open (_open_rows), an uncapped
+    count sweeps each row once, for every stop of the grid, and answers the
+    row's other cells from it; while it is closed, each call sweeps alone.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if cap is not None and cap < 0:
         raise ValueError("cap must be >= 0")
-    sm = conditions.smallest
-    min_part = conditions.min_part
-    max_mult = None if sm is None else sm.max_mult
-    top = n if cap is None else min(cap, n)
+    stop = _stop(conditions.smallest)
+    if cap is not None or _rows is None or stop not in _rows[0]:
+        return _sweep(conditions, n, n if cap is None else min(cap, n), {stop})[stop]
+    stops, rows = _rows
+    key = (conditions.diffs, conditions.congruences, n)
+    if key not in rows:
+        rows[key] = _sweep(conditions, n, n, stops)
+    return rows[key][stop]
+
+
+def _sweep(conditions: ConditionSet, n: int, top: int, stops) -> dict:
+    """count_sum_side's series for each stop (m, c), from one sweep from
+    top: (m, None) sums the states once value m is done, and (m, c) sums
+    one more step at m, of at most c copies, on the states from before m;
+    a stop with m > top reads the constant series 1."""
     width, reach = _window(conditions)
     bits = series.packed_bits(n, _repeat_bound(conditions))
     states: dict[tuple[int, ...], int] = {(): series.pack((1,), n, bits)}
-    for v in range(top, min_part - 1, -1):
-        shift = v * bits
-        kmax = n // v
-        if v == min_part and max_mult is not None:
-            kmax = min(kmax, max_mult)
-        limit = v - 1 + reach  # every part still to come is <= v - 1
-        step: dict[tuple[int, ...], int] = {}
-        for parts, x in states.items():
-            k = 0
-            while True:
-                key = _trim(parts, width, limit)
-                step[key] = step.get(key, 0) + x
-                if k == kmax or not _admits(conditions, parts, v):
-                    break
-                k += 1
-                parts += (v,)
-                x >>= shift
-        states = step
-    return series.unpack(sum(states.values()), n, bits)
+    out = {}
+    v = top
+    for m, c in sorted(stops, key=lambda s: (-s[0], s[1] is None)):
+        step = states
+        while v >= m:
+            shift = v * bits
+            kmax = n // v if c is None or v > m else min(n // v, c)
+            limit = v - 1 + reach  # every part still to come is <= v - 1
+            step = {}
+            for parts, x in states.items():
+                k = 0
+                while True:
+                    key = _trim(parts, width, limit)
+                    step[key] = step.get(key, 0) + x
+                    if k == kmax or not _admits(conditions, parts, v):
+                        break
+                    k += 1
+                    parts += (v,)
+                    x >>= shift
+            if v == m and c is not None:
+                break  # the capped step ends this stop, not the sweep
+            states = step
+            v -= 1
+        out[m, c] = series.unpack(sum(step.values()), n, bits)
+    return out
 
 
 def _listing_text(conditions: ConditionSet, n: int) -> str:

@@ -28,6 +28,7 @@ from .partitions import (
     _json_int,
     _json_keys,
     _json_list,
+    _open_rows,
     count_sum_side,
 )
 from .products import ProductShape, _period_limit, describe, detect_period
@@ -175,33 +176,71 @@ class CandidateReport(Record):
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
+_factored: dict = {}  # euler_factorize's result by coefficient tuple, within one _sift_all
+
+
+def _start_worker(smallest_options) -> None:
+    """Pool initializer: the row cache for the pool's life, and SIGINT
+    ignored, so that only the parent reacts to Ctrl-C."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _open_rows(smallest_options)
+
+
 def _sift_cell(conditions: ConditionSet, grid: SearchGrid):
     """Worker: count, factor, and test one cell at the grid's order and thresholds.
 
     A cell, its grid and its shape cross a process boundary as the frozen
-    records they are.  Returns (ProductShape | None, error | None); the grid
+    records they are.  Equal series factor alike, so within one _sift_all
+    each distinct series is factored once.  Returns (ProductShape | None, error | None); the grid
     refuses an order too short to certify a period, so an error is a bug."""
     try:
-        exps = euler_factorize(count_sum_side(conditions, grid.order))
+        counts = count_sum_side(conditions, grid.order)
+        exps = _factored.get(counts.coeffs)
+        if exps is None:
+            exps = _factored[counts.coeffs] = euler_factorize(counts)
         return detect_period(exps, p_max=grid.p_max, min_repeats=grid.min_repeats), None
     except Exception as exc:  # one cell's fault must not abort the sweep
         return None, f"{type(exc).__name__}: {exc}"
 
 
 def _sift_all(cells: list[ConditionSet], grid: SearchGrid, jobs: int) -> list:
-    """_sift_cell over cells with grid, in cell order: on a pool of at most
-    one worker process per cell, or inline when that is one worker.  The
-    pool forks all its workers at the first submit, so more workers than
-    cells would only be forked and joined.  About four chunks per worker
-    save round trips yet keep the load even."""
+    """_sift_cell over cells with grid, in cell order, with the row cache
+    open: on a pool of at most one worker process per cell, or inline when
+    that is one worker.  The pool forks all its workers at the first
+    submit, so more workers than cells would only be forked and joined.
+    Cells go out sorted by row, stably, in about four chunks per worker, so
+    a row's cells share a worker's row cache and the load stays even."""
     sift = partial(_sift_cell, grid=grid)
     jobs = min(jobs, len(cells))
-    if jobs <= 1:
-        return [sift(c) for c in cells]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    _open_rows(grid.smallest_options)
+    try:
+        if jobs <= 1:
+            return [sift(c) for c in cells]
+        import signal
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(sift, cells, chunksize=-(-len(cells) // (4 * jobs))))
+        rows: dict = {}
+        order = sorted(
+            range(len(cells)),
+            key=lambda i: rows.setdefault((cells[i].diffs, cells[i].congruences), len(rows)),
+        )
+        pool = ProcessPoolExecutor(
+            jobs, initializer=_start_worker, initargs=(grid.smallest_options,)
+        )
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # until workers ignore it
+        try:
+            chunk = -(-len(cells) // (4 * jobs))
+            out = pool.map(sift, [cells[i] for i in order], chunksize=chunk)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            return [r for _, r in sorted(zip(order, out))]
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            pool.shutdown(cancel_futures=True)
+    finally:
+        _open_rows(None)
+        _factored.clear()
 
 
 def run_search(

@@ -6,8 +6,10 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -98,7 +100,7 @@ class TestVerifyCommand:
         out = tmp_path / "missing_dir" / "x.json"
         rc = cli.main(["verify", "--identity", "I1", "--order", "10", "--out", str(out)])
         assert rc == 2
-        assert f"error: {out}: " in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {out}: No such file or directory\n")
 
     def test_both_methods_agree_for_all_identities(self, capsys):
         rc = cli.main(
@@ -544,7 +546,56 @@ class TestSearchCommand:
         out = tmp_path / "missing_dir" / "x.json"
         rc = cli.main(["search", "--config", grid_config, "--out", str(out)])
         assert rc == 2
-        assert f"error: {out}: " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+    def test_directory_out_exits_two_before_the_sweep(self, grid_config, tmp_path, capsys):
+        rc = cli.main(["search", "--config", grid_config, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == [Path(grid_config)]
+
+    def test_interrupted_run_leaves_the_old_report(self, grid_config, tmp_path, capsys, monkeypatch):
+        # the report goes to a temporary file beside --out and replaces it
+        # only when whole, so an interrupt leaves the old file as it was
+        out = tmp_path / "report.json"
+        out.write_text("old")
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.search, "run_search", interrupted)
+        rc = cli.main(["search", "--config", grid_config, "--out", str(out)])
+        assert rc == 130
+        assert capsys.readouterr().err.endswith("\ninterrupted\n")
+        assert out.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "report.json"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ctrl_c_exits_130_and_leaves_nothing(self, tmp_path, jobs):
+        # SIGINT to the whole process group, as a terminal's Ctrl-C sends
+        # it, soon after the sweep starts: only the parent reacts, the pool
+        # shuts down, and neither the report nor its temporary file is left
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "report.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sumside.cli", "search",
+             "--config", str(root / "configs" / "heavy.json"), "--order", "200",
+             "--jobs", jobs, "--out", str(out)],
+            cwd=root / "src", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            assert proc.stderr.readline().startswith("grid: 1800 cells")
+            time.sleep(0.2)
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ProcessLookupError):  # no worker outlives the run
+            os.killpg(proc.pid, 0)
 
 
 class FullStdout:

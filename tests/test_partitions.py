@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from sumside import (
     enumerate_sum_side,
     euler_factorize,
 )
-from sumside.partitions import _listing_text, _repeat_bound, _window
+from sumside import partitions
+from sumside.partitions import _listing_text, _open_rows, _repeat_bound, _window
 from sumside.recursions import _add_large_parts, _split_cap
 from sumside.series import _partition_numbers, _regular_count, packed_bits
 
@@ -367,6 +369,63 @@ class TestCountSumSide:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             count_sum_side(I1, -1)
+
+
+@contextmanager
+def row_cache(smallest_options):
+    """count_sum_side with the row cache open for these options, as search
+    opens it for one sweep of a grid."""
+    _open_rows(smallest_options)
+    try:
+        yield partitions._rows[1]
+    finally:
+        _open_rows(None)
+
+
+class TestRowCache:
+    # every stop the sweep reads: none, (1, None), the capped stops m <= 3
+    # with c = 1..3 (one step at m on the states from before m), and
+    # min_part past n, the constant series 1
+    N = 13
+    OPTIONS = (
+        None,
+        SmallestPartRule(1),
+        *(SmallestPartRule(m, c) for m in (1, 2, 3) for c in (None, 1, 2, 3)),
+        SmallestPartRule(N + 1),
+        SmallestPartRule(N + 2, 1),
+    )
+
+    def test_every_stop_of_a_row_matches_the_oracle(self):
+        # each row is swept once, for all its stops, and every cell read from
+        # it must be the oracle's count; a stop read one value early or late
+        # miscounts
+        rng = random.Random(30417)
+        with row_cache(self.OPTIONS) as rows:
+            for _ in range(20):
+                rules, _ = wide_case(rng)
+                diffs = tuple(DiffDistRule(*r) for r in rules["diffs"])
+                congruences = tuple(CongruenceRule(*r) for r in rules["congruences"])
+                for sm in self.OPTIONS:
+                    cs = ConditionSet(sm, diffs, congruences)
+                    want = oracles.oracle_counts(
+                        self.N,
+                        min_part=cs.min_part,
+                        max_mult=None if sm is None else sm.max_mult,
+                        diffs=rules["diffs"],
+                        congruences=rules["congruences"],
+                    )
+                    assert list(count_sum_side(cs, self.N)) == want, (rules, sm)
+            assert 1 < len(rows) <= 20
+
+    def test_closed_or_capped_counts_keep_out_of_the_cache(self):
+        cells = [ConditionSet(sm, I1.diffs, I1.congruences) for sm in self.OPTIONS]
+        closed = [count_sum_side(cs, 30) for cs in cells]
+        with row_cache(self.OPTIONS[:3]) as rows:
+            capped = [count_sum_side(cs, 30, cap=30) for cs in cells]
+            assert not rows
+            assert [count_sum_side(cs, 30) for cs in cells] == closed == capped
+            assert len(rows) == 1
+        assert partitions._rows is None
 
 
 class TestEnumerateSumSide:

@@ -17,6 +17,7 @@ from sumside import (
     count_sum_side,
     enumerate_sum_side,
 )
+from sumside.partitions import _open_rows
 from sumside.recursions import FAMILIES
 from sumside.series import _mul, pack, unpack
 
@@ -60,6 +61,33 @@ def test_listing_matches_oracle_and_count(cs, n):
     listed = enumerate_sum_side(cs, n)
     assert listed == oracles.oracle_partitions(n, **oracle_rules(cs))
     assert len(listed) == count_sum_side(cs, n)[n]
+
+
+rows = st.tuples(st.lists(diff_rules, max_size=2), st.lists(congruence_rules, max_size=2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(smallest_rules, max_size=4), st.lists(rows, max_size=3), st.data())
+def test_row_cache_gives_every_cell_the_closed_series(options, row_list, data):
+    # a grid of smallest-part options by (diffs, congruences) rows, which
+    # always holds a capped stop (m, c) with m, c <= 3, SmallestPartRule(1,
+    # None), a min_part past n and a congruence with a negative gap; its
+    # cells are counted in a drawn order
+    n = data.draw(st.integers(0, 20))
+    capped = SmallestPartRule(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    past_n = SmallestPartRule(n + 1, data.draw(st.none() | st.integers(1, 3)))
+    options = [*options, capped, SmallestPartRule(1, None), past_n]
+    row_list = [*row_list, ((), (CongruenceRule(1, data.draw(st.integers(-3, -1)), 0, 2),))]
+    cells = data.draw(st.permutations(
+        [ConditionSet(sm, diffs, congruences) for sm in options for diffs, congruences in row_list]
+    ))
+    closed = [count_sum_side(cs, n) for cs in cells]
+    _open_rows(options)
+    try:
+        opened = [count_sum_side(cs, n) for cs in cells]
+    finally:
+        _open_rows(None)
+    assert opened == closed
 
 
 FAMILY_SPECS = sorted(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sumside import (
+    BUILTIN_IDENTITIES,
     CandidateHit,
     ConditionSet,
     CongruenceRule,
@@ -24,8 +25,16 @@ from sumside import (
     verify_identity,
 )
 from sumside._record import replace
+from sumside.partitions import _open_rows
 
 RR_DIFF = (DiffDistRule(1, 2),)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def config_grid(name: str, order: int) -> SearchGrid:
+    """The grid of configs/<name>.json at order."""
+    grid = SearchGrid.from_json(json.loads((CONFIGS / f"{name}.json").read_text()))
+    return replace(grid, order=order)
 
 
 def tiny_grid(**overrides) -> SearchGrid:
@@ -286,17 +295,14 @@ class TestRunSearch:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         report = run_search(grid, jobs=jobs, refine_order=60)
@@ -360,9 +366,11 @@ class TestRunSearch:
                 "error": "ArithmeticError: no exponents at order 60",
             }
 
-    def test_sweep_calls_each_patchable_name_once_per_cell(self, monkeypatch):
+    def test_sweep_calls_patchable_names_per_cell_and_factors_per_series(self, monkeypatch):
         # profilers wrap these module-level names of sumside.search, so the
-        # sweep must look each one up at call time
+        # sweep must look each one up at call time; a cell is counted and
+        # tested once, and each distinct series is factored once (here the
+        # congruence is vacuous under the diff rule, so two series)
         import sumside.search as search
 
         grid = tiny_grid(
@@ -386,7 +394,9 @@ class TestRunSearch:
         report = run_search(grid, jobs=1)
         assert report.failures == ()
         assert report.cells_run == len(grid.cells()) == 4
-        assert calls == dict.fromkeys(calls, report.cells_run)
+        distinct = {count_sum_side(c, grid.order) for c in grid.cells()}
+        assert len(distinct) == 2
+        assert calls == {**dict.fromkeys(calls, report.cells_run), "euler_factorize": 2}
 
     def test_report_json_shape(self):
         report = run_search(tiny_grid())
@@ -453,3 +463,33 @@ class TestRunSearch:
         assert obj["residues"] is None
         assert obj["symmetric"] is None
         assert "non-partition-style" in obj["description"]
+
+
+class TestSharedWork:
+    """The search's row cache and factor memo change no cell's result."""
+
+    @pytest.mark.parametrize(
+        "name, order", [("classics", 30), ("classics", 200), ("classics", 400), ("heavy", 30)]
+    )
+    def test_row_cache_gives_every_cell_the_closed_series(self, name, order):
+        # one sweep per (diffs, congruences) row serves every cell of it;
+        # tools/ci_cli.sh checks the heavy grid at orders 200 and 400 too
+        grid = config_grid(name, order)
+        cells = grid.cells()
+        closed = [count_sum_side(cs, order) for cs in cells]
+        _open_rows(grid.smallest_options)
+        try:
+            opened = [count_sum_side(cs, order) for cs in cells]
+        finally:
+            _open_rows(None)
+        assert opened == closed
+
+    def test_heavy_grid_hits_at_order_40(self):
+        # 6 smallest-part options by 12 diff and 25 congruence options; its
+        # hits hold I1-I6, each with its own product shape
+        report = run_search(config_grid("heavy", 40))
+        assert (report.grid_size, report.cells_run, report.failures) == (1800, 1800, ())
+        assert len(report.hits) == 157
+        shapes = {h.conditions: h.shape for h in report.hits}
+        for name, spec in BUILTIN_IDENTITIES.items():
+            assert shapes.get(spec.conditions) == spec.shape, name

@@ -17,8 +17,11 @@
 # and its certificate; search must sweep all 150 classics cells to the same
 # 38 hits, with or without the pool (3 workers take the cells in chunks of
 # 13), and --refine must recheck all 38 at order 60 to the same report
-# either way; an order too short to certify any period must exit 2 at load,
-# printing nothing to stdout.
+# either way; the heavy grid (configs/heavy.json) must sweep all 1,800
+# cells to the same 157 hits with or without the pool, and its row cache
+# must give every cell the series of a count with the cache closed at orders
+# 200 and 400 (about 20 s); an order too short to certify any period must
+# exit 2 at load, printing nothing to stdout.
 set -eu
 SUMSIDE=${SUMSIDE:-sumside}
 w=$(mktemp -d)
@@ -52,6 +55,22 @@ $SUMSIDE search --config configs/classics.json --order 30 --refine 60 --jobs 1 >
 $SUMSIDE search --config configs/classics.json --order 30 --refine 60 --jobs 2 > "$w/r2.json"
 python -c "import json; a, b = (json.load(open(f'$w/{f}')) for f in ('r1.json', 'r2.json')); a.pop('elapsed_ms'), b.pop('elapsed_ms'); assert a == b, 'refined reports differ across --jobs'; assert len(a['hits']) == 38 and all(h['refined']['order'] == 60 for h in a['hits']), a"
 echo "search at order 30 refined at 60: 38 hits rechecked, same report at --jobs 1 and 2"
+$SUMSIDE search --config configs/heavy.json --order 40 --jobs 1 > "$w/h1.json"
+$SUMSIDE search --config configs/heavy.json --order 40 --jobs 2 > "$w/h2.json"
+python -c "import json; a, b = (json.load(open(f'$w/{f}')) for f in ('h1.json', 'h2.json')); a.pop('elapsed_ms'), b.pop('elapsed_ms'); assert (a['cells_run'], len(a['hits']), a['failures']) == (1800, 157, []), a; assert a == b, 'heavy reports differ across --jobs'"
+echo "search heavy grid at order 40: 1800 cells, 157 hits, same report at --jobs 1 and 2"
+python -c "
+import json
+from sumside import SearchGrid, count_sum_side
+from sumside.partitions import _open_rows
+grid = SearchGrid.from_json(json.load(open('configs/heavy.json')))
+for n in (200, 400):
+    closed = [count_sum_side(c, n) for c in grid.cells()]
+    _open_rows(grid.smallest_options)
+    assert [count_sum_side(c, n) for c in grid.cells()] == closed, n
+    _open_rows(None)
+"
+echo "heavy grid at orders 200 and 400: every cell's row-cache series equals its own count"
 rc=0; $SUMSIDE search --config configs/classics.json --order 1 > "$w/o1.json" || rc=$?
 test "$rc" -eq 2
 test ! -s "$w/o1.json"
