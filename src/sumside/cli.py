@@ -5,6 +5,12 @@ verification finds a mismatch or stdout closes or fails before the output is
 written, 2 for usage and configuration errors, 130 when interrupted (SIGINT).
 JSON reports go to --out when given, otherwise to stdout; progress and
 warnings go to stderr so piped output stays machine-readable.
+
+A CLI process (the `sumside` script, `python -m sumside.cli`) ends through
+run: once main returns, stdout and stderr are flushed and the process calls
+os._exit, skipping the interpreter's teardown, so atexit hooks (such as
+coverage's subprocess support) do not run.  main(argv), called in process,
+only returns its code.
 """
 
 from __future__ import annotations
@@ -321,13 +327,35 @@ def main(argv=None) -> int:
         if isinstance(exc, _StdoutError):
             print(f"error: {exc}", file=sys.stderr)
         # the reader closed stdout, or it cannot take more; point it at
-        # devnull so that the flush at exit finds nothing to write (see
-        # "Note on SIGPIPE" in the signal docs)
+        # devnull so that run's flush, or the one at exit for an in-process
+        # caller, writes what sys.stdout still buffers there and cannot fail
+        # (see "Note on SIGPIPE" in the signal docs)
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
         return 1
 
 
+def run() -> None:
+    """Entry point of a CLI process: main, then flush stdout and stderr and
+    end the process with os._exit.  That skips the interpreter's teardown
+    (the final collection and the freeing of every module), 5-15 ms a
+    process on a 2-CPU Xeon host.  A SystemExit from argparse (usage
+    errors, --help) and an uncaught exception take the normal exit instead.
+
+    Nothing is lost by skipping the teardown:
+    - every stdout byte goes through _write, which flushes;
+    - --out goes through _output, which closes its temporary file and
+      renames or removes it before main returns;
+    - _sift_all shuts its process pool down, joining the workers, in its
+      finally;
+    - sumside registers no atexit hook.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -482,20 +482,21 @@ def verify_identity(
     # the sum side and the product do, and on a match the two are one series
     exponents = spec.shape.exponents(order)
     factored = _first_mismatch(euler_factorize(sums[0]), exponents)
-    product = sums[0] if factored is None else expand_product(exponents)
+    product = None if factored is None else expand_product(exponents)
     # the product and the sums first fail to agree at the earlier of the
     # two; routes that disagree cannot both equal the product
     split = _first_mismatch(*sums) if method == "both" else None
     mismatch = min((m for m in (factored, split) if m is not None), default=None)
     elapsed = (time.perf_counter() - t0) * 1000.0
+    sum_digest = coefficient_digest(sums[0])
     return VerificationReport(
         identity=spec.name,
         order=order,
         method=method if family is not None else "enumeration",
         match=mismatch is None,
         first_mismatch=mismatch,
-        sum_digest=coefficient_digest(sums[0]),
-        product_digest=coefficient_digest(product),
+        sum_digest=sum_digest,
+        product_digest=sum_digest if product is None else coefficient_digest(product),
         elapsed_ms=elapsed,
         warnings=() if split is None else (
             f"recursion and enumeration sum sides disagree first at q^{split}",

@@ -1,5 +1,6 @@
 """Command-line behavior, driven through main(): in process, and in a fresh
-interpreter where the test is about which modules a subcommand runs."""
+interpreter where the test is about which modules a subcommand runs or how a
+CLI process ends."""
 
 import errno
 import json
@@ -705,6 +706,75 @@ class TestParser:
         )
         assert rc == 0
         assert capsys.readouterr().out == "4\n"
+
+
+def _mask_ms(text: str) -> str:
+    """text with the timings of a report or of verify's lines blanked."""
+    text = re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": null', text)
+    return re.sub(r", \d+ ms\)", ", ms)", text)
+
+
+class TestHardExit:
+    # a CLI process ends by os._exit once main returns (cli.run); it must
+    # give the exit code, stdout, stderr and --out text of main in process,
+    # timings masked.  PYTHONUNBUFFERED would hide bytes left in a buffer.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    @pytest.fixture
+    def p12_file(self, tmp_path):
+        p = [1, 0, -1, 2, 0, 1, 1, -1, 0, 2, 0, 1]
+        path = tmp_path / "p12.txt"
+        coeffs = expand_product(ProductShape(12, p).exponents(300)).coeffs
+        path.write_text("\n".join(map(str, coeffs)) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv, out", [
+        (["search", "--config", "{configs}/classics.json", "--order", "30"], False),
+        (["search", "--config", "{configs}/classics.json", "--order", "30"], True),
+        (["verify", "--identity", "I1", "--order", "200"], True),
+        (["factor", "--coeffs", "{p12}"], False),
+        (["enumerate", "--conditions", "{configs}/identities/I5.json",
+          "--n", "66", "--list"], False),
+        (["verify", "--identity", "I9"], False),
+    ], ids=["search", "search-out", "verify-out", "factor", "enumerate-list", "error"])
+    def test_process_matches_main_in_process(self, argv, out, p12_file, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1]
+        argv = [a.format(configs=root / "configs", p12=p12_file) for a in argv]
+        runs = []
+        for side in ("process", "main"):
+            (tmp_path / side).mkdir()
+            args = argv + ["--out", str(tmp_path / side / "out")] if out else argv
+            if side == "process":  # stdout is a pipe, read to the end
+                proc = subprocess.run(
+                    [sys.executable, "-m", "sumside.cli", *args],
+                    cwd=root / "src", env=self.env, capture_output=True, text=True,
+                    timeout=120,
+                )
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            else:
+                code = cli.main(args)
+                stdout, stderr = capsys.readouterr()
+            files = {f.name: _mask_ms(f.read_text()) for f in (tmp_path / side).iterdir()}
+            runs.append((code, _mask_ms(stdout), stderr, files))
+        assert runs[0] == runs[1]
+        code, stdout, stderr, files = runs[0]
+        assert code == (2 if argv[-1] == "I9" else 0)
+        assert list(files) == (["out"] if out else [])
+        if argv[0] == "enumerate":
+            assert stdout.count("\n") == 56_291  # the count line and 56,290 partitions
+
+    def test_help_exits_zero_with_its_usage(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumside.cli", "--help"],
+            cwd=root / "src", env=self.env, capture_output=True, text=True, timeout=60,
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert (proc.returncode, exc.value.code) == (0, 0)
+        assert proc.stdout.startswith("usage: sumside")
+        assert (proc.stdout, proc.stderr) == (capsys.readouterr().out, "")
 
 
 SUBMODULES = ("partitions", "products", "recursions", "search", "series")

@@ -421,6 +421,17 @@ class TestVerifyIdentity:
         assert report.sum_digest == report.product_digest
         assert report.warnings == ()
 
+    def test_match_hashes_the_one_series_once(self, monkeypatch):
+        # on a match the product is the sum side, so its digest is reused
+        hashed = []
+        digest = sumside.recursions.coefficient_digest
+        monkeypatch.setattr(
+            sumside.recursions, "coefficient_digest", lambda s: hashed.append(s) or digest(s)
+        )
+        report = verify_identity(BUILTIN_IDENTITIES["I1"], 200)
+        assert report.match and report.product_digest == report.sum_digest
+        assert len(hashed) == 1
+
     def test_both_methods_flag_disagreeing_routes(self, monkeypatch):
         # perturb only the enumeration route; the recursion route still
         # equals the product, so the mismatch is the enumeration's

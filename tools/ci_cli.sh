@@ -21,12 +21,22 @@
 # cells to the same 157 hits with or without the pool, and its row cache
 # must give every cell the series of a count with the cache closed at orders
 # 200 and 400 (about 20 s); an order too short to certify any period must
-# exit 2 at load, printing nothing to stdout.
+# exit 2 at load, printing nothing to stdout.  The script ends through the
+# CLI's hard exit (cli.run), so --help must still exit 0 with its usage, and
+# an unknown identity must exit 2 with one error line and an empty stdout.
 set -eu
 SUMSIDE=${SUMSIDE:-sumside}
 w=$(mktemp -d)
 trap 'rm -rf "$w"' EXIT
 
+$SUMSIDE --help > "$w/help.txt"
+grep -q "^usage: sumside" "$w/help.txt"
+rc=0; $SUMSIDE verify --identity I9 > "$w/i9.out" 2> "$w/i9.err" || rc=$?
+test "$rc" -eq 2
+test ! -s "$w/i9.out"
+test "$(wc -l < "$w/i9.err")" -eq 1
+grep -q "^error: unknown identity 'I9'" "$w/i9.err"
+echo "--help exits 0 with its usage; an unknown identity exits 2 with one error line"
 $SUMSIDE verify --identity all --order 200
 $SUMSIDE verify --identity all --order 1000 --method both
 $SUMSIDE verify --identity all --order 2000 --method both --out "$w/v2000.json"
