@@ -313,7 +313,7 @@ _rows: tuple[frozenset, dict] | None = None  # (stops, series by row), while ope
 
 def _open_rows(smallest_options) -> None:
     """Open the row cache for a grid's smallest-part options, or close it
-    with None.  Only search opens it, for one sweep of a grid."""
+    with None.  Only search._sift_cells opens it, for one batch of cells."""
     global _rows
     _rows = None if smallest_options is None else (frozenset(map(_stop, smallest_options)), {})
 
@@ -344,9 +344,10 @@ def count_sum_side(
     most c copies.  The states before that step do not depend on the rule,
     so one sweep of a row (diffs, congruences), read at each stop, gives
     every smallest-part option of the row exactly the series of its own
-    sweep.  While search holds the row cache open (_open_rows), an uncapped
-    count sweeps each row once, for every stop of the grid, and answers the
-    row's other cells from it; while it is closed, each call sweeps alone.
+    sweep.  While a batch of search cells holds the row cache open
+    (search._sift_cells opens it for the batch's life), an uncapped count
+    sweeps each row once, for every stop of the grid, and answers the row's
+    other cells from it; while it is closed, each call sweeps alone.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -3,12 +3,12 @@
 A SearchGrid is the cartesian product of smallest-part options, difference
 rule combinations, and congruence rule combinations.  Each resulting
 ConditionSet is counted to the grid's order, factored into an Euler product,
-and kept as a hit when the exponent sequence is purely periodic.  Cells, the
-grid and their product shapes are frozen records that pickle as they are, so
-they cross the worker pool unconverted, and the sweep and the refine pass
-(the grid at the refine order) sift through the same helper.  Output order
-follows grid order, never worker completion order, so reports are
-deterministic for any worker count.
+and kept as a hit when the exponent sequence is purely periodic.  The unit
+of work is a batch of cells that owns the row cache and a factor memo for
+its life: the whole sweep inline, or whole (diffs, congruences) rows in a
+pool worker.  The sweep and the refine pass (the grid at the refine order)
+sift through the same helper.  Output order follows grid order, never
+worker completion order, so reports are deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -176,71 +176,69 @@ class CandidateReport(Record):
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-_factored: dict = {}  # euler_factorize's result by coefficient tuple, within one _sift_all
+def _sift_cell(conditions: ConditionSet, grid: SearchGrid, factored: dict):
+    """Count, factor, and test one cell at the grid's order and thresholds.
 
-
-def _start_worker(smallest_options) -> None:
-    """Pool initializer: the row cache for the pool's life, and SIGINT
-    ignored, so that only the parent reacts to Ctrl-C."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _open_rows(smallest_options)
-
-
-def _sift_cell(conditions: ConditionSet, grid: SearchGrid):
-    """Worker: count, factor, and test one cell at the grid's order and thresholds.
-
-    A cell, its grid and its shape cross a process boundary as the frozen
-    records they are.  Equal series factor alike, so within one _sift_all
-    each distinct series is factored once.  Returns (ProductShape | None, error | None); the grid
-    refuses an order too short to certify a period, so an error is a bug."""
+    factored holds euler_factorize's result by coefficient tuple: equal
+    series factor alike, so each distinct series is factored once.  Returns
+    (ProductShape | None, error | None); the grid refuses an order too short
+    to certify a period, so an error is a bug."""
     try:
         counts = count_sum_side(conditions, grid.order)
-        exps = _factored.get(counts.coeffs)
+        exps = factored.get(counts.coeffs)
         if exps is None:
-            exps = _factored[counts.coeffs] = euler_factorize(counts)
+            exps = factored[counts.coeffs] = euler_factorize(counts)
         return detect_period(exps, p_max=grid.p_max, min_repeats=grid.min_repeats), None
     except Exception as exc:  # one cell's fault must not abort the sweep
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _sift_all(cells: list[ConditionSet], grid: SearchGrid, jobs: int) -> list:
-    """_sift_cell over cells with grid, in cell order, with the row cache
-    open: on a pool of at most one worker process per cell, or inline when
-    that is one worker.  The pool forks all its workers at the first
-    submit, so more workers than cells would only be forked and joined.
-    Cells go out sorted by row, stably, in about four chunks per worker, so
-    a row's cells share a worker's row cache and the load stays even."""
-    sift = partial(_sift_cell, grid=grid)
-    jobs = min(jobs, len(cells))
+def _sift_cells(cells: list[ConditionSet], grid: SearchGrid) -> list:
+    """One batch: _sift_cell over cells in order, with the row cache open
+    and a factor memo of its own, both for the batch only.  Cells, grid and
+    shapes cross a process boundary as the frozen records they are."""
     _open_rows(grid.smallest_options)
     try:
-        if jobs <= 1:
-            return [sift(c) for c in cells]
-        import signal
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        rows: dict = {}
-        order = sorted(
-            range(len(cells)),
-            key=lambda i: rows.setdefault((cells[i].diffs, cells[i].congruences), len(rows)),
-        )
-        pool = ProcessPoolExecutor(
-            jobs, initializer=_start_worker, initargs=(grid.smallest_options,)
-        )
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # until workers ignore it
-        try:
-            chunk = -(-len(cells) // (4 * jobs))
-            out = pool.map(sift, [cells[i] for i in order], chunksize=chunk)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            return [r for _, r in sorted(zip(order, out))]
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            pool.shutdown(cancel_futures=True)
+        factored: dict = {}
+        return [_sift_cell(c, grid, factored) for c in cells]
     finally:
         _open_rows(None)
-        _factored.clear()
+
+
+def _sift_all(cells: list[ConditionSet], grid: SearchGrid, jobs: int) -> list:
+    """_sift_cell's results for cells with grid, in cell order: one batch
+    inline for one worker, else on a pool of at most one worker process per
+    row (diffs, congruences), since the pool forks all its workers at the
+    first submit.  A pool gets whole rows, so that no row is swept twice, in
+    about four batches per worker, so that the load stays even."""
+    if jobs > 1:
+        rows: dict = {}
+        for c in cells:
+            rows.setdefault((c.diffs, c.congruences), []).append(c)
+        jobs = min(jobs, len(rows))
+    if jobs <= 1:
+        return _sift_cells(cells, grid)
+    import signal
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+    size = -(-len(cells) // (4 * jobs))
+    batches = [[]]
+    for row in rows.values():
+        if len(batches[-1]) >= size:
+            batches.append([])
+        batches[-1] += row
+    pool = ProcessPoolExecutor(
+        jobs, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )  # only the parent reacts to Ctrl-C
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # until workers ignore it
+    try:
+        out = pool.map(partial(_sift_cells, grid=grid), batches)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        sifted = {c: r for batch, rs in zip(batches, out) for c, r in zip(batch, rs)}
+        return [sifted[c] for c in cells]
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        pool.shutdown(cancel_futures=True)
 
 
 def run_search(
@@ -248,11 +246,11 @@ def run_search(
 ) -> CandidateReport:
     """Sweep the grid; optionally re-check every hit at a higher order.
 
-    Cells are independent; with jobs > 1 they are distributed over a process
-    pool but results are consumed in submission order, so the report is
-    identical for any jobs value.  The refine pass re-runs only the hit cells
-    at refine_order and records whether the period survives.  A failures
-    entry, a cell whose sift raised, is a bug (see _sift_cell).
+    Cells are independent; with jobs > 1 whole rows of them are distributed
+    over a process pool, but results are put back in cell order, so the
+    report is identical for any jobs value.  The refine pass re-runs only
+    the hit cells at refine_order and records whether the period survives.
+    A failures entry, a cell whose sift raised, is a bug (see _sift_cell).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -32,6 +32,9 @@ from sumside import (
 )
 
 I1_CONDITIONS = BUILTIN_IDENTITIES["I1"].conditions
+# the environment of every CLI process a test starts: PYTHONUNBUFFERED
+# would write stdout through, hiding bytes left in its buffer
+CLI_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 @pytest.fixture
@@ -294,7 +297,8 @@ class TestEnumerateCommand:
             proc = subprocess.run(
                 [sys.executable, "-m", "sumside.cli", "enumerate",
                  "--conditions", str(path), "--n", "66", "--list"],
-                cwd=root / "src", stdout=w, stderr=subprocess.PIPE, timeout=60,
+                cwd=root / "src", env=CLI_ENV, stdout=w, stderr=subprocess.PIPE,
+                timeout=60,
             )
         finally:
             os.close(w)
@@ -312,7 +316,8 @@ class TestEnumerateCommand:
             return subprocess.Popen(
                 [sys.executable, "-m", "sumside.cli", "enumerate",
                  "--conditions", str(path), "--n", "66", "--list"],
-                cwd=root / "src", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                cwd=root / "src", env=CLI_ENV, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
             )
 
         outcomes = []
@@ -351,7 +356,7 @@ class TestEnumerateCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "sumside.cli", "enumerate",
              "--conditions", str(path), "--n", "3"],
-            cwd=src, capture_output=True, text=True, timeout=60,
+            cwd=src, env=CLI_ENV, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
@@ -536,7 +541,7 @@ class TestSearchCommand:
             proc = subprocess.run(
                 [sys.executable, "-m", "sumside.cli", "search",
                  "--config", str(config), "--order", "30"],
-                cwd=root / "src", env={**os.environ, "PYTHONHASHSEED": seed},
+                cwd=root / "src", env={**CLI_ENV, "PYTHONHASHSEED": seed},
                 capture_output=True, text=True, timeout=120, check=True,
             )
             reports.append(re.sub(r'"elapsed_ms": [^,\n]*', '"elapsed_ms": null', proc.stdout))
@@ -582,8 +587,8 @@ class TestSearchCommand:
             [sys.executable, "-m", "sumside.cli", "search",
              "--config", str(root / "configs" / "heavy.json"), "--order", "200",
              "--jobs", jobs, "--out", str(out)],
-            cwd=root / "src", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, start_new_session=True,
+            cwd=root / "src", env=CLI_ENV, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
         )
         try:
             assert proc.stderr.readline().startswith("grid: 1800 cells")
@@ -661,7 +666,8 @@ class TestStdoutFailure:
             proc = subprocess.run(
                 [sys.executable, "-m", "sumside.cli",
                  *stdout_commands(grid_config, coeffs_file)[command]],
-                cwd=root / "src", stdout=full, stderr=subprocess.PIPE, timeout=60,
+                cwd=root / "src", env=CLI_ENV, stdout=full, stderr=subprocess.PIPE,
+                timeout=60,
             )
         assert proc.returncode == 1
         assert proc.stderr == b"error: stdout: No space left on device\n"
@@ -717,8 +723,7 @@ def _mask_ms(text: str) -> str:
 class TestHardExit:
     # a CLI process ends by os._exit once main returns (cli.run); it must
     # give the exit code, stdout, stderr and --out text of main in process,
-    # timings masked.  PYTHONUNBUFFERED would hide bytes left in a buffer.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    # timings masked.
 
     @pytest.fixture
     def p12_file(self, tmp_path):
@@ -747,7 +752,7 @@ class TestHardExit:
             if side == "process":  # stdout is a pipe, read to the end
                 proc = subprocess.run(
                     [sys.executable, "-m", "sumside.cli", *args],
-                    cwd=root / "src", env=self.env, capture_output=True, text=True,
+                    cwd=root / "src", env=CLI_ENV, capture_output=True, text=True,
                     timeout=120,
                 )
                 code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
@@ -768,7 +773,7 @@ class TestHardExit:
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "sumside.cli", "--help"],
-            cwd=root / "src", env=self.env, capture_output=True, text=True, timeout=60,
+            cwd=root / "src", env=CLI_ENV, capture_output=True, text=True, timeout=60,
         )
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])

@@ -52,6 +52,31 @@ def strip_timing(text: str) -> str:
     return re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": X', text)
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with one that maps in process, so that it
+    starts no worker; returns the pools made, each as (max_workers, the
+    batches its map received)."""
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.batches = []
+            pools.append((max_workers, self.batches))
+
+        def map(self, fn, items, chunksize=1):
+            self.batches.extend(items)
+            return map(fn, self.batches)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
 class TestSearchGrid:
     def test_size_and_cells(self):
         grid = tiny_grid()
@@ -283,31 +308,41 @@ class TestRunSearch:
         assert strip_timing(solo) == strip_timing(again)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 8, 100_000])
-    def test_pool_starts_at_most_one_worker_per_cell(self, monkeypatch, jobs):
-        # the pool forks all its workers at the first submit, so a pool
-        # larger than its cells only forks idle workers; this one records
-        # the size asked for and maps in process, so it starts none
-        import concurrent.futures
-
+    def test_pool_starts_at_most_one_worker_per_row(self, inline_pool, jobs):
+        # the pool forks all its workers at the first submit, and a worker
+        # takes whole (diffs, congruences) rows, so a pool larger than the
+        # rows only forks idle workers
         grid = tiny_grid(diff_options=(RR_DIFF, (DiffDistRule(1, 3),), ()))
         solo = run_search(grid, refine_order=60)
         assert (solo.cells_run, len(solo.hits)) == (6, 3)
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                sizes.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        rows = [{(c.diffs, c.congruences) for c in cells}
+                for cells in (grid.cells(), [h.conditions for h in solo.hits])]
+        assert [len(r) for r in rows] == [3, 2]
         report = run_search(grid, jobs=jobs, refine_order=60)
-        assert sizes == [w for w in (min(jobs, 6), min(jobs, 3)) if w > 1]
+        sizes = [w for w in (min(jobs, len(r)) for r in rows) if w > 1]
+        assert [workers for workers, _ in inline_pool] == sizes
         assert strip_timing(report.dumps()) == strip_timing(solo.dumps())
+
+    @pytest.mark.parametrize("name, order, jobs", [
+        ("classics", 30, 2), ("classics", 30, 3), ("heavy", 40, 2),
+    ])
+    def test_pool_batches_are_whole_rows(self, inline_pool, name, order, jobs):
+        # each row is swept by one worker, every cell is sifted once, and
+        # about four batches per worker keep the load even
+        grid = config_grid(name, order)
+        solo = run_search(grid)
+        report = run_search(grid, jobs=jobs)
+        assert strip_timing(report.dumps()) == strip_timing(solo.dumps())
+        ((workers, batches),) = inline_pool
+        assert workers == jobs
+        assert len(batches) <= 4 * jobs
+        cells = [c for batch in batches for c in batch]
+        assert len(cells) == len(grid.cells())
+        assert set(cells) == set(grid.cells())
+        batch_of = {}
+        for i, batch in enumerate(batches):
+            for c in batch:
+                assert batch_of.setdefault((c.diffs, c.congruences), i) == i, c
 
     def test_refine_annotates_hits(self):
         report = run_search(tiny_grid(), refine_order=60)
@@ -483,6 +518,21 @@ class TestSharedWork:
         finally:
             _open_rows(None)
         assert opened == closed
+
+    def test_interrupted_sweep_closes_the_row_cache(self, monkeypatch):
+        # a KeyboardInterrupt is no cell's fault: it ends the batch, which
+        # closes the row cache it opened
+        import sumside.partitions as partitions
+        import sumside.search as search
+
+        def interrupted(series):
+            assert partitions._rows is not None
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "euler_factorize", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config_grid("classics", 30))
+        assert partitions._rows is None
 
     def test_heavy_grid_hits_at_order_40(self):
         # 6 smallest-part options by 12 diff and 25 congruence options; its

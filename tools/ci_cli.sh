@@ -15,10 +15,11 @@
 # every exponent of a period-12 product expanded to order 3000, which runs
 # the 2-adic route
 # and its certificate; search must sweep all 150 classics cells to the same
-# 38 hits, with or without the pool (3 workers take the cells in chunks of
-# 13), and --refine must recheck all 38 at order 60 to the same report
-# either way; the heavy grid (configs/heavy.json) must sweep all 1,800
-# cells to the same 157 hits with or without the pool, and its row cache
+# 38 hits, with or without the pool (each worker takes whole rows, in about
+# four batches a worker), and --refine must recheck all 38 at order 60 to
+# the same report at --jobs 1, 2 and 3; the heavy grid (configs/heavy.json)
+# must sweep all 1,800 cells to the same 157 hits at --jobs 1, 2 and 3
+# (whole-row batches of uneven size at 3), and its row cache
 # must give every cell the series of a count with the cache closed at orders
 # 200 and 400 (about 20 s); an order too short to certify any period must
 # exit 2 at load, printing nothing to stdout.  The script ends through the
@@ -63,12 +64,14 @@ python -c "import json; a, b, c = (json.load(open(f'$w/{f}')) for f in ('s1.json
 echo "search at order 40: 150 cells, 38 hits, same report at --jobs 1, 2 and 3"
 $SUMSIDE search --config configs/classics.json --order 30 --refine 60 --jobs 1 > "$w/r1.json"
 $SUMSIDE search --config configs/classics.json --order 30 --refine 60 --jobs 2 > "$w/r2.json"
-python -c "import json; a, b = (json.load(open(f'$w/{f}')) for f in ('r1.json', 'r2.json')); a.pop('elapsed_ms'), b.pop('elapsed_ms'); assert a == b, 'refined reports differ across --jobs'; assert len(a['hits']) == 38 and all(h['refined']['order'] == 60 for h in a['hits']), a"
-echo "search at order 30 refined at 60: 38 hits rechecked, same report at --jobs 1 and 2"
+$SUMSIDE search --config configs/classics.json --order 30 --refine 60 --jobs 3 > "$w/r3.json"
+python -c "import json; a, b, c = (json.load(open(f'$w/{f}')) for f in ('r1.json', 'r2.json', 'r3.json')); [r.pop('elapsed_ms') for r in (a, b, c)]; assert a == b == c, 'refined reports differ across --jobs'; assert len(a['hits']) == 38 and all(h['refined']['order'] == 60 for h in a['hits']), a"
+echo "search at order 30 refined at 60: 38 hits rechecked, same report at --jobs 1, 2 and 3"
 $SUMSIDE search --config configs/heavy.json --order 40 --jobs 1 > "$w/h1.json"
 $SUMSIDE search --config configs/heavy.json --order 40 --jobs 2 > "$w/h2.json"
-python -c "import json; a, b = (json.load(open(f'$w/{f}')) for f in ('h1.json', 'h2.json')); a.pop('elapsed_ms'), b.pop('elapsed_ms'); assert (a['cells_run'], len(a['hits']), a['failures']) == (1800, 157, []), a; assert a == b, 'heavy reports differ across --jobs'"
-echo "search heavy grid at order 40: 1800 cells, 157 hits, same report at --jobs 1 and 2"
+$SUMSIDE search --config configs/heavy.json --order 40 --jobs 3 > "$w/h3.json"
+python -c "import json; a, b, c = (json.load(open(f'$w/{f}')) for f in ('h1.json', 'h2.json', 'h3.json')); [r.pop('elapsed_ms') for r in (a, b, c)]; assert (a['cells_run'], len(a['hits']), a['failures']) == (1800, 157, []), a; assert a == b == c, 'heavy reports differ across --jobs'"
+echo "search heavy grid at order 40: 1800 cells, 157 hits, same report at --jobs 1, 2 and 3"
 python -c "
 import json
 from sumside import SearchGrid, count_sum_side
