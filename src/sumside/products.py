@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import index
 
 from ._record import Record, check_ints
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _period
 
 
 class ProductShape(Record):
@@ -110,13 +110,11 @@ def detect_period(
     periods therefore run up to _period_limit.  Returning the smallest such p
     also rules out reporting a proper multiple of the true period.
     """
-    exps, order = a.coeffs, a.order
+    exps = a.coeffs
     if exps[0] != 0:
         raise ValueError(f"constant term must be 0, got {exps[0]}")
-    for p in range(1, _period_limit(order, p_max, min_repeats) + 1):
-        if all(exps[m] == exps[m + p] for m in range(1, order + 1 - p)):
-            return ProductShape(p, exps[1 : p + 1])
-    return None
+    p = _period(exps, _period_limit(a.order, p_max, min_repeats))
+    return None if p is None else ProductShape(p, exps[1 : p + 1])
 
 
 def describe(shape: ProductShape) -> str:

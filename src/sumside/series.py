@@ -18,20 +18,31 @@ logarithm gives
     c(q) = q*b'(q)/b(q),   c_n = sum_{d|n} d*a_d,
 
 so euler_factorize divides q*b' by b and then peels each c_n's proper
-divisors off with a sieve over multiples.  The c_n are small when b is a
-product with small exponents, however wide b's coefficients: under q -> 2^32
-the division is one 2-adic quotient of two ints, whose 32-bit digits are a
-candidate c, and one exact product b*c = q*b' certifies it (Dixon, "Exact
-solution of linear equations using p-adic expansions", Numer. Math. 40,
-1982).  A quotient that does not fit a word, or fails the certificate, takes
-Newton steps that double the precision of 1/b, seeded by the direct
-recurrence for the first few terms; each step is a few products of whole
-series at the width of b.  The key property exploited downstream is that
-a_1..a_k depend only on b_1..b_k, so a polynomial prefix of a generating
-function pins down the leading product factors exactly.  expand_product
-runs the same identity the other way: it sieves c from the exponents and
-solves n*b_n = sum c_k*b_(n-k) by divide and conquer, one whole-block
-product per split, not by a prefix sum per factor.
+divisors off with a sieve over multiples.  The key property exploited
+throughout is that a_1..a_k depend only on b_1..b_k, so a polynomial prefix
+of a generating function pins down the leading product factors exactly.
+
+That makes a short prefix a proposal, as in the paper's conjecture-then-check
+loop.  From order _SEED on, euler_factorize first factors b_0..b_63 by the
+direct recurrence; if some period p fits those exponents with at least
+_MARGIN checks, it sieves the periodic extension's c and tests c*b = q*b'
+through q^N with one exact product (_certified).  Since b_0 = 1 that
+equation has exactly one solution c mod q^(N+1), and c_n = sum_{d|n} d*a_d
+has exactly one solution a, so a passing certificate proves the extension is
+the factorization; a failing one proves nothing and the general route runs.
+The search applies the same pieces to its own prefix (search._sift_cell).
+
+The general route divides.  The c_n are small when b is a product with
+small exponents, however wide b's coefficients: under q -> 2^32 the division
+is one 2-adic quotient of two ints, whose 32-bit digits are a candidate c,
+and the same exact product certifies it (Dixon, "Exact solution of linear
+equations using p-adic expansions", Numer. Math. 40, 1982).  A quotient that
+does not fit a word, or fails the certificate, takes Newton steps that
+double the precision of 1/b, seeded by the direct recurrence for the first
+few terms; each step is a few products of whole series at the width of b.
+expand_product runs the identity the other way: it sieves c from the
+exponents and solves n*b_n = sum c_k*b_(n-k) by divide and conquer, one
+whole-block product per split, not by a prefix sum per factor.
 
 Inside the package, series are also carried packed into one int, B bits per
 coefficient (Kronecker substitution).  Partition counts (packed_bits, pack,
@@ -61,8 +72,15 @@ from ._record import Record
 
 # Series divisions up to this many terms run the direct recurrence; longer
 # ones try the 2-adic route, then take Newton steps.  Above the orders grid
-# searches run at (30 to 40), whose cells are faster without either.
+# searches run at (30 to 40), whose cells are faster without either.  A
+# factorization from this order on first proposes a period from its first
+# _SEED - 1 exponents.
 _SEED = 64
+
+# A period proposed from a prefix a_1..a_k must pass at least this many
+# checks a_m = a_(m+p), m = 1..k-p, so that a prefix seldom fits one by
+# chance: a failed certificate costs one product on top of the division.
+_MARGIN = 16
 
 # Blocks of expand_product's solve up to this many terms take the direct sum.
 _LEAF = 32
@@ -296,9 +314,8 @@ def _narrow(y: list[int], b: Sequence[int], n: int) -> list[int] | None:
     q -> 2^32 maps Z[q]/(q^n) into the integers mod 2^(32n), and b goes to
     an odd number, so y/b maps to one 2-adic quotient (_over), whose
     balanced 32-bit digits are the candidate x.  A digit within 2^29 of
-    either edge returns None at once.  Otherwise one exact product,
-    b*x = y through q^(n-1), certifies x: since b_0 = 1 it forces x = y/b.
-    b's low and high halves multiply separately, each at its own width.
+    either edge returns None at once.  Otherwise one exact product
+    certifies x (_certified).
     """
     k = 32 * n
     # with 2^31 added to every word, each balanced digit is its word - 2^31
@@ -307,21 +324,60 @@ def _narrow(y: list[int], b: Sequence[int], n: int) -> list[int] | None:
     if min(words) < 1 << 29 or max(words) >= 7 << 29:
         return None
     x = [w - (1 << 31) for w in words]
+    return x if _certified(y, b, x) else None
+
+
+def _certified(y: Sequence[int], b: Sequence[int], x: Sequence[int]) -> bool:
+    """Whether b*x = y through q^(n-1), n = len(y), for b_0 = 1, which
+    forces x = y/b there.  One exact product, with b's low and high halves
+    multiplied separately, each at its own width."""
+    n = len(y)
     h = n // 2
     lo, hi = _mul(b[:h], x, n - 1), _mul(b[h:], x, n - h - 1)
-    return x if lo[:h] == y[:h] and list(map(add, lo[h:], hi)) == y[h:] else None
+    return lo[:h] == y[:h] and list(map(add, lo[h:], hi)) == y[h:]
+
+
+def _log_derivative(a: Sequence[int]) -> list[int]:
+    """c_n = sum_{d|n} d*a_d for n < len(a), by a sieve over multiples; c_0
+    is 0, and a_0 must be 0."""
+    n = len(a)
+    c = [0] * n
+    for d, e in enumerate(a):
+        if e:  # never d = 0: a_0 is 0
+            de = d * e
+            for j in range(d, n, d):
+                c[j] += de
+    return c
+
+
+def _period(a: Sequence[int], p_max: int) -> int | None:
+    """The smallest p in 1..p_max with a_m = a_(m+p) wherever both indices
+    lie in 1..len(a)-1, or None."""
+    for p in range(1, p_max + 1):
+        if all(a[m] == a[m + p] for m in range(1, len(a) - p)):
+            return p
+    return None
+
+
+def _periodic(b: Sequence[int], a: Sequence[int], p: int) -> TruncatedSeries | None:
+    """The exponents of b (b_0 = 1) through its order N when they are
+    a_1..a_p repeated with period p, else None.  The repetition's log
+    derivative c must pass _certified against q*b'; a passing certificate
+    makes c = q*b'/b, whose exponents are the repetition."""
+    n = len(b)
+    ext = [0, *(a[1 : p + 1] * (n // p + 1))[: n - 1]]
+    y = [k * x for k, x in enumerate(b)]
+    return TruncatedSeries(ext) if _certified(y, b, _log_derivative(ext)) else None
 
 
 def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
     """Exponents a_1..a_N with b(q) = prod (1 - q^m)^(-a_m) mod q^(N+1), as
     the series a(q) = a_1 q + ... + a_N q^N: a[m] is a_m, and a[0] is 0.
 
-    Takes the logarithmic derivative: c = q*b'/b has c_n = sum_{d|n} d*a_d.
-    Above _SEED terms, _narrow first tries c in 32-bit words, certified by
-    one exact product; when it declines, _divide computes c with O(log N)
-    big-int products at the width of b.  A sieve over multiples then peels
-    the proper divisors off each c_n in O(N log N), leaving a_n in c's slot
-    n; c_0 = 0 already, as y_0 = 0*b_0.
+    From order _SEED on, a_1..a_63 come first, by the direct recurrence; if
+    a period p <= 63 - _MARGIN fits them, its repetition through q^N is
+    returned once one exact product certifies it (_periodic).  Otherwise,
+    and below _SEED, the general route (_factor) divides.
 
     Raises ValueError unless b has constant term 1, and IntegralityError if
     the division by n is ever inexact (it cannot be, for integer input).
@@ -331,11 +387,30 @@ def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
     bc = b.coeffs
     if bc[0] != 1:
         raise ValueError(f"constant term must be 1, got {bc[0]}")
-    n_max = b.order
-    y = [n * x for n, x in enumerate(bc)]
-    c = _narrow(y, bc, n_max + 1) if n_max >= _SEED else None
+    if b.order >= _SEED:
+        head = _factor(bc[:_SEED])
+        p = _period(head, _SEED - 1 - _MARGIN)
+        a = None if p is None else _periodic(bc, head, p)
+        if a is not None:
+            return a
+    return TruncatedSeries(_factor(bc))
+
+
+def _factor(b: Sequence[int]) -> list[int]:
+    """euler_factorize's general route, for b_0 = 1: [0, a_1, ..., a_N].
+
+    Takes the logarithmic derivative: c = q*b'/b has c_n = sum_{d|n} d*a_d.
+    Above _SEED terms, _narrow first tries c in 32-bit words, certified by
+    one exact product; when it declines, _divide computes c with O(log N)
+    big-int products at the width of b.  A sieve over multiples then peels
+    the proper divisors off each c_n in O(N log N), leaving a_n in c's slot
+    n; c_0 = 0 already, as y_0 = 0*b_0.
+    """
+    n_max = len(b) - 1
+    y = [n * x for n, x in enumerate(b)]
+    c = _narrow(y, b, n_max + 1) if n_max >= _SEED else None
     if c is None:
-        c = _divide(y, bc, n_max + 1)
+        c = _divide(y, b, n_max + 1)
     for n in range(1, n_max + 1):
         a_n, rem = divmod(c[n], n)
         if rem:
@@ -347,7 +422,7 @@ def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
             na = n * a_n
             for j in range(2 * n, n_max + 1, n):
                 c[j] -= na
-    return TruncatedSeries(c)
+    return c
 
 
 def expand_product(a: TruncatedSeries) -> TruncatedSeries:
@@ -367,12 +442,7 @@ def expand_product(a: TruncatedSeries) -> TruncatedSeries:
     if a[0] != 0:
         raise ValueError(f"constant term must be 0, got {a[0]}")
     n_max = a.order
-    c = [0] * (n_max + 1)
-    for d, e in enumerate(a.coeffs):
-        if e:  # never d = 0: a_0 is 0
-            de = d * e
-            for j in range(d, n_max + 1, d):
-                c[j] += de
+    c = _log_derivative(a.coeffs)
     # until b_n is solved, b[n] sums c_k*b_(n-k) over the terms solved so far
     b = [1] + [0] * n_max
 

@@ -10,16 +10,19 @@ from sumside import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
+    ProductShape,
     SearchGrid,
     SmallestPartRule,
     TruncatedSeries,
     capped_polynomial,
     count_sum_side,
     enumerate_sum_side,
+    euler_factorize,
+    expand_product,
 )
 from sumside.partitions import _open_rows
 from sumside.recursions import FAMILIES
-from sumside.series import _mul, pack, unpack
+from sumside.series import _SEED, _factor, _mul, pack, unpack
 
 pytest.importorskip(
     "hypothesis", reason="Hypothesis is not installed; pip install -e '.[test]'"
@@ -200,3 +203,24 @@ def test_mul_matches_naive_convolution(f, g, n):
         sum(f[i] * g[k - i] for i in range(len(f)) if 0 <= k - i < len(g)) for k in range(n + 1)
     ]
     assert _mul(f, g, n) == naive
+
+
+@st.composite
+def periodic_products(draw):
+    """A product whose exponents repeat a profile of period 1..47 with
+    exponents -3..3, at an order from 64 on, and maybe one coefficient past
+    the 63-term prefix moved by +-1 or +-2^32."""
+    profile = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=47))
+    order = draw(st.sampled_from([64, 65, 127, 128]) | st.integers(64, 200))
+    b = list(expand_product(ProductShape(len(profile), profile).exponents(order)))
+    if draw(st.booleans()):
+        b[draw(st.integers(_SEED, order))] += draw(st.sampled_from([1, -1, 2**32, -(2**32)]))
+    return b
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(periodic_products())
+def test_certified_route_matches_general_route_and_oracle(b):
+    got = list(euler_factorize(TruncatedSeries(b)))
+    assert got == _factor(b)
+    assert got[1:] == oracles.oracle_factorize(b)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from sumside import (
     ProductShape,
     SearchGrid,
     SmallestPartRule,
+    TruncatedSeries,
     count_sum_side,
     detect_period,
     euler_factorize,
@@ -26,6 +28,7 @@ from sumside import (
 )
 from sumside._record import replace
 from sumside.partitions import _open_rows
+from sumside.series import _factor
 
 RR_DIFF = (DiffDistRule(1, 2),)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -384,9 +387,11 @@ class TestRunSearch:
 
         real = search.euler_factorize
 
+        # the refine pass at 60 factors each series' 46-term prefix first,
+        # and the sweep at 30 factors nothing longer than 30 terms
         def fails_at_refine_order(series):
-            if series.order == 60:
-                raise ArithmeticError("no exponents at order 60")
+            if series.order > 30:
+                raise ArithmeticError("no exponents past order 30")
             return real(series)
 
         monkeypatch.setattr(search, "euler_factorize", fails_at_refine_order)
@@ -398,7 +403,7 @@ class TestRunSearch:
             assert hit.to_json()["refined"] == {
                 "order": 60,
                 "persisted": False,
-                "error": "ArithmeticError: no exponents at order 60",
+                "error": "ArithmeticError: no exponents past order 30",
             }
 
     def test_sweep_calls_patchable_names_per_cell_and_factors_per_series(self, monkeypatch):
@@ -543,3 +548,93 @@ class TestSharedWork:
         shapes = {h.conditions: h.shape for h in report.hits}
         for name, spec in BUILTIN_IDENTITIES.items():
             assert shapes.get(spec.conditions) == spec.shape, name
+
+
+def seeded_grid(seed: int, order: int) -> SearchGrid:
+    """A grid of random smallest-part, difference and congruence options."""
+    rng = random.Random(seed)
+    smallest = [None] + [
+        SmallestPartRule(rng.randint(1, 3), rng.choice((None, 1, 2))) for _ in range(2)
+    ]
+    diffs = [()] + [
+        tuple(DiffDistRule(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 2)))
+        for _ in range(3)
+    ]
+    congruences = [()]
+    for _ in range(3):
+        m = rng.randint(2, 4)
+        rule = CongruenceRule(rng.randint(1, 2), rng.randint(-1, 3), rng.randrange(m), m)
+        congruences.append((rule,))
+    return SearchGrid(smallest, diffs, congruences, order=order)
+
+
+class TestPrefixSieve:
+    """A series whose prefix fits no certifiable period is no hit, and a
+    survivor's exponents are certified by one product: the report is the one
+    a full-order factor-and-detect of every series gives."""
+
+    @staticmethod
+    def both_reports(grid, monkeypatch):
+        """(sieved report, the orders euler_factorize saw, full-order report);
+        the second sweep reads the first one's counts."""
+        import sumside.search as search
+
+        orders, counts = [], {}
+        real_factor, real_count = search.euler_factorize, search.count_sum_side
+
+        def count(conditions, order):
+            if (conditions, order) not in counts:
+                counts[conditions, order] = real_count(conditions, order)
+            return counts[conditions, order]
+
+        monkeypatch.setattr(search, "count_sum_side", count)
+        with monkeypatch.context() as m:
+            m.setattr(search, "euler_factorize", lambda b: orders.append(b.order) or real_factor(b))
+            sieved = run_search(grid)
+        with monkeypatch.context() as m:
+            m.setattr(search, "_exponents", lambda c, grid: TruncatedSeries(_factor(c.coeffs)))
+            full = run_search(grid)
+        return sieved, orders, full
+
+    @pytest.mark.parametrize(
+        "name, order",
+        [("classics", 60), ("classics", 200), ("classics", 400), ("heavy", 60), ("heavy", 200)],
+    )
+    def test_shipped_grids(self, name, order, monkeypatch):
+        grid = config_grid(name, order)
+        sieved, orders, full = self.both_reports(grid, monkeypatch)
+        assert (sieved.hits, sieved.failures) == (full.hits, full.failures)
+        assert full.failures == () and full.hits
+        assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
+        # every series is factored on its prefix only: a rejected one never
+        # reaches full order, and every survivor here passes its certificate
+        limit = min(grid.p_max, order // grid.min_repeats)
+        assert set(orders) == {limit + 16}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_grids(self, seed, monkeypatch):
+        grid = seeded_grid(seed, 90)
+        sieved, _, full = self.both_reports(grid, monkeypatch)
+        assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
+        assert full.failures == () and full.hits
+
+    def test_a_survivor_whose_certificate_fails(self, monkeypatch):
+        # parts of at least 100: a_1..a_99 are 0, so the 80-term prefix
+        # fits period 1, the product refuses it, and the full route finds
+        # no period; the cell must not become a hit
+        grid = tiny_grid(smallest_options=(None, SmallestPartRule(100)), order=200)
+        sieved, orders, full = self.both_reports(grid, monkeypatch)
+        assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
+        assert [h.conditions for h in full.hits] == grid.cells()[:1]
+        assert orders == [80, 80, 200]
+
+    def test_a_hit_whose_period_is_the_limit(self, monkeypatch):
+        # p_max is set to the longest period the grid's hits have, so that
+        # p_limit is exactly that period: a sieve that tried one period too
+        # few would drop those hits
+        grid = seeded_grid(1, 90)
+        longest = max(h.shape.period for h in run_search(grid).hits)
+        grid = replace(grid, p_max=longest)
+        sieved, _, full = self.both_reports(grid, monkeypatch)
+        assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
+        assert longest > 1 and any(h.shape.period == longest for h in full.hits)

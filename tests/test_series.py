@@ -5,11 +5,19 @@ import random
 import oracles
 import pytest
 
-from sumside import IntegralityError, TruncatedSeries, euler_factorize, expand_product
+from sumside import (
+    IntegralityError,
+    ProductShape,
+    TruncatedSeries,
+    euler_factorize,
+    expand_product,
+)
 import sumside.series
 from sumside.series import (
+    _SEED,
     _at_word,
     _divide,
+    _factor,
     _mul,
     _narrow,
     _over,
@@ -346,7 +354,30 @@ class TestNarrowRoute:
             b = expand_product(TruncatedSeries([0] + head + [0] * (100 - len(head))))
             calls.clear()
             assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
-            assert calls and calls[0] == 101, head[:2]
+            # the 63-term prefix proposes no period (its first call, by the
+            # direct recurrence), so the next call is Newton's at full size
+            assert calls[:2] == [64, 101], head[:2]
+
+    def test_aperiodic_small_exponents_take_the_2_adic_route(self, monkeypatch):
+        # no period fits the 63-term head, so euler_factorize divides, and
+        # the 32-bit quotient is certified without a Newton step
+        narrowed, divided = [], []
+        real_narrow, real_divide = sumside.series._narrow, sumside.series._divide
+        monkeypatch.setattr(
+            sumside.series,
+            "_narrow",
+            lambda *args: narrowed.append(real_narrow(*args)) or narrowed[-1],
+        )
+        monkeypatch.setattr(
+            sumside.series, "_divide", lambda *args: divided.append(args[2]) or real_divide(*args)
+        )
+        rng = random.Random(500)
+        a = TruncatedSeries([0] + [rng.randint(-3, 3) for _ in range(500)])
+        b = expand_product(a)
+        assert euler_factorize(b) == a
+        assert list(a)[1:] == oracles.oracle_factorize(list(b))
+        assert len(narrowed) == 1 and narrowed[0] is not None
+        assert divided == [_SEED]  # the head's direct recurrence alone
 
     @pytest.mark.parametrize("order", [65, 66, 127, 128, 2000])
     def test_seeded_periodic_profiles(self, order):
@@ -360,6 +391,82 @@ class TestNarrowRoute:
             narrow, newton = _quotient_routes(b)
             assert narrow is not None and narrow == newton
             assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
+
+
+def _periodic_product(profile, order):
+    """The product with exponents profile repeated out to a_order."""
+    return expand_product(ProductShape(len(profile), profile).exponents(order))
+
+
+@pytest.fixture
+def narrow_calls(monkeypatch):
+    """The orders of every _narrow call, the general route's first step."""
+    calls = []
+    real = sumside.series._narrow
+    monkeypatch.setattr(
+        sumside.series, "_narrow", lambda y, b, n: calls.append(n) or real(y, b, n)
+    )
+    return calls
+
+
+class TestCertifiedRoute:
+    """From order _SEED on, a period that fits a_1..a_63 with at least 16
+    checks is repeated out and certified by one exact product; anything the
+    product does not prove takes the general route, whose results these
+    match."""
+
+    @pytest.mark.parametrize("order", [64, 65, 127, 128, 500])
+    def test_periods_1_to_47_are_certified(self, order, narrow_calls):
+        rng = random.Random(order)
+        for period in range(1, 48):
+            profile = [rng.randint(-3, 3) for _ in range(period)]
+            b = _periodic_product(profile, order)
+            narrow_calls.clear()
+            got = euler_factorize(b)
+            assert narrow_calls == [], period  # no general route
+            assert got == TruncatedSeries(_factor(b.coeffs)), period
+            assert list(got)[1:] == oracles.oracle_factorize(list(b)), period
+
+    def test_periods_at_order_2000(self, narrow_calls):
+        rng = random.Random(2000)
+        for period in (1, 2, 12, 31, 47):
+            profile = [rng.randint(-3, 3) for _ in range(period)]
+            b = _periodic_product(profile, 2000)
+            got = euler_factorize(b)
+            assert got == TruncatedSeries(_factor(b.coeffs)), period
+            if period == 47:
+                assert list(got)[1:] == oracles.oracle_factorize(list(b))
+        assert narrow_calls == [2001] * 5  # the general route's calls only
+
+    def test_period_48_is_not_proposed(self, narrow_calls):
+        # 63 - 48 = 15 checks are too few, so the general route runs
+        profile = [0] * 47 + [1]
+        b = _periodic_product(profile, 300)
+        assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
+        assert narrow_calls == [301]
+
+    @pytest.mark.parametrize("delta", [1, -1, 2**32, -(2**32)])
+    @pytest.mark.parametrize("order", [128, 500])
+    def test_near_misses_fall_back(self, order, delta, narrow_calls):
+        # one coefficient past the prefix off by delta, in either half of
+        # the certificate: the head still proposes the period, and the
+        # product must refuse it
+        rng = random.Random(order + delta)
+        profile = [rng.randint(-3, 3) for _ in range(rng.randint(1, 47))]
+        b = list(_periodic_product(profile, order))
+        for j in (_SEED, _SEED + 1, order // 2, order // 2 + 1, order - 1, order):
+            changed = list(b)
+            changed[j] += delta
+            narrow_calls.clear()
+            got = list(euler_factorize(TruncatedSeries(changed)))
+            assert narrow_calls == [order + 1], j
+            assert got[1:] == oracles.oracle_factorize(changed), j
+            assert got == _factor(changed), j
+
+    def test_near_miss_at_order_2000(self):
+        b = list(_periodic_product([1, 0, -1, 2, 0, 1, 1, -1, 0, 2, 0, 1], 2000))
+        b[1999] -= 1
+        assert list(euler_factorize(TruncatedSeries(b)))[1:] == oracles.oracle_factorize(b)
 
 
 class TestExpandProduct:

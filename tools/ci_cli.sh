@@ -12,16 +12,19 @@
 # the listing must hold one line per counted partition, after its count
 # line (56,291 lines for I5 at n = 66, which caps the copies of 1, and
 # 42,165 for I6 at n = 70, which caps the copies of 2); factor must return
-# every exponent of a period-12 product expanded to order 3000, which runs
-# the 2-adic route
-# and its certificate; search must sweep all 150 classics cells to the same
+# every exponent of a period-12 product expanded to order 3000, which its
+# 63-term prefix proposes and one exact product certifies, and, with one
+# coefficient of the order-2000 product moved, fall back to the 2-adic and
+# Newton routes while --order 150 (certified again) still prints the full
+# run's first 150 lines; search must sweep all 150 classics cells to the same
 # 38 hits, with or without the pool (each worker takes whole rows, in about
 # four batches a worker), and --refine must recheck all 38 at order 60 to
 # the same report at --jobs 1, 2 and 3; the heavy grid (configs/heavy.json)
 # must sweep all 1,800 cells to the same 157 hits at --jobs 1, 2 and 3
-# (whole-row batches of uneven size at 3), and its row cache
-# must give every cell the series of a count with the cache closed at orders
-# 200 and 400 (about 20 s); an order too short to certify any period must
+# (whole-row batches of uneven size at 3), and the same report at order 200
+# with --jobs 1 and 2, where its prefix sieve rejects most series, and its
+# row cache must give every cell the series of a count with the cache closed
+# at orders 200 and 400 (about 20 s); an order too short to certify any period must
 # exit 2 at load, printing nothing to stdout.  The script ends through the
 # CLI's hard exit (cli.run), so --help must still exit 0 with its usage, and
 # an unknown identity must exit 2 with one error line and an empty stdout.
@@ -57,6 +60,12 @@ python -c "p = $p; print(''.join(f'a_{m} = {p[(m - 1) % 12]}\n' for m in range(1
 $SUMSIDE factor --coeffs "$w/p12.txt" > "$w/p12.out"
 diff -q "$w/p12.want" "$w/p12.out"
 echo "factor at order 3000: $(wc -l < "$w/p12.out") exponents match"
+python -c "from sumside import ProductShape, expand_product; p = $p; b = list(expand_product(ProductShape(12, p).exponents(2000))); b[1000] += 1; print(*b, sep='\n')" > "$w/miss.txt"
+$SUMSIDE factor --coeffs "$w/miss.txt" > "$w/miss.out"
+$SUMSIDE factor --coeffs "$w/miss.txt" --order 150 > "$w/miss150.out"
+head -n 150 "$w/miss.out" | diff -q - "$w/miss150.out"
+test "$(sed -n 1000p "$w/miss.out")" = "a_1000 = 3"  # the profile gives 2
+echo "factor of a near-periodic series at order 2000: --order 150 prints the full run's first 150 lines"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 1 > "$w/s1.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 2 > "$w/s2.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 3 > "$w/s3.json"
@@ -72,6 +81,10 @@ $SUMSIDE search --config configs/heavy.json --order 40 --jobs 2 > "$w/h2.json"
 $SUMSIDE search --config configs/heavy.json --order 40 --jobs 3 > "$w/h3.json"
 python -c "import json; a, b, c = (json.load(open(f'$w/{f}')) for f in ('h1.json', 'h2.json', 'h3.json')); [r.pop('elapsed_ms') for r in (a, b, c)]; assert (a['cells_run'], len(a['hits']), a['failures']) == (1800, 157, []), a; assert a == b == c, 'heavy reports differ across --jobs'"
 echo "search heavy grid at order 40: 1800 cells, 157 hits, same report at --jobs 1, 2 and 3"
+$SUMSIDE search --config configs/heavy.json --order 200 --jobs 1 > "$w/h200j1.json"
+$SUMSIDE search --config configs/heavy.json --order 200 --jobs 2 > "$w/h200j2.json"
+python -c "import json; a, b = (json.load(open(f'$w/{f}')) for f in ('h200j1.json', 'h200j2.json')); [r.pop('elapsed_ms') for r in (a, b)]; assert (a['cells_run'], a['failures']) == (1800, []), a; assert a == b, 'heavy order-200 reports differ across --jobs'"
+echo "search heavy grid at order 200: same report at --jobs 1 and 2"
 python -c "
 import json
 from sumside import SearchGrid, count_sum_side
