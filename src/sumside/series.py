@@ -23,7 +23,7 @@ throughout is that a_1..a_k depend only on b_1..b_k, so a polynomial prefix
 of a generating function pins down the leading product factors exactly.
 
 That makes a short prefix a proposal, as in the paper's conjecture-then-check
-loop.  From order _SEED on, euler_factorize first factors b_0..b_63 by the
+loop.  From order 2*_SEED on, euler_factorize first factors b_0..b_63 by the
 direct recurrence; if some period p fits those exponents with at least
 _MARGIN checks, it sieves the periodic extension's c and tests c*b = q*b'
 through q^N with one exact product (_certified).  Since b_0 = 1 that
@@ -32,14 +32,9 @@ has exactly one solution a, so a passing certificate proves the extension is
 the factorization; a failing one proves nothing and the general route runs.
 The search applies the same pieces to its own prefix (search._sift_cell).
 
-The general route divides.  The c_n are small when b is a product with
-small exponents, however wide b's coefficients: under q -> 2^32 the division
-is one 2-adic quotient of two ints, whose 32-bit digits are a candidate c,
-and the same exact product certifies it (Dixon, "Exact solution of linear
-equations using p-adic expansions", Numer. Math. 40, 1982).  A quotient that
-does not fit a word, or fails the certificate, takes Newton steps that
-double the precision of 1/b, seeded by the direct recurrence for the first
-few terms; each step is a few products of whole series at the width of b.
+The general route divides: Newton steps double the precision of 1/b, seeded
+by the direct recurrence for the first few terms, and each step is a few
+products of whole series at the width of b.
 expand_product runs the identity the other way: it sieves c from the
 exponents and solves n*b_n = sum c_k*b_(n-k) by divide and conquer, one
 whole-block product per split, not by a prefix sum per factor.
@@ -63,7 +58,6 @@ multiplication.  TruncatedSeries stays the type at every module boundary.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from operator import add, index, mul
 from typing import Iterable, Sequence
@@ -71,10 +65,9 @@ from typing import Iterable, Sequence
 from ._record import Record
 
 # Series divisions up to this many terms run the direct recurrence; longer
-# ones try the 2-adic route, then take Newton steps.  Above the orders grid
-# searches run at (30 to 40), whose cells are faster without either.  A
-# factorization from this order on first proposes a period from its first
-# _SEED - 1 exponents.
+# ones take Newton steps.  Above the orders grid searches run at (30 to 40),
+# whose cells are faster without them.  A factorization from order 2*_SEED on
+# first proposes a period from its first _SEED - 1 exponents.
 _SEED = 64
 
 # A period proposed from a prefix a_1..a_k must pass at least this many
@@ -286,47 +279,6 @@ def _divide(y: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return x + [-t for t in _mul(g, e, n - p - 1)]
 
 
-def _at_word(p: Sequence[int]) -> int:
-    """p(2^32), for signed coefficients p.  Terms j, j+s, j+2s, ... pack
-    without overlap at s words each, s the words of the widest coefficient
-    and its sign, so the sum takes s packings."""
-    s = max(map(abs, p)).bit_length() // 32 + 1
-    return sum(_packed(p[j::s], 4 * s) << 32 * j for j in range(s))
-
-
-def _over(y: int, x: int, k: int) -> int:
-    """y/x mod 2^k, for x = 1 mod 2^32: Newton on the 2-adic inverse, in
-    Karp and Markstein's form.  With g = 1/x and c = y*g to h = ceil(k/2)
-    bits, x*c - y = 2^h*r, so y/x = c - 2^h*g*r mod 2^k."""
-    if k <= 32:
-        return y & (1 << k) - 1
-    h = (k + 1) // 2
-    g = _over(1, x, h)
-    c = (y & (1 << h) - 1) * g & (1 << h) - 1
-    r = ((x & (1 << k) - 1) * c - (y & (1 << k) - 1)) >> h
-    return c - ((g * r & (1 << k - h) - 1) << h) & (1 << k) - 1
-
-
-def _narrow(y: list[int], b: Sequence[int], n: int) -> list[int] | None:
-    """Terms 0..n-1 of y/b, for b_0 = 1 and len(y) = n, when they fit a
-    32-bit word with room to spare; None when that is not shown.
-
-    q -> 2^32 maps Z[q]/(q^n) into the integers mod 2^(32n), and b goes to
-    an odd number, so y/b maps to one 2-adic quotient (_over), whose
-    balanced 32-bit digits are the candidate x.  A digit within 2^29 of
-    either edge returns None at once.  Otherwise one exact product
-    certifies x (_certified).
-    """
-    k = 32 * n
-    # with 2^31 added to every word, each balanced digit is its word - 2^31
-    t = _over(_at_word(y), _at_word(b), k) + _offsets(n, 4)
-    words = memoryview((t & (1 << k) - 1).to_bytes(4 * n, sys.byteorder)).cast("I")
-    if min(words) < 1 << 29 or max(words) >= 7 << 29:
-        return None
-    x = [w - (1 << 31) for w in words]
-    return x if _certified(y, b, x) else None
-
-
 def _certified(y: Sequence[int], b: Sequence[int], x: Sequence[int]) -> bool:
     """Whether b*x = y through q^(n-1), n = len(y), for b_0 = 1, which
     forces x = y/b there.  One exact product, with b's low and high halves
@@ -374,10 +326,10 @@ def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
     """Exponents a_1..a_N with b(q) = prod (1 - q^m)^(-a_m) mod q^(N+1), as
     the series a(q) = a_1 q + ... + a_N q^N: a[m] is a_m, and a[0] is 0.
 
-    From order _SEED on, a_1..a_63 come first, by the direct recurrence; if
-    a period p <= 63 - _MARGIN fits them, its repetition through q^N is
+    From order 2*_SEED on, a_1..a_63 come first, by the direct recurrence;
+    if a period p <= 63 - _MARGIN fits them, its repetition through q^N is
     returned once one exact product certifies it (_periodic).  Otherwise,
-    and below _SEED, the general route (_factor) divides.
+    and below 2*_SEED, the general route (_factor) divides.
 
     Raises ValueError unless b has constant term 1, and IntegralityError if
     the division by n is ever inexact (it cannot be, for integer input).
@@ -387,7 +339,7 @@ def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
     bc = b.coeffs
     if bc[0] != 1:
         raise ValueError(f"constant term must be 1, got {bc[0]}")
-    if b.order >= _SEED:
+    if b.order >= 2 * _SEED:
         head = _factor(bc[:_SEED])
         p = _period(head, _SEED - 1 - _MARGIN)
         a = None if p is None else _periodic(bc, head, p)
@@ -399,18 +351,13 @@ def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
 def _factor(b: Sequence[int]) -> list[int]:
     """euler_factorize's general route, for b_0 = 1: [0, a_1, ..., a_N].
 
-    Takes the logarithmic derivative: c = q*b'/b has c_n = sum_{d|n} d*a_d.
-    Above _SEED terms, _narrow first tries c in 32-bit words, certified by
-    one exact product; when it declines, _divide computes c with O(log N)
-    big-int products at the width of b.  A sieve over multiples then peels
-    the proper divisors off each c_n in O(N log N), leaving a_n in c's slot
-    n; c_0 = 0 already, as y_0 = 0*b_0.
+    Takes the logarithmic derivative: c = q*b'/b has c_n = sum_{d|n} d*a_d,
+    which _divide computes with O(log N) big-int products at the width of b.
+    A sieve over multiples then peels the proper divisors off each c_n in
+    O(N log N), leaving a_n in c's slot n; c_0 = 0 already, as y_0 = 0*b_0.
     """
     n_max = len(b) - 1
-    y = [n * x for n, x in enumerate(b)]
-    c = _narrow(y, b, n_max + 1) if n_max >= _SEED else None
-    if c is None:
-        c = _divide(y, b, n_max + 1)
+    c = _divide([n * x for n, x in enumerate(b)], b, n_max + 1)
     for n in range(1, n_max + 1):
         a_n, rem = divmod(c[n], n)
         if rem:

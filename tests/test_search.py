@@ -638,3 +638,27 @@ class TestPrefixSieve:
         sieved, _, full = self.both_reports(grid, monkeypatch)
         assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
         assert longest > 1 and any(h.shape.period == longest for h in full.hits)
+
+    @pytest.mark.parametrize("name", ["classics", "heavy"])
+    def test_each_prefix_is_divided_once_at_order_200(self, name, monkeypatch):
+        # the 80-term prefix is below the certified route's order 2*_SEED,
+        # so euler_factorize divides it at once, with no head of its own:
+        # one 81-term _factor call per distinct series, and every survivor
+        # certifies without a full-order one
+        import sumside.search as search
+        import sumside.series as series
+
+        divided, distinct = [], set()
+        real_factor, real_count = series._factor, search.count_sum_side
+
+        def count(conditions, order):
+            counts = real_count(conditions, order)
+            distinct.add(counts.coeffs)
+            return counts
+
+        monkeypatch.setattr(search, "count_sum_side", count)
+        monkeypatch.setattr(series, "_factor", lambda b: divided.append(tuple(b)) or real_factor(b))
+        report = run_search(config_grid(name, 200))
+        assert report.hits and report.failures == ()
+        assert {len(b) for b in divided} == {81}
+        assert sorted(divided) == sorted(s[:81] for s in distinct)

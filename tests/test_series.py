@@ -15,12 +15,8 @@ from sumside import (
 import sumside.series
 from sumside.series import (
     _SEED,
-    _at_word,
-    _divide,
     _factor,
     _mul,
-    _narrow,
-    _over,
     _regular_count,
     check_packed,
     pack,
@@ -269,13 +265,24 @@ class TestSignedProduct:
             assert _mul(f, g, n) == _naive_product(f, g, n)
 
 
+def _single_factor(a1, order):
+    """(1 - q)^(-a1) through q^order: every c_n, n >= 1, equals a1."""
+    return expand_product(TruncatedSeries([0, a1] + [0] * (order - 1)))
+
+
+def _periodic_product(profile, order):
+    """The product with exponents profile repeated out to a_order."""
+    return expand_product(ProductShape(len(profile), profile).exponents(order))
+
+
 class TestFactorizeAgainstOracle:
-    """Both routes (the certified 2-adic one and Newton's) against the O(N^2)
-    recurrence they replaced."""
+    """Every route (the certified period and Newton's division) against the
+    O(N^2) recurrence they replaced."""
 
     def test_every_order_to_140(self):
-        # crosses the direct-recurrence size (64 terms) and the first
-        # Newton doublings (65..128 and 129..140 terms)
+        # crosses the direct-recurrence size (64 terms), the first Newton
+        # doublings (65..128 and 129..140 terms) and the certified route's
+        # start (order 128)
         rng = random.Random(140)
         for order in range(1, 141):
             counts = [1] + [rng.randrange(0, 2 + order) for _ in range(order)]
@@ -303,81 +310,36 @@ class TestFactorizeAgainstOracle:
         a = TruncatedSeries([0] + [profile[(m - 1) % len(profile)] for m in range(1, 2001)])
         assert euler_factorize(expand_product(a)) == a
 
-
-def _quotient_routes(b):
-    """Terms 0..N of q*b'/b by the 2-adic route (None if it declines) and by
-    the Newton route."""
-    y = [n * x for n, x in enumerate(b)]
-    return _narrow(y, b.coeffs, len(y)), _divide(y, b.coeffs, len(y))
-
-
-def _single_factor(a1, order):
-    """(1 - q)^(-a1) through q^order: every c_n, n >= 1, equals a1."""
-    return expand_product(TruncatedSeries([0, a1] + [0] * (order - 1)))
-
-
-class TestNarrowRoute:
-    """q -> 2^32 gives a candidate quotient; one exact product certifies it,
-    and anything it does not prove goes to the Newton route."""
-
-    def test_certificate_rejects_a_candidate_off_by_2_to_the_32(self):
-        # every c_n is 2^32 + 5, so the balanced 32-bit digits read 0, 5, 6,
-        # 6, ...: far inside the edge, and wrong
+    def test_exponent_2_to_the_32_plus_5(self):
+        # every c_n is 2^32 + 5, past any 32-bit word
         b = _single_factor(2**32 + 5, 100)
-        y = [n * x for n, x in enumerate(b)]
-        t = _over(_at_word(y), _at_word(b.coeffs), 32 * 101)
-        assert [t >> 32 * i & 0xFFFFFFFF for i in range(101)] == [0, 5] + [6] * 99
-        assert _narrow(y, b.coeffs, 101) is None
-        assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
+        got = list(euler_factorize(b))
+        assert got == [0, 2**32 + 5] + [0] * 99
+        assert got[1:] == oracles.oracle_factorize(list(b))
 
-    def test_edge_band(self):
-        # a digit within 2^29 of +-2^31 sends the series to Newton unasked
-        for a1, taken in (
-            (2**31 - 2**29 - 1, True), (2**31 - 2**29, False),
-            (-(2**31) + 2**29, True), (-(2**31) + 2**29 - 1, False),
-        ):
-            narrow, newton = _quotient_routes(_single_factor(a1, 70))
-            assert newton == [0] + [a1] * 70
-            assert narrow == (newton if taken else None), a1
+    def test_exponents_near_2_to_the_31(self):
+        for a1 in (2**31 - 2**29 - 1, 2**31 - 2**29, -(2**31) + 2**29, -(2**31) + 2**29 - 1):
+            b = _single_factor(a1, 70)
+            got = list(euler_factorize(b))
+            assert got == [0, a1] + [0] * 69, a1
+            assert got[1:] == oracles.oracle_factorize(list(b)), a1
 
-    def test_wide_quotient_takes_the_newton_route(self, monkeypatch):
-        calls = []
-        real = sumside.series._divide
-        monkeypatch.setattr(
-            sumside.series, "_divide", lambda *args: calls.append(args[2]) or real(*args)
-        )
+    def test_wide_quotients(self):
         # c_n = a_1 + 2*a_2 on even n: past 2^29 on every n, and past 2^31
-        # or wrapped to a small digit on the even ones; in the last case,
-        # only c_60 (in the certificate's high half) wraps, to 1
+        # or a multiple of 2^32 plus a small number on the even ones
         heads = ([2**31 - 2**28, 1], [2**30, 2**30 + 3], [-(2**40), 7], [1] + [0] * 58 + [2**32])
         for head in heads:
-            b = expand_product(TruncatedSeries([0] + head + [0] * (100 - len(head))))
-            calls.clear()
-            assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
-            # the 63-term prefix proposes no period (its first call, by the
-            # direct recurrence), so the next call is Newton's at full size
-            assert calls[:2] == [64, 101], head[:2]
+            a = TruncatedSeries([0] + head + [0] * (100 - len(head)))
+            b = expand_product(a)
+            assert euler_factorize(b) == a, head[:2]
+            assert list(a)[1:] == oracles.oracle_factorize(list(b)), head[:2]
 
-    def test_aperiodic_small_exponents_take_the_2_adic_route(self, monkeypatch):
-        # no period fits the 63-term head, so euler_factorize divides, and
-        # the 32-bit quotient is certified without a Newton step
-        narrowed, divided = [], []
-        real_narrow, real_divide = sumside.series._narrow, sumside.series._divide
-        monkeypatch.setattr(
-            sumside.series,
-            "_narrow",
-            lambda *args: narrowed.append(real_narrow(*args)) or narrowed[-1],
-        )
-        monkeypatch.setattr(
-            sumside.series, "_divide", lambda *args: divided.append(args[2]) or real_divide(*args)
-        )
+    def test_aperiodic_small_exponents(self):
         rng = random.Random(500)
         a = TruncatedSeries([0] + [rng.randint(-3, 3) for _ in range(500)])
         b = expand_product(a)
         assert euler_factorize(b) == a
         assert list(a)[1:] == oracles.oracle_factorize(list(b))
-        assert len(narrowed) == 1 and narrowed[0] is not None
-        assert divided == [_SEED]  # the head's direct recurrence alone
 
     @pytest.mark.parametrize("order", [65, 66, 127, 128, 2000])
     def test_seeded_periodic_profiles(self, order):
@@ -385,49 +347,57 @@ class TestNarrowRoute:
         for _ in range(2):
             period = rng.randint(6, 24)
             profile = [rng.randint(-1, 2) for _ in range(period)]
-            b = expand_product(
-                TruncatedSeries([0] + [profile[(m - 1) % period] for m in range(1, order + 1)])
-            )
-            narrow, newton = _quotient_routes(b)
-            assert narrow is not None and narrow == newton
-            assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
-
-
-def _periodic_product(profile, order):
-    """The product with exponents profile repeated out to a_order."""
-    return expand_product(ProductShape(len(profile), profile).exponents(order))
+            b = _periodic_product(profile, order)
+            got = euler_factorize(b)
+            assert got == ProductShape(period, profile).exponents(order)
+            assert list(got)[1:] == oracles.oracle_factorize(list(b))
 
 
 @pytest.fixture
-def narrow_calls(monkeypatch):
-    """The orders of every _narrow call, the general route's first step."""
+def factor_calls(monkeypatch):
+    """The order of every _factor call: the certified route's head (order
+    _SEED - 1) and the general route, which factors the whole series."""
     calls = []
-    real = sumside.series._narrow
+    real = sumside.series._factor
     monkeypatch.setattr(
-        sumside.series, "_narrow", lambda y, b, n: calls.append(n) or real(y, b, n)
+        sumside.series, "_factor", lambda b: calls.append(len(b) - 1) or real(b)
     )
     return calls
 
 
 class TestCertifiedRoute:
-    """From order _SEED on, a period that fits a_1..a_63 with at least 16
+    """From order 2*_SEED on, a period that fits a_1..a_63 with at least 16
     checks is repeated out and certified by one exact product; anything the
     product does not prove takes the general route, whose results these
     match."""
 
-    @pytest.mark.parametrize("order", [64, 65, 127, 128, 500])
-    def test_periods_1_to_47_are_certified(self, order, narrow_calls):
+    @pytest.mark.parametrize("order", [128, 129, 255, 256, 500])
+    def test_periods_1_to_47_are_certified(self, order, factor_calls):
         rng = random.Random(order)
         for period in range(1, 48):
             profile = [rng.randint(-3, 3) for _ in range(period)]
             b = _periodic_product(profile, order)
-            narrow_calls.clear()
+            factor_calls.clear()
             got = euler_factorize(b)
-            assert narrow_calls == [], period  # no general route
+            assert factor_calls == [_SEED - 1], period  # the head; no general route
             assert got == TruncatedSeries(_factor(b.coeffs)), period
             assert list(got)[1:] == oracles.oracle_factorize(list(b)), period
 
-    def test_periods_at_order_2000(self, narrow_calls):
+    @pytest.mark.parametrize("order", [64, 127])
+    def test_below_twice_the_seed_the_general_route_runs(self, order, factor_calls):
+        # no head is factored: the whole series goes to the division, with
+        # the same exponents the certificate would give from 2*_SEED on
+        rng = random.Random(order)
+        for period in range(1, 48):
+            profile = [rng.randint(-3, 3) for _ in range(period)]
+            b = _periodic_product(profile, order)
+            factor_calls.clear()
+            got = euler_factorize(b)
+            assert factor_calls == [order], period
+            assert got == ProductShape(period, profile).exponents(order), period
+            assert list(got)[1:] == oracles.oracle_factorize(list(b)), period
+
+    def test_periods_at_order_2000(self, factor_calls):
         rng = random.Random(2000)
         for period in (1, 2, 12, 31, 47):
             profile = [rng.randint(-3, 3) for _ in range(period)]
@@ -436,18 +406,18 @@ class TestCertifiedRoute:
             assert got == TruncatedSeries(_factor(b.coeffs)), period
             if period == 47:
                 assert list(got)[1:] == oracles.oracle_factorize(list(b))
-        assert narrow_calls == [2001] * 5  # the general route's calls only
+        assert factor_calls == [_SEED - 1] * 5  # the heads only
 
-    def test_period_48_is_not_proposed(self, narrow_calls):
+    def test_period_48_is_not_proposed(self, factor_calls):
         # 63 - 48 = 15 checks are too few, so the general route runs
         profile = [0] * 47 + [1]
         b = _periodic_product(profile, 300)
         assert list(euler_factorize(b))[1:] == oracles.oracle_factorize(list(b))
-        assert narrow_calls == [301]
+        assert factor_calls == [_SEED - 1, 300]
 
     @pytest.mark.parametrize("delta", [1, -1, 2**32, -(2**32)])
     @pytest.mark.parametrize("order", [128, 500])
-    def test_near_misses_fall_back(self, order, delta, narrow_calls):
+    def test_near_misses_fall_back(self, order, delta, factor_calls):
         # one coefficient past the prefix off by delta, in either half of
         # the certificate: the head still proposes the period, and the
         # product must refuse it
@@ -457,9 +427,9 @@ class TestCertifiedRoute:
         for j in (_SEED, _SEED + 1, order // 2, order // 2 + 1, order - 1, order):
             changed = list(b)
             changed[j] += delta
-            narrow_calls.clear()
+            factor_calls.clear()
             got = list(euler_factorize(TruncatedSeries(changed)))
-            assert narrow_calls == [order + 1], j
+            assert factor_calls == [_SEED - 1, order], j
             assert got[1:] == oracles.oracle_factorize(changed), j
             assert got == _factor(changed), j
 

@@ -14,12 +14,15 @@
 # 42,165 for I6 at n = 70, which caps the copies of 2); factor must return
 # every exponent of a period-12 product expanded to order 3000, which its
 # 63-term prefix proposes and one exact product certifies, and, with one
-# coefficient of the order-2000 product moved, fall back to the 2-adic and
-# Newton routes while --order 150 (certified again) still prints the full
-# run's first 150 lines; search must sweep all 150 classics cells to the same
-# 38 hits, with or without the pool (each worker takes whole rows, in about
-# four batches a worker), and --refine must recheck all 38 at order 60 to
-# the same report at --jobs 1, 2 and 3; the heavy grid (configs/heavy.json)
+# coefficient of the order-2000 product moved, fall back to Newton's
+# division while --order 150 (certified again) still prints the full run's
+# first 150 lines, and return every exponent of a period-60 product expanded
+# to order 2000, a period too long for the prefix to propose, so that the
+# division factors it whole; search must sweep all 150 classics cells to
+# the same 38 hits, with or without the pool (each worker takes whole rows,
+# in about four batches a worker), and --refine must recheck all 38 at
+# order 60 to the same report at --jobs 1, 2 and 3; the heavy grid
+# (configs/heavy.json)
 # must sweep all 1,800 cells to the same 157 hits at --jobs 1, 2 and 3
 # (whole-row batches of uneven size at 3), and the same report at order 200
 # with --jobs 1 and 2, where its prefix sieve rejects most series, and its
@@ -66,6 +69,12 @@ $SUMSIDE factor --coeffs "$w/miss.txt" --order 150 > "$w/miss150.out"
 head -n 150 "$w/miss.out" | diff -q - "$w/miss150.out"
 test "$(sed -n 1000p "$w/miss.out")" = "a_1000 = 3"  # the profile gives 2
 echo "factor of a near-periodic series at order 2000: --order 150 prints the full run's first 150 lines"
+p="[1, 1, 0, 1, 0, 2, 2, 1, -1, -1, 0, 0, 2, -1, 0, -1, 2, 0, 0, 1, 0, -1, -1, 1, 0, -1, 0, 1, 0, 1, -1, 0, 0, 1, 0, 0, -1, 1, 2, 1, 2, -1, -1, -1, -1, -1, -1, 0, 2, 1, 2, 2, 0, 1, 1, 2, -1, 2, -1, 2]"
+python -c "from sumside import ProductShape, expand_product; p = $p; print(*expand_product(ProductShape(60, p).exponents(2000)), sep='\n')" > "$w/p60.txt"
+python -c "p = $p; print(''.join(f'a_{m} = {p[(m - 1) % 60]}\n' for m in range(1, 2001)), end='')" > "$w/p60.want"
+$SUMSIDE factor --coeffs "$w/p60.txt" > "$w/p60.out"
+diff -q "$w/p60.want" "$w/p60.out"
+echo "factor of a period-60 product at order 2000, by the division: $(wc -l < "$w/p60.out") exponents match"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 1 > "$w/s1.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 2 > "$w/s2.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 3 > "$w/s3.json"
