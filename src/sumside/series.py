@@ -51,8 +51,13 @@ and a term pushed past q^N costs nothing.  Adding two series is one big-int
 addition.  B comes from a bound on the counts: p(N) in general, or, when the
 rules let no part repeat more than d times, the smaller count b_(d+1)(N) of
 Glaisher's theorem (packed_bits with repeat=d).  For the signed series of the
-factorization and the expansion (_mul), multiplying two series is one big-int
-multiplication.  TruncatedSeries stays the type at every module boundary.
+factorization and the expansion (_mul), multiplying two series is two big-int
+multiplications at half width, by the same paper's KS2: each operand is
+evaluated at X and at -X, X = 2^(D/2) for digits of D bits, and the half sum
+and half difference of the two products hold the even and the odd product
+coefficients, a whole digit each.  Python multiplies big ints by Karatsuba,
+so the two half-width products cost about 2/3 of one at full width.
+TruncatedSeries stays the type at every module boundary.
 """
 
 from __future__ import annotations
@@ -240,21 +245,33 @@ def _offsets(n: int, size: int) -> int:
 def _mul(f: Sequence[int], g: Sequence[int], n: int) -> list[int]:
     """Coefficients 0..n of f*g, for signed integer coefficient lists.
 
-    One big-int multiplication: each operand is packed (_packed) B bits per
-    coefficient, B the bit length of the exact bound
-    min(len f, len g)*max|f|*max|g| on a product coefficient plus a sign
-    bit, rounded up to whole bytes.  A maximum of 0 counts as 1 in the bound,
-    which then also covers every operand coefficient.  The offset pattern
-    goes back on before unpacking.
+    Two big-int multiplications at half width, by Harvey's KS2 (Kronecker
+    substitution at X and -X; "Faster polynomial multiplication via
+    multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  A
+    slot is the bit length of the exact bound min(len f, len g)*max|f|*max|g|
+    on a product coefficient plus a sign bit, rounded up to whole bytes; a
+    maximum of 0 counts as 1 in the bound, which then also covers every
+    operand coefficient.  Each operand's even and odd coefficients are packed
+    (_packed) one slot apiece, so that F_e + X*F_o at X = 2^B, B half a slot,
+    is f(X), and F_e - X*F_o is f(-X).  With P+- = f(+-X)*g(+-X),
+    (P+ + P-)/2 packs the even product coefficients one slot apiece and
+    (P+ - P-)/(2X) the odd ones; the offset pattern goes back on before each
+    is unpacked.
     """
     f, g = f[: n + 1], g[: n + 1]
     bound = min(len(f), len(g)) * (max(map(abs, f)) or 1) * (max(map(abs, g)) or 1)
     size = bound.bit_length() // 8 + 1
-    half = 1 << (8 * size - 1)
-    width = size * (n + 1)
-    h = _packed(f, size) * _packed(g, size) + _offsets(n + 1, size)
-    h = (h & (1 << 8 * width) - 1).to_bytes(width, "little")
-    return [int.from_bytes(h[i : i + size], "little") - half for i in range(0, width, size)]
+    half, b = 1 << (8 * size - 1), 4 * size
+    fe, fo = _packed(f[::2], size), _packed(f[1::2], size) << b
+    ge, go = _packed(g[::2], size), _packed(g[1::2], size) << b
+    plus, minus = (fe + fo) * (ge + go), (fe - fo) * (ge - go)
+    out = [0] * (n + 1)
+    for k, h in enumerate(((plus + minus) >> 1, (plus - minus) >> (b + 1))):
+        m = (n - k) // 2 + 1  # product coefficients k, k + 2, ..., through n
+        width = size * m
+        h = ((h + _offsets(m, size)) & (1 << 8 * width) - 1).to_bytes(width, "little")
+        out[k::2] = [int.from_bytes(h[i : i + size], "little") - half for i in range(0, width, size)]
+    return out
 
 
 def _divide(y: Sequence[int], b: Sequence[int], n: int) -> list[int]:

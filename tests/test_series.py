@@ -15,6 +15,7 @@ from sumside import (
 import sumside.series
 from sumside.series import (
     _SEED,
+    _certified,
     _factor,
     _mul,
     _regular_count,
@@ -240,14 +241,63 @@ class TestSignedProduct:
         # Equal coefficients of equal sign make the middle product coefficient
         # reach the width bound min(len f, len g)*max|f|*max|g| exactly, so a
         # narrower digit or a missing sign bit corrupts it.  The magnitudes
-        # put that bound's bit length on every residue mod 8.
-        for k in range(0, 40):
+        # put that bound's bit length on every residue mod 16: a slot is whole
+        # bytes, and B, half a slot (X = 2^B), need not be.
+        residues = set()
+        for k in range(0, 48):
             for m in ((1 << k) - 1, 1 << k):
                 for lf, lg in ((1, 1), (2, 3), (7, 7), (33, 12)):
+                    residues.add((min(lf, lg) * max(m, 1) * (m + 1)).bit_length() % 16)
                     for sf, sg in ((1, 1), (1, -1), (-1, -1)):
                         f, g = [sf * m] * lf, [sg * (m + 1)] * lg
                         n = lf + lg - 2
                         assert _mul(f, g, n) == _naive_product(f, g, n)
+        assert residues == set(range(16))
+
+    def test_operands_with_empty_or_single_odd_half(self):
+        # length 1 has no odd coefficient, length 2 one: X*F_o is 0 or one slot
+        rng = random.Random(12)
+        for lf in (1, 2):
+            for lg in (1, 2, 3, 8):
+                for mag in (1, 2**8 - 1, 2**31, 10**40):
+                    f = [rng.choice((-mag, mag, rng.randrange(-mag, mag + 1))) for _ in range(lf)]
+                    g = [rng.randrange(-mag, mag + 1) for _ in range(lg)]
+                    for n in range(lf + lg + 2):
+                        assert _mul(f, g, n) == _naive_product(f, g, n)
+                        assert _mul(g, f, n) == _naive_product(g, f, n)
+
+    def test_every_order_to_past_the_product(self):
+        # odd and even n leave the odd half one slot shorter or equal
+        rng = random.Random(2009)
+        for lf, lg in ((3, 4), (5, 5), (16, 9), (40, 41)):
+            for mag in (1, 10**6, 10**30):
+                f = [rng.randrange(-mag, mag + 1) for _ in range(lf)]
+                g = [rng.randrange(-mag, mag + 1) for _ in range(lg)]
+                for n in range(lf + lg + 3):
+                    assert _mul(f, g, n) == _naive_product(f, g, n), (lf, lg, n)
+
+    @pytest.mark.parametrize("n", [128, 129, 500, 2001])
+    def test_certificate_accepts_the_product_and_rejects_a_moved_term(self, n):
+        # b dense in its head and sparse after, with terms at the split h
+        # and at the end, so that y = b*x is cheap to form exactly
+        rng = random.Random(n)
+        h = n // 2
+        b = [1] + [
+            rng.randrange(-9, 10) if j < 64 or rng.random() < 0.02 else 0 for j in range(1, n)
+        ]
+        b[h - 1], b[h], b[n - 1] = 3, -5, 7
+        x = [rng.randrange(-(2**70), 2**70) for _ in range(n)]
+        y = [0] * n
+        for j, bj in enumerate(b):
+            if bj:
+                for k in range(n - j):
+                    y[j + k] += bj * x[k]
+        assert _certified(y, b, x)
+        for pos in (0, 1, h - 1, h, n - 2, n - 1):
+            for d in (1, -1):
+                moved = list(y)
+                moved[pos] += d
+                assert not _certified(moved, b, x), (pos, d)
 
     def test_zero_operand(self):
         big = 10**40

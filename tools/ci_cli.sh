@@ -18,9 +18,12 @@
 # division while --order 150 (certified again) still prints the full run's
 # first 150 lines, and return every exponent of a period-60 product expanded
 # to order 2000, a period too long for the prefix to propose, so that the
-# division factors it whole; search must sweep all 150 classics cells to
-# the same 38 hits, with or without the pool (each worker takes whole rows,
-# in about four batches a worker), and --refine must recheck all 38 at
+# division factors it whole, and so for seeded aperiodic exponents in -3..3
+# expanded to order 2000, which Newton's division factors at every level, and
+# for (1-q)^-(2^32+5) at order 300, whose product digits are wide; search
+# must sweep all 150 classics cells to the same 38 hits, with or without the
+# pool (each worker takes whole rows, in about four batches a worker), and
+# --refine must recheck all 38 at
 # order 60 to the same report at --jobs 1, 2 and 3; the heavy grid
 # (configs/heavy.json)
 # must sweep all 1,800 cells to the same 157 hits at --jobs 1, 2 and 3
@@ -75,6 +78,16 @@ python -c "p = $p; print(''.join(f'a_{m} = {p[(m - 1) % 60]}\n' for m in range(1
 $SUMSIDE factor --coeffs "$w/p60.txt" > "$w/p60.out"
 diff -q "$w/p60.want" "$w/p60.out"
 echo "factor of a period-60 product at order 2000, by the division: $(wc -l < "$w/p60.out") exponents match"
+python -c "import random; from sumside import TruncatedSeries, expand_product; rng = random.Random(35); a = [0] + [rng.randint(-3, 3) for _ in range(2000)]; print(*expand_product(TruncatedSeries(a)), sep='\n')" > "$w/aper.txt"
+python -c "import random; rng = random.Random(35); print(''.join(f'a_{m} = {rng.randint(-3, 3)}\n' for m in range(1, 2001)), end='')" > "$w/aper.want"
+$SUMSIDE factor --coeffs "$w/aper.txt" > "$w/aper.out"
+diff -q "$w/aper.want" "$w/aper.out"
+echo "factor of aperiodic exponents at order 2000, by Newton's division at every level: $(wc -l < "$w/aper.out") exponents match"
+python -c "from sumside import TruncatedSeries, expand_product; print(*expand_product(TruncatedSeries([0, 2**32 + 5] + [0] * 299)), sep='\n')" > "$w/wide.txt"
+python -c "print(''.join(f'a_{m} = {2**32 + 5 if m == 1 else 0}\n' for m in range(1, 301)), end='')" > "$w/wide.want"
+$SUMSIDE factor --coeffs "$w/wide.txt" > "$w/wide.out"
+diff -q "$w/wide.want" "$w/wide.out"
+echo "factor of (1-q)^-(2^32+5) at order 300: $(wc -l < "$w/wide.out") exponents match"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 1 > "$w/s1.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 2 > "$w/s2.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 3 > "$w/s3.json"
