@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import contextmanager
 
@@ -199,13 +200,12 @@ def _read_coefficients(path: str) -> list[int]:
     else:
         entries = stripped.replace(",", " ").split()
     out = []
+    decimal = re.compile("[+-]?[0-9]+").fullmatch
     for i, entry in enumerate(entries):
-        try:
-            out.append(int(str(entry), 10))
-        except (ValueError, TypeError) as exc:
-            raise _ConfigError(
-                f"{path}: coefficient {i} is not a decimal integer: {entry!r}"
-            ) from exc
+        # int() alone would also take 1_0 and non-ASCII digits such as a fullwidth 1
+        if not decimal(str(entry)):
+            raise _ConfigError(f"{path}: coefficient {i} is not a decimal integer: {entry!r}")
+        out.append(int(entry))
     return out
 
 

@@ -58,8 +58,8 @@ class IdentitySpec(Record):
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name}: expected a {kind.__name__}, got {value!r}")
-        if self.recursion_family is not None and self.recursion_family not in FAMILIES:
-            raise ValueError(f"unknown recursion family {self.recursion_family!r}")
+        if self.recursion_family is not None:
+            _family(self.recursion_family)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +242,14 @@ FAMILIES: dict[str, _Family] = {
 }
 
 
+def _family(name: str) -> _Family:
+    """FAMILIES[name]; ValueError for a name it lacks."""
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown recursion family {name!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
@@ -269,7 +277,7 @@ def initial_state(family: str, order: int) -> RecursionState:
     identity naming the family, so the packing width is packed_bits with
     those rules' repeat bound.
     """
-    fam = FAMILIES[family]
+    fam = _family(family)
     if order < 0:
         raise ValueError("order must be >= 0")
     bits = packed_bits(order, _repeat_bound(_FAMILY_RULES[family]))
@@ -294,7 +302,7 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
     most 3 * cap*(cap+1)/2 here), making the result the untruncated
     polynomial padded with zeros.
     """
-    fam = FAMILIES[family]
+    fam = _family(family)
     if cap < fam.start:
         raise ValueError(f"{family} is defined from cap {fam.start}")
     if order is None:

@@ -33,7 +33,7 @@ from .partitions import (
     count_sum_side,
 )
 from .products import ProductShape, _period_limit, describe, detect_period
-from .series import _MARGIN, TruncatedSeries, _period, _periodic, euler_factorize
+from .series import _MARGIN, _proposed, euler_factorize
 
 SCHEMA_VERSION = 1
 
@@ -183,38 +183,24 @@ def _sift_cell(conditions: ConditionSet, grid: SearchGrid, factored: dict):
     factored holds each distinct series' exponents through the order, or
     None for a series that cannot be a hit, by coefficient tuple: equal
     series factor alike, so each is factored once.  A hit needs a period
-    p <= p_limit (_period_limit) that fits a_1..a_N, so it fits a_1..a_k0
-    too, and those are the exponents of the series truncated at
-    k0 = min(N, p_limit + _MARGIN).  So the prefix is factored first, and a
-    series that no such p fits is no hit, never factored to full order.  A
-    survivor's smallest fitting p is repeated out to N and certified by one
-    exact product (series._periodic); only a failed certificate factors the
-    full series.  detect_period then tests the full-order exponents as
-    before, so hits and reports are those of factoring every series in full.
-    Returns (ProductShape | None, error | None); the grid refuses an order
-    too short to certify a period, so an error is a bug."""
+    p <= p_limit (_period_limit), so the series' prefix through
+    k0 = min(N, p_limit + _MARGIN) proposes its exponents (series._proposed
+    states why that is sound), and detect_period tests them: hits and
+    reports are those of factoring every series in full.  Returns
+    (ProductShape | None, error | None); the grid refuses an order too short
+    to certify a period, so an error is a bug."""
     try:
         counts = count_sum_side(conditions, grid.order)
         if counts.coeffs not in factored:
-            factored[counts.coeffs] = _exponents(counts, grid)
+            limit = _period_limit(counts.order, grid.p_max, grid.min_repeats)
+            head = euler_factorize(counts.truncate(min(counts.order, limit + _MARGIN)))
+            factored[counts.coeffs] = _proposed(counts.coeffs, head.coeffs, limit)
         exps = factored[counts.coeffs]
         if exps is None:
             return None, None
         return detect_period(exps, p_max=grid.p_max, min_repeats=grid.min_repeats), None
     except Exception as exc:  # one cell's fault must not abort the sweep
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def _exponents(counts: TruncatedSeries, grid: SearchGrid) -> TruncatedSeries | None:
-    """counts' Euler exponents through its order, or None when its prefix
-    rules out every period the grid can certify (see _sift_cell)."""
-    limit = _period_limit(counts.order, grid.p_max, grid.min_repeats)
-    head = euler_factorize(counts.truncate(min(counts.order, limit + _MARGIN)))
-    p = _period(head.coeffs, limit)
-    if p is None:
-        return None
-    exps = _periodic(counts.coeffs, head.coeffs, p)
-    return euler_factorize(counts) if exps is None else exps
 
 
 def _sift_cells(cells: list[ConditionSet], grid: SearchGrid) -> list:

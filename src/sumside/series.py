@@ -23,14 +23,8 @@ throughout is that a_1..a_k depend only on b_1..b_k, so a polynomial prefix
 of a generating function pins down the leading product factors exactly.
 
 That makes a short prefix a proposal, as in the paper's conjecture-then-check
-loop.  From order 2*_SEED on, euler_factorize first factors b_0..b_63 by the
-direct recurrence; if some period p fits those exponents with at least
-_MARGIN checks, it sieves the periodic extension's c and tests c*b = q*b'
-through q^N with one exact product (_certified).  Since b_0 = 1 that
-equation has exactly one solution c mod q^(N+1), and c_n = sum_{d|n} d*a_d
-has exactly one solution a, so a passing certificate proves the extension is
-the factorization; a failing one proves nothing and the general route runs.
-The search applies the same pieces to its own prefix (search._sift_cell).
+loop: _proposed takes the proposal step, and states why it is sound, for
+euler_factorize's head from order 2*_SEED on and for the search's prefix.
 
 The general route divides: Newton steps double the precision of 1/b, seeded
 by the direct recurrence for the first few terms, and each step is a few
@@ -69,10 +63,10 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 
-# Series divisions up to this many terms run the direct recurrence; longer
-# ones take Newton steps.  Above the orders grid searches run at (30 to 40),
-# whose cells are faster without them.  A factorization from order 2*_SEED on
-# first proposes a period from its first _SEED - 1 exponents.
+# Series divisions up to this many terms run the direct recurrence, longer
+# ones Newton steps: on partition counts the two tie from 64 to 81 terms (a
+# search's longest prefix), and Newton wins at 128.  From order 2*_SEED on, a
+# factorization first proposes a period from its first _SEED - 1 exponents.
 _SEED = 64
 
 # A period proposed from a prefix a_1..a_k must pass at least this many
@@ -328,25 +322,38 @@ def _period(a: Sequence[int], p_max: int) -> int | None:
     return None
 
 
-def _periodic(b: Sequence[int], a: Sequence[int], p: int) -> TruncatedSeries | None:
-    """The exponents of b (b_0 = 1) through its order N when they are
-    a_1..a_p repeated with period p, else None.  The repetition's log
-    derivative c must pass _certified against q*b'; a passing certificate
-    makes c = q*b'/b, whose exponents are the repetition."""
+def _proposed(b: Sequence[int], head: Sequence[int], limit: int) -> TruncatedSeries | None:
+    """b's exponents through its order N (b_0 = 1), proposed by its leading
+    exponents head = [0, a_1, ..., a_k]; None when no period p <= limit fits
+    a_1..a_k.
+
+    a_1..a_k depend only on b_1..b_k, so head holds b's own exponents, and
+    a period p <= limit of a_1..a_N fits them too: None proves that b's
+    exponents have none.  Otherwise the smallest p that fits (_period) is
+    repeated out to N, and its log derivative c is tested by c*b = q*b'
+    through q^N, one exact product (_certified).  As b_0 = 1, that has one
+    solution c mod q^(N+1), and c_n = sum_{d|n} d*a_d one solution a, so a
+    pass proves the repetition.  A failure proves only that p is not the
+    period: a longer P <= limit still may be, since a_1..a_k can fit both
+    when p + P - gcd(p, P) > k (Fine and Wilf, "Uniqueness theorems for
+    periodic functions", Proc. AMS 16, 1965), so b is then divided in full.
+    """
+    p = _period(head, limit)
+    if p is None:
+        return None
     n = len(b)
-    ext = [0, *(a[1 : p + 1] * (n // p + 1))[: n - 1]]
+    ext = [0, *(head[1 : p + 1] * (n // p + 1))[: n - 1]]
     y = [k * x for k, x in enumerate(b)]
-    return TruncatedSeries(ext) if _certified(y, b, _log_derivative(ext)) else None
+    return TruncatedSeries(ext if _certified(y, b, _log_derivative(ext)) else _factor(b))
 
 
 def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
     """Exponents a_1..a_N with b(q) = prod (1 - q^m)^(-a_m) mod q^(N+1), as
     the series a(q) = a_1 q + ... + a_N q^N: a[m] is a_m, and a[0] is 0.
 
-    From order 2*_SEED on, a_1..a_63 come first, by the direct recurrence;
-    if a period p <= 63 - _MARGIN fits them, its repetition through q^N is
-    returned once one exact product certifies it (_periodic).  Otherwise,
-    and below 2*_SEED, the general route (_factor) divides.
+    From order 2*_SEED on, a_1..a_63 come first, by the direct recurrence,
+    and propose a period p <= 63 - _MARGIN (_proposed).  When none fits
+    them, and below 2*_SEED, the general route (_factor) divides.
 
     Raises ValueError unless b has constant term 1, and IntegralityError if
     the division by n is ever inexact (it cannot be, for integer input).
@@ -357,9 +364,7 @@ def euler_factorize(b: TruncatedSeries) -> TruncatedSeries:
     if bc[0] != 1:
         raise ValueError(f"constant term must be 1, got {bc[0]}")
     if b.order >= 2 * _SEED:
-        head = _factor(bc[:_SEED])
-        p = _period(head, _SEED - 1 - _MARGIN)
-        a = None if p is None else _periodic(bc, head, p)
+        a = _proposed(bc, _factor(bc[:_SEED]), _SEED - 1 - _MARGIN)
         if a is not None:
             return a
     return TruncatedSeries(_factor(bc))

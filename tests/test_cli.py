@@ -168,6 +168,42 @@ class TestFactorCommand:
         assert "coefficient 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("1, 1_0, 2", "'1_0'"),
+            ("1 1_0_1", "'1_0_1'"),
+            ("1, \uff11", "'\uff11'"),
+            ("1, 0x1", "'0x1'"),
+            ("1, +-1", "'+-1'"),
+            ('[1, "1_0", 2]', "'1_0'"),
+            ('[1, "\uff11"]', "'\uff11'"),
+            ('[1, " 2"]', "' 2'"),
+            ("[1, 1.0]", "1.0"),
+            ("[1, true]", "True"),
+        ],
+        ids=[
+            "underscore", "underscores", "fullwidth", "hex", "two-signs",
+            "json-underscore", "json-fullwidth", "json-space", "json-float", "json-bool",
+        ],
+    )
+    def test_only_ascii_decimal_tokens(self, tmp_path, capsys, text, token):
+        # int() alone would read 1_0 as 10 and a fullwidth digit as 1
+        path = tmp_path / "c.txt"
+        path.write_text(text, encoding="utf-8")
+        rc = cli.main(["factor", "--coeffs", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {path}: coefficient 1 is not a decimal integer: {token}\n"
+        assert captured.out == ""
+
+    def test_signed_and_json_string_tokens(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        for text in ("+1, +1, -0, 0", '[1, "1", "-0", 0]'):
+            path.write_text(text)
+            assert cli.main(["factor", "--coeffs", str(path)]) == 0
+            assert capsys.readouterr().out == "a_1 = 1\na_2 = -1\na_3 = 0\n"
+
+    @pytest.mark.parametrize(
         "text, where",
         [
             ("\n\n  [1, 2,", ":3:9: Expecting value"),

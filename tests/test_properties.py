@@ -22,7 +22,7 @@ from sumside import (
 )
 from sumside.partitions import _open_rows
 from sumside.recursions import FAMILIES
-from sumside.series import _SEED, _factor, _mul, pack, unpack
+from sumside.series import _SEED, _factor, _mul, _period, _proposed, pack, unpack
 
 pytest.importorskip(
     "hypothesis", reason="Hypothesis is not installed; pip install -e '.[test]'"
@@ -225,3 +225,28 @@ def test_certified_route_matches_general_route_and_oracle(b):
     got = list(euler_factorize(TruncatedSeries(b)))
     assert got == _factor(b)
     assert got[1:] == oracles.oracle_factorize(b)
+
+
+@st.composite
+def proposals(draw):
+    """(b, head, limit): a product whose exponents repeat a profile of period
+    1..40 at an order of 40..160, maybe with one coefficient moved by +-1,
+    with its head a_0..a_k for some k <= the order and a limit below k."""
+    profile = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=40))
+    order = draw(st.integers(40, 160))
+    b = list(expand_product(ProductShape(len(profile), profile).exponents(order)))
+    if draw(st.booleans()):
+        b[draw(st.integers(1, order))] += draw(st.sampled_from([1, -1]))
+    k = draw(st.integers(2, order))
+    return b, _factor(b[: k + 1]), draw(st.integers(1, k - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(proposals())
+def test_proposed_is_none_exactly_when_no_period_fits(case):
+    b, head, limit = case
+    got = _proposed(b, head, limit)
+    if _period(head, limit) is None:
+        assert got is None
+    else:
+        assert list(got)[1:] == oracles.oracle_factorize(b)

@@ -394,6 +394,11 @@ class TestIdentitySpecs:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown recursion family 'nope'"):
             IdentitySpec("X", ConditionSet(), ProductShape.from_residues(9, {1}), "nope")
+        # the public steppers look a family up the same way, with no KeyError
+        for step in (capped_polynomial, initial_state):
+            with pytest.raises(ValueError) as info:
+                step("Z", 3)
+            assert str(info.value) == "unknown recursion family 'Z'"
 
 
 class TestProductSide:

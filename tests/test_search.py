@@ -28,7 +28,7 @@ from sumside import (
 )
 from sumside._record import replace
 from sumside.partitions import _open_rows
-from sumside.series import _factor
+from sumside.series import _factor, _period
 
 RR_DIFF = (DiffDistRule(1, 2),)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -592,7 +592,7 @@ class TestPrefixSieve:
             m.setattr(search, "euler_factorize", lambda b: orders.append(b.order) or real_factor(b))
             sieved = run_search(grid)
         with monkeypatch.context() as m:
-            m.setattr(search, "_exponents", lambda c, grid: TruncatedSeries(_factor(c.coeffs)))
+            m.setattr(search, "_proposed", lambda b, head, limit: TruncatedSeries(_factor(b)))
             full = run_search(grid)
         return sieved, orders, full
 
@@ -622,11 +622,24 @@ class TestPrefixSieve:
         # parts of at least 100: a_1..a_99 are 0, so the 80-term prefix
         # fits period 1, the product refuses it, and the full route finds
         # no period; the cell must not become a hit
+        import sumside.series as series
+
         grid = tiny_grid(smallest_options=(None, SmallestPartRule(100)), order=200)
         sieved, orders, full = self.both_reports(grid, monkeypatch)
         assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
         assert [h.conditions for h in full.hits] == grid.cells()[:1]
-        assert orders == [80, 80, 200]
+        assert orders == [80, 80]
+        # the failed certificate divides the series once, in full, with no
+        # second head and no second certificate
+        divided, certified = [], []
+        real_factor, real_certified = series._factor, series._certified
+        monkeypatch.setattr(series, "_factor", lambda b: divided.append(len(b)) or real_factor(b))
+        monkeypatch.setattr(
+            series, "_certified", lambda *args: certified.append(args) or real_certified(*args)
+        )
+        assert strip_timing(run_search(grid).dumps()) == strip_timing(sieved.dumps())
+        assert divided == [81, 81, 201]
+        assert len(certified) == 2
 
     def test_a_hit_whose_period_is_the_limit(self, monkeypatch):
         # p_max is set to the longest period the grid's hits have, so that
@@ -639,17 +652,24 @@ class TestPrefixSieve:
         assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
         assert longest > 1 and any(h.shape.period == longest for h in full.hits)
 
-    @pytest.mark.parametrize("name", ["classics", "heavy"])
-    def test_each_prefix_is_divided_once_at_order_200(self, name, monkeypatch):
-        # the 80-term prefix is below the certified route's order 2*_SEED,
-        # so euler_factorize divides it at once, with no head of its own:
-        # one 81-term _factor call per distinct series, and every survivor
-        # certifies without a full-order one
+    @pytest.mark.parametrize(
+        "name, order, certificates",
+        [("classics", 30, 11), ("classics", 40, 11), ("classics", 200, 11), ("heavy", 200, 24)],
+    )
+    def test_one_certificate_per_survivor(self, name, order, certificates, monkeypatch):
+        # each distinct series is divided once, through min(order, limit + 16):
+        # at order 200 that is an 80-term prefix, below the certified route's
+        # order 2*_SEED, so euler_factorize divides it with no head of its
+        # own.  A series whose prefix fits a period <= limit is certified
+        # once, by one product, and every survivor here passes, so no series
+        # reaches a full-order division
         import sumside.search as search
         import sumside.series as series
 
-        divided, distinct = [], set()
-        real_factor, real_count = series._factor, search.count_sum_side
+        divided, certified, distinct = [], [], set()
+        real_factor, real_certified, real_count = (
+            series._factor, series._certified, search.count_sum_side
+        )
 
         def count(conditions, order):
             counts = real_count(conditions, order)
@@ -658,7 +678,14 @@ class TestPrefixSieve:
 
         monkeypatch.setattr(search, "count_sum_side", count)
         monkeypatch.setattr(series, "_factor", lambda b: divided.append(tuple(b)) or real_factor(b))
-        report = run_search(config_grid(name, 200))
+        monkeypatch.setattr(
+            series, "_certified", lambda *args: certified.append(args) or real_certified(*args)
+        )
+        grid = config_grid(name, order)
+        report = run_search(grid)
         assert report.hits and report.failures == ()
-        assert {len(b) for b in divided} == {81}
-        assert sorted(divided) == sorted(s[:81] for s in distinct)
+        limit = min(grid.p_max, order // grid.min_repeats)
+        k0 = min(order, limit + 16)
+        assert sorted(divided) == sorted(s[: k0 + 1] for s in distinct)
+        survivors = [s for s in distinct if _period(real_factor(s[: k0 + 1]), limit) is not None]
+        assert len(certified) == len(survivors) == certificates

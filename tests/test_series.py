@@ -9,6 +9,7 @@ from sumside import (
     IntegralityError,
     ProductShape,
     TruncatedSeries,
+    detect_period,
     euler_factorize,
     expand_product,
 )
@@ -18,6 +19,8 @@ from sumside.series import (
     _certified,
     _factor,
     _mul,
+    _period,
+    _proposed,
     _regular_count,
     check_packed,
     pack,
@@ -487,6 +490,75 @@ class TestCertifiedRoute:
         b = list(_periodic_product([1, 0, -1, 2, 0, 1, 1, -1, 0, 2, 0, 1], 2000))
         b[1999] -= 1
         assert list(euler_factorize(TruncatedSeries(b)))[1:] == oracles.oracle_factorize(b)
+
+
+class TestProposed:
+    """The proposal step on its own, with the search's 80-term head and
+    limit 64 at order 200: None when no period p <= limit fits the head,
+    else b's exponents through its order, by the certificate or, when that
+    fails, by the general route."""
+
+    @staticmethod
+    def proposal(b, limit=64):
+        """_proposed(b, head, limit) for b's 80-term head a_0..a_80, which
+        this module's own _factor computes, so that factor_calls records
+        only the calls that _proposed makes."""
+        return _proposed(b, _factor(b[:81]), limit)
+
+    def test_none_when_no_period_fits(self, factor_calls):
+        rng = random.Random(30)
+        profile = [rng.randint(-3, 3) for _ in range(30)]
+        periodic = list(_periodic_product(profile, 200))
+        exponents = TruncatedSeries([0] + [rng.randint(-3, 3) for _ in range(200)])
+        aperiodic = list(expand_product(exponents))
+        assert _period(_factor(periodic[:81]), 64) == 30
+        assert self.proposal(periodic, 29) is None
+        assert self.proposal(aperiodic) is None
+        assert factor_calls == []
+
+    def test_a_passing_certificate_returns_the_repetition(self, factor_calls):
+        rng = random.Random(64)
+        for period in (1, 7, 30, 64):
+            profile = [rng.randint(-3, 3) for _ in range(period)]
+            b = list(_periodic_product(profile, 200))
+            factor_calls.clear()
+            got = self.proposal(b)
+            assert factor_calls == [], period  # no division
+            assert got == ProductShape(period, profile).exponents(200), period
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_near_miss_returns_the_exact_exponents(self, delta, factor_calls):
+        # one coefficient past the head moved: the head still proposes the
+        # period, the certificate refuses it, and the division answers
+        rng = random.Random(delta)
+        profile = [rng.randint(-3, 3) for _ in range(12)]
+        b = list(_periodic_product(profile, 200))
+        for j in (81, 100, 101, 199, 200):
+            changed = list(b)
+            changed[j] += delta
+            factor_calls.clear()
+            got = self.proposal(changed)
+            assert factor_calls == [200], j
+            assert list(got)[1:] == oracles.oracle_factorize(changed), j
+
+    def test_a_longer_period_behind_a_failed_certificate(self, factor_calls):
+        # period 64 with a_1..a_17 all equal to a_64, so that the head's
+        # a_1..a_80 also fit period 63; two periods p < P can both fit them
+        # only when p + P - gcd(p, P) > 80 (Fine and Wilf, "Uniqueness
+        # theorems for periodic functions", Proc. AMS 16, 1965), as here.
+        # The repetition of 63 fails its certificate, yet the series' true
+        # period 64 <= limit must come back
+        rng = random.Random(0)
+        profile = [1] * 17 + [rng.randint(-3, 3) for _ in range(46)] + [1]
+        b = list(_periodic_product(profile, 200))
+        assert _period(_factor(b[:81]), 64) < 64
+        factor_calls.clear()
+        got = self.proposal(b)
+        assert factor_calls == [200]
+        assert got == ProductShape(64, profile).exponents(200)
+        assert list(got)[1:] == oracles.oracle_factorize(b)
+        assert detect_period(got, p_max=64, min_repeats=2).period == 64
+
 
 
 class TestExpandProduct:

@@ -20,7 +20,9 @@
 # to order 2000, a period too long for the prefix to propose, so that the
 # division factors it whole, and so for seeded aperiodic exponents in -3..3
 # expanded to order 2000, which Newton's division factors at every level, and
-# for (1-q)^-(2^32+5) at order 300, whose product digits are wide; search
+# for (1-q)^-(2^32+5) at order 300, whose product digits are wide, and
+# refuse the coefficient 1_0 (which Python's int() reads as 10) with exit
+# 2, one error line naming coefficient 1 and an empty stdout; search
 # must sweep all 150 classics cells to the same 38 hits, with or without the
 # pool (each worker takes whole rows, in about four batches a worker), and
 # --refine must recheck all 38 at
@@ -88,6 +90,13 @@ python -c "print(''.join(f'a_{m} = {2**32 + 5 if m == 1 else 0}\n' for m in rang
 $SUMSIDE factor --coeffs "$w/wide.txt" > "$w/wide.out"
 diff -q "$w/wide.want" "$w/wide.out"
 echo "factor of (1-q)^-(2^32+5) at order 300: $(wc -l < "$w/wide.out") exponents match"
+printf '1,1_0,2\n' > "$w/under.txt"
+rc=0; $SUMSIDE factor --coeffs "$w/under.txt" > "$w/under.out" 2> "$w/under.err" || rc=$?
+test "$rc" -eq 2
+test ! -s "$w/under.out"
+test "$(wc -l < "$w/under.err")" -eq 1
+grep -q "^error: .*: coefficient 1 is not a decimal integer: '1_0'$" "$w/under.err"
+echo "factor of 1,1_0,2: exit 2 with one error line naming coefficient 1"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 1 > "$w/s1.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 2 > "$w/s2.json"
 $SUMSIDE search --config configs/classics.json --order 40 --jobs 3 > "$w/s3.json"
