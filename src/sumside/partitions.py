@@ -311,11 +311,11 @@ def _stop(smallest: SmallestPartRule | None) -> tuple[int, int | None]:
 _rows: tuple[frozenset, dict] | None = None  # (stops, series by row), while open
 
 
-def _open_rows(smallest_options) -> None:
+def _open_rows(smallest) -> None:
     """Open the row cache for a grid's smallest-part options, or close it
     with None.  Only search._sift_cells opens it, for one batch of cells."""
     global _rows
-    _rows = None if smallest_options is None else (frozenset(map(_stop, smallest_options)), {})
+    _rows = None if smallest is None else (frozenset(map(_stop, smallest)), {})
 
 
 def count_sum_side(

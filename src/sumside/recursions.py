@@ -470,6 +470,8 @@ def verify_identity(
     mismatch.  A mismatch is an outcome, not an error: the report carries
     the first power at which a sum side differs from the product.
     """
+    if type(order) is not int:
+        raise ValueError(f"order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
     if method not in ("recursion", "both"):

@@ -38,87 +38,78 @@ from .series import _MARGIN, _proposed, euler_factorize
 SCHEMA_VERSION = 1
 
 
-# Each grid axis lists options for one ConditionSet slot, in the slots' field
-# order, so one option from each axis gives ConditionSet's positional fields.
-_AXES = (
-    ("smallest_options", "smallest"),
-    ("diff_options", "diffs"),
-    ("congruence_options", "congruences"),
-)
-
-
 class SearchGrid(Record):
     """Cartesian product of condition options plus periodicity thresholds.
 
-    Each diff/congruence option is itself a combination (possibly empty) of
-    rules applied together; smallest options may include None for "no
-    smallest-part restriction".  An axis may be any iterable of options; it
-    is stored as a tuple of them, each checked and normalised by
-    ConditionSet._check_slot as the slot it fills.
+    The first three fields are ConditionSet's slots, in its order, each
+    holding options for that slot: any iterable, stored as a tuple of
+    options checked by ConditionSet._check_slot, so errors name the slot as
+    a grid file does.  A diffs or congruences option is a combination
+    (possibly empty) of rules applied together; smallest may include None
+    for "no smallest-part restriction".
     """
 
-    smallest_options: tuple[SmallestPartRule | None, ...]
-    diff_options: tuple[tuple[DiffDistRule, ...], ...]
-    congruence_options: tuple[tuple[CongruenceRule, ...], ...]
+    smallest: tuple[SmallestPartRule | None, ...]
+    diffs: tuple[tuple[DiffDistRule, ...], ...]
+    congruences: tuple[tuple[CongruenceRule, ...], ...]
     order: int = 30
     p_max: int = 64
     min_repeats: int = 2
 
     def __post_init__(self):
         _period_limit(self.order, self.p_max, self.min_repeats)  # else every cell would raise
-        for axis, slot in _AXES:
-            value = getattr(self, axis)
+        for slot in ConditionSet._fields:
+            value = getattr(self, slot)
             try:
                 numbered = enumerate(value)
             except TypeError:
                 raise ValueError(
-                    f"{axis}: expected a sequence of options, got {value!r}"
+                    f"{slot}: expected a sequence of options, got {value!r}"
                 ) from None
             options = tuple(
-                ConditionSet._check_slot(slot, option, f"{axis}[{i}]") for i, option in numbered
+                ConditionSet._check_slot(slot, option, f"{slot}[{i}]") for i, option in numbered
             )
             if not options:
-                raise ValueError("every grid axis needs at least one option")
-            object.__setattr__(self, axis, options)
+                raise ValueError(f"{slot}: expected at least one option")
+            object.__setattr__(self, slot, options)
 
     @property
     def size(self) -> int:
-        return prod(len(getattr(self, axis)) for axis, _ in _AXES)
+        return prod(len(getattr(self, slot)) for slot in ConditionSet._fields)
 
     def cells(self) -> list[ConditionSet]:
         """Grid-order condition sets, deduplicated by value, so purely
         structurally: Smallest(1, unbounded) counts like the no-rule option,
         yet stays a cell of its own."""
-        axes = (getattr(self, axis) for axis, _ in _AXES)
-        return list(dict.fromkeys(ConditionSet(*slots) for slots in product(*axes)))
+        slots = (getattr(self, slot) for slot in ConditionSet._fields)
+        return list(dict.fromkeys(ConditionSet(*cell) for cell in product(*slots)))
 
     def to_json(self) -> dict:
         obj = {"schema_version": SCHEMA_VERSION}
         obj.update((k, getattr(self, k)) for k in self._defaults)
-        for axis, slot in _AXES:
-            obj[slot] = [ConditionSet._write_slot(slot, o) for o in getattr(self, axis)]
+        for slot in ConditionSet._fields:
+            obj[slot] = [ConditionSet._write_slot(slot, o) for o in getattr(self, slot)]
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SearchGrid":
         """Raises ValueError naming the key path of the first bad entry.  An
-        absent axis has one option, the slot's ConditionSet default."""
-        known = ("schema_version", *ConditionSet._fields, *cls._defaults)
-        obj = _json_keys(obj, known, "")
+        absent slot has one option, its ConditionSet default."""
+        obj = _json_keys(obj, ("schema_version", *cls._fields), "")
         version = obj.get("schema_version")
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported grid schema_version {version!r} (expected {SCHEMA_VERSION})"
             )
-        axes = {axis: (ConditionSet._defaults[slot],) for axis, slot in _AXES}
-        for axis, slot in _AXES:
-            if slot in obj:
-                axes[axis] = [
-                    ConditionSet._read_slot(slot, o, f"{slot}[{i}]")
-                    for i, o in enumerate(_json_list(obj[slot], slot))
-                ]
+        slots = {
+            slot: [
+                ConditionSet._read_slot(slot, o, f"{slot}[{i}]")
+                for i, o in enumerate(_json_list(obj[slot], slot))
+            ] if slot in obj else (ConditionSet._defaults[slot],)
+            for slot in ConditionSet._fields
+        }
         return cls(
-            **axes, **{k: _json_int(obj, k, default=d) for k, d in cls._defaults.items()}
+            **slots, **{k: _json_int(obj, k, default=d) for k, d in cls._defaults.items()}
         )
 
 
@@ -207,7 +198,7 @@ def _sift_cells(cells: list[ConditionSet], grid: SearchGrid) -> list:
     """One batch: _sift_cell over cells in order, with the row cache open
     and a factor memo of its own, both for the batch only.  Cells, grid and
     shapes cross a process boundary as the frozen records they are."""
-    _open_rows(grid.smallest_options)
+    _open_rows(grid.smallest)
     try:
         factored: dict = {}
         return [_sift_cell(c, grid, factored) for c in cells]

@@ -177,3 +177,44 @@ def oracle_expand_product(exps: Sequence[int]) -> list[int]:
             for i in range(n_max, m - 1, -1):
                 c[i] -= c[i - m]
     return c
+
+
+def oracle_double_sum(d: int, e: int, n: int) -> list[int]:
+    """Coefficients through q^n of the double sum
+
+        sum_{i,j >= 0} q^(i^2 + 3ij + 3j^2 + d*i + e*j) / ((q;q)_i (q^3;q^3)_j),
+
+    for linear parts d, e >= 0: an Andrews-Gordon type series of the kind
+    Kursungoz gives for the Kanade-Russell mod 9 conjectures (Ann. Comb. 23,
+    2019), not claimed to be the published forms.  It reads no rule and no
+    recursion, so it is a third route to the sum sides of I1-I4, whose
+    linear parts the tests name.  Each 1/(1 - q^m) is a prefix sum with stride
+    m: 1/(q;q)_i is built one factor at a time, and each j's sum over i is
+    divided by (q^3;q^3)_j the same way.
+    """
+    if d < 0 or e < 0:
+        raise ValueError("the linear parts must be >= 0")
+
+    def divide(c: list[int], m: int) -> None:  # c / (1 - q^m) in place
+        for k in range(m, n + 1):
+            c[k] += c[k - m]
+
+    inverse = [[1] + [0] * n]  # inverse[i] is 1/(q;q)_i through q^n
+    total = [0] * (n + 1)
+    j = 0
+    while 3 * j * j + e * j <= n:
+        inner = [0] * (n + 1)
+        i = 0
+        while (power := i * i + 3 * i * j + 3 * j * j + d * i + e * j) <= n:
+            if i == len(inverse):
+                inverse.append(inverse[-1][:])
+                divide(inverse[-1], i)
+            for k in range(power, n + 1):
+                inner[k] += inverse[i][k - power]
+            i += 1
+        for m in range(1, j + 1):
+            divide(inner, 3 * m)
+        for k in range(n + 1):
+            total[k] += inner[k]
+        j += 1
+    return total

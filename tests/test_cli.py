@@ -40,9 +40,9 @@ CLI_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 @pytest.fixture
 def grid_config(tmp_path):
     grid = SearchGrid(
-        smallest_options=(None, SmallestPartRule(2)),
-        diff_options=((DiffDistRule(1, 2),),),
-        congruence_options=((),),
+        smallest=(None, SmallestPartRule(2)),
+        diffs=((DiffDistRule(1, 2),),),
+        congruences=((),),
         order=30,
     )
     path = tmp_path / "grid.json"
@@ -557,6 +557,7 @@ class TestSearchCommand:
                 "congruences[1][0]: span must be >= 1",
             ),
             ('{"schema_version": 1, "diffs": 5}', "diffs: expected a JSON array, got 5"),
+            ('{"schema_version": 1, "diffs": []}', "diffs: expected at least one option"),
             (b"\xff\xfe{}", "not UTF-8 text"),
         ],
     )
@@ -735,9 +736,11 @@ class TestParser:
 
     def test_shipped_condition_files_match_builtins(self, capsys):
         root = Path(__file__).resolve().parents[1]
-        # one file per builtin and no other, each loading to its conditions
-        files = sorted(p.stem for p in (root / "configs" / "identities").iterdir())
-        assert files == sorted(BUILTIN_IDENTITIES)
+        # exactly I1.json .. I6.json, one per builtin, each loading to its
+        # conditions; CI's enumerate checks and the README read these files
+        files = sorted(p.name for p in (root / "configs" / "identities").iterdir())
+        assert files == [f"I{i}.json" for i in range(1, 7)]
+        assert sorted(BUILTIN_IDENTITIES) == [f"I{i}" for i in range(1, 7)]
         for name, spec in sorted(BUILTIN_IDENTITIES.items()):
             path = root / "configs" / "identities" / f"{name}.json"
             loaded = ConditionSet.from_json(json.loads(path.read_text()))

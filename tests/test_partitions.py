@@ -232,8 +232,8 @@ class TestJsonRoundTrip:
     def test_every_classics_rule_round_trips(self):
         root = Path(__file__).resolve().parents[1]
         grid = SearchGrid.from_json(json.loads((root / "configs" / "classics.json").read_text()))
-        rules = [r for r in grid.smallest_options if r is not None]
-        rules += [r for combo in grid.diff_options + grid.congruence_options for r in combo]
+        rules = [r for r in grid.smallest if r is not None]
+        rules += [r for combo in grid.diffs + grid.congruences for r in combo]
         assert {type(r) for r in rules} == {SmallestPartRule, DiffDistRule, CongruenceRule}
         for rule in rules:
             assert type(rule).from_json(rule.to_json()) == rule
@@ -372,10 +372,10 @@ class TestCountSumSide:
 
 
 @contextmanager
-def row_cache(smallest_options):
+def row_cache(smallest):
     """count_sum_side with the row cache open for these options, as search
     opens it for one sweep of a grid."""
-    _open_rows(smallest_options)
+    _open_rows(smallest)
     try:
         yield partitions._rows[1]
     finally:

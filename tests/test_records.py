@@ -68,7 +68,7 @@ CASES = [
     (
         SearchGrid,
         dict(
-            smallest_options=(None, SM), diff_options=((), (DD,)), congruence_options=((CG,),),
+            smallest=(None, SM), diffs=((), (DD,)), congruences=((CG,),),
             order=12, p_max=64, min_repeats=2,
         ),
         dict(order=13),
@@ -125,9 +125,9 @@ REPRS = {
         "warnings=())"
     ),
     "SearchGrid": (
-        "SearchGrid(smallest_options=(None, SmallestPartRule(min_part=2, max_mult=1)), "
-        "diff_options=((), (DiffDistRule(distance=2, min_diff=3),)), "
-        "congruence_options=((CongruenceRule(span=1, gap=1, residue=0, modulus=3),),), "
+        "SearchGrid(smallest=(None, SmallestPartRule(min_part=2, max_mult=1)), "
+        "diffs=((), (DiffDistRule(distance=2, min_diff=3),)), "
+        "congruences=((CongruenceRule(span=1, gap=1, residue=0, modulus=3),),), "
         "order=12, p_max=64, min_repeats=2)"
     ),
     "CandidateHit": HIT_REPR,

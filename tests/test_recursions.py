@@ -25,7 +25,14 @@ from sumside import (
 )
 from sumside._record import replace
 from sumside.partitions import _repeat_bound
-from sumside.recursions import FAMILIES, _Family, _first_mismatch, _Term
+from sumside.recursions import (
+    FAMILIES,
+    _add_large_parts,
+    _Family,
+    _first_mismatch,
+    _split_cap,
+    _Term,
+)
 from sumside.series import _regular_count, packed_bits, unpack
 
 FAMILY_IDENTITY = {
@@ -321,6 +328,38 @@ class TestSumSideViaRecursion:
             assert coefficient_digest(poly) == coefficient_digest(swept) == digests[name], name
 
 
+# linear parts (d, e) of oracles.oracle_double_sum that give I1-I4's sum sides
+DOUBLE_SUM_PARTS = {"I1": (0, 0), "I2": (1, 3), "I3": (2, 3), "I4": (1, 2)}
+
+
+class TestDoubleSums:
+    """A third sum-side route for I1-I4: a double sum in plain ints, which
+    reads no rule and no recursion table."""
+
+    @pytest.mark.parametrize("name", sorted(DOUBLE_SUM_PARTS))
+    def test_brute_force_oracle_at_order_20(self, name):
+        want = oracles.oracle_counts(20, **oracles.IDENTITY_RULES[name])
+        assert oracles.oracle_double_sum(*DOUBLE_SUM_PARTS[name], 20) == want
+
+    @pytest.mark.parametrize("name", sorted(DOUBLE_SUM_PARTS))
+    def test_sweep_and_family_at_order_1000(self, name):
+        spec, order = BUILTIN_IDENTITIES[name], 1000
+        family = spec.recursion_family
+        k = max(FAMILIES[family].start, _split_cap(spec.conditions, order))
+        routes = {
+            "sweep": count_sum_side(spec.conditions, order),
+            "family": _add_large_parts(capped_polynomial(family, k, order=order)[-1], k),
+        }
+        want = oracles.oracle_double_sum(*DOUBLE_SUM_PARTS[name], order)
+        for route, got in routes.items():
+            assert list(got) == want, route
+
+    def test_wrong_linear_part_differs(self):
+        # I2's quadratic form with I4's linear part is not I2's sum side
+        got = oracles.oracle_double_sum(*DOUBLE_SUM_PARTS["I4"], 200)
+        assert got != list(count_sum_side(BUILTIN_IDENTITIES["I2"].conditions, 200))
+
+
 def assert_within_rule_width(series, order, repeat, bits):
     """Every coefficient is at most b_(repeat+1)(order), Glaisher's bound,
     and leaves the margin bit of a bits-wide digit clear."""
@@ -497,6 +536,13 @@ class TestVerifyIdentity:
         for method in ("guess", "enumeration"):
             with pytest.raises(ValueError, match=f"unknown method '{method}'"):
                 verify_identity(spec, 10, method=method)
+
+    @pytest.mark.parametrize("order", [True, 2.5])
+    def test_non_integer_order_rejected_up_front(self, order):
+        # True used to give a report whose to_json wrote "order": true, and
+        # 2.5 a TypeError from deep inside the sum side
+        with pytest.raises(ValueError, match=f"^order must be an integer, got {order!r}$"):
+            verify_identity(BUILTIN_IDENTITIES["I1"], order)
 
     def test_report_json_fields(self):
         report = verify_identity(BUILTIN_IDENTITIES["I2"], 20)

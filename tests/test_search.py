@@ -42,9 +42,9 @@ def config_grid(name: str, order: int) -> SearchGrid:
 
 def tiny_grid(**overrides) -> SearchGrid:
     kwargs = dict(
-        smallest_options=(None, SmallestPartRule(2)),
-        diff_options=(RR_DIFF,),
-        congruence_options=((),),
+        smallest=(None, SmallestPartRule(2)),
+        diffs=(RR_DIFF,),
+        congruences=((),),
         order=30,
     )
     kwargs.update(overrides)
@@ -87,8 +87,14 @@ class TestSearchGrid:
         assert len(grid.cells()) == 2
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_grid(diff_options=())
+        # the error used to name no slot: "every grid axis needs at least
+        # one option", from code and from a grid file alike
+        for slot in ("smallest", "diffs", "congruences"):
+            message = f"^{slot}: expected at least one option$"
+            with pytest.raises(ValueError, match=message):
+                tiny_grid(**{slot: ()})
+            with pytest.raises(ValueError, match=message):
+                SearchGrid.from_json({**tiny_grid().to_json(), slot: []})
 
     def test_period_thresholds_rejected_below_one(self):
         for key in ("p_max", "min_repeats"):
@@ -108,7 +114,7 @@ class TestSearchGrid:
 
     def test_json_round_trip(self):
         grid = tiny_grid(
-            congruence_options=((), (CongruenceRule(1, 1, 0, 3),)),
+            congruences=((), (CongruenceRule(1, 1, 0, 3),)),
             p_max=32,
             min_repeats=3,
         )
@@ -153,24 +159,24 @@ class TestSearchGrid:
         # a one-cell grid with DiffDistRule(True, 2) used to sweep to a hit
         # whose conditions ConditionSet.from_json then rejected
         with pytest.raises(ValueError, match="distance must be an integer"):
-            tiny_grid(smallest_options=(None,), diff_options=((DiffDistRule(True, 2),),))
+            tiny_grid(smallest=(None,), diffs=((DiffDistRule(True, 2),),))
 
     def test_rule_slots_hold_their_rule_kind(self):
-        # the one-cell grid with smallest_options=(5,) used to construct and
+        # the one-cell grid with smallest=(5,) used to construct and
         # then end run_search in an AttributeError from ConditionSet.to_json
         cases = [
-            (dict(smallest_options=5), "smallest_options: expected a sequence of options, got 5"),
+            (dict(smallest=5), "smallest: expected a sequence of options, got 5"),
             (
-                dict(smallest_options=(5,)),
-                "smallest_options[0]: expected a SmallestPartRule or None, got 5",
+                dict(smallest=(5,)),
+                "smallest[0]: expected a SmallestPartRule or None, got 5",
             ),
             (
-                dict(diff_options=(RR_DIFF, (3,))),
-                "diff_options[1][0]: expected a DiffDistRule, got 3",
+                dict(diffs=(RR_DIFF, (3,))),
+                "diffs[1][0]: expected a DiffDistRule, got 3",
             ),
             (
-                dict(congruence_options=((), RR_DIFF)),
-                "congruence_options[1][0]: expected a CongruenceRule, "
+                dict(congruences=((), RR_DIFF)),
+                "congruences[1][0]: expected a CongruenceRule, "
                 "got DiffDistRule(distance=1, min_diff=2)",
             ),
         ]
@@ -178,9 +184,9 @@ class TestSearchGrid:
             with pytest.raises(ValueError) as info:
                 tiny_grid(**overrides)
             assert str(info.value) == message
-        with pytest.raises(ValueError, match=r"^smallest_options\[0\]"):
+        with pytest.raises(ValueError, match=r"^smallest\[0\]"):
             run_search(
-                SearchGrid(smallest_options=(5,), diff_options=((),), congruence_options=((),))
+                SearchGrid(smallest=(5,), diffs=((),), congruences=((),))
             )
 
     @pytest.mark.parametrize(
@@ -189,7 +195,7 @@ class TestSearchGrid:
             (lambda options: [list(o) if type(o) is tuple else o for o in options], None),
             (lambda options: tuple(list(o) if type(o) is tuple else o for o in options), None),
             (lambda options: iter([iter(o) if type(o) is tuple else o for o in options]), None),
-            (lambda options: iter(()), "every grid axis needs at least one option"),
+            (lambda options: iter(()), "smallest: expected at least one option"),
         ],
         ids=["lists", "tuples of lists", "iterators", "empty iterators"],
     )
@@ -215,9 +221,9 @@ class TestSearchGrid:
 
     def test_cells_deduplicate_in_grid_order(self):
         grid = SearchGrid(
-            smallest_options=(None, None, SmallestPartRule(2)),
-            diff_options=(RR_DIFF,),
-            congruence_options=((),),
+            smallest=(None, None, SmallestPartRule(2)),
+            diffs=(RR_DIFF,),
+            congruences=((),),
         )
         cells = grid.cells()
         assert grid.size == 3
@@ -246,9 +252,9 @@ class TestRunSearch:
 
     def test_unrestricted_cell_hits_period_one(self):
         grid = SearchGrid(
-            smallest_options=(None,),
-            diff_options=((),),
-            congruence_options=((),),
+            smallest=(None,),
+            diffs=((),),
+            congruences=((),),
             order=24,
         )
         report = run_search(grid)
@@ -259,9 +265,9 @@ class TestRunSearch:
         # distinct parts with gap >= 2 unless the pair sums to a multiple
         # of 3; smallest part at least 2
         grid = SearchGrid(
-            smallest_options=(SmallestPartRule(2),),
-            diff_options=((DiffDistRule(1, 2),),),
-            congruence_options=((CongruenceRule(1, 3, 0, 3),),),
+            smallest=(SmallestPartRule(2),),
+            diffs=((DiffDistRule(1, 2),),),
+            congruences=((CongruenceRule(1, 3, 0, 3),),),
             order=30,
         )
         report = run_search(grid)
@@ -300,7 +306,7 @@ class TestRunSearch:
 
     def test_deterministic_across_jobs(self):
         grid = tiny_grid(
-            congruence_options=((), (CongruenceRule(1, 1, 0, 3),)),
+            congruences=((), (CongruenceRule(1, 1, 0, 3),)),
         )
         solo = run_search(grid, jobs=1).dumps()
         duo = run_search(grid, jobs=2).dumps()
@@ -315,7 +321,7 @@ class TestRunSearch:
         # the pool forks all its workers at the first submit, and a worker
         # takes whole (diffs, congruences) rows, so a pool larger than the
         # rows only forks idle workers
-        grid = tiny_grid(diff_options=(RR_DIFF, (DiffDistRule(1, 3),), ()))
+        grid = tiny_grid(diffs=(RR_DIFF, (DiffDistRule(1, 3),), ()))
         solo = run_search(grid, refine_order=60)
         assert (solo.cells_run, len(solo.hits)) == (6, 3)
         rows = [{(c.diffs, c.congruences) for c in cells}
@@ -363,9 +369,9 @@ class TestRunSearch:
         # at order 24, but its exponents at order 60 only repeat with the
         # whole window as the period
         grid = SearchGrid(
-            smallest_options=(None,),
-            diff_options=((DiffDistRule(1, 3),),),
-            congruence_options=((),),
+            smallest=(None,),
+            diffs=((DiffDistRule(1, 3),),),
+            congruences=((),),
             order=24,
             min_repeats=1,
         )
@@ -414,8 +420,8 @@ class TestRunSearch:
         import sumside.search as search
 
         grid = tiny_grid(
-            smallest_options=(None, SmallestPartRule(2), None),
-            congruence_options=((), (CongruenceRule(1, 1, 0, 3),)),
+            smallest=(None, SmallestPartRule(2), None),
+            congruences=((), (CongruenceRule(1, 1, 0, 3),)),
         )
         calls = {}
 
@@ -517,7 +523,7 @@ class TestSharedWork:
         grid = config_grid(name, order)
         cells = grid.cells()
         closed = [count_sum_side(cs, order) for cs in cells]
-        _open_rows(grid.smallest_options)
+        _open_rows(grid.smallest)
         try:
             opened = [count_sum_side(cs, order) for cs in cells]
         finally:
@@ -624,7 +630,7 @@ class TestPrefixSieve:
         # no period; the cell must not become a hit
         import sumside.series as series
 
-        grid = tiny_grid(smallest_options=(None, SmallestPartRule(100)), order=200)
+        grid = tiny_grid(smallest=(None, SmallestPartRule(100)), order=200)
         sieved, orders, full = self.both_reports(grid, monkeypatch)
         assert strip_timing(sieved.dumps()) == strip_timing(full.dumps())
         assert [h.conditions for h in full.hits] == grid.cells()[:1]

@@ -33,7 +33,8 @@
 # with --jobs 1 and 2, where its prefix sieve rejects most series, and its
 # row cache must give every cell the series of a count with the cache closed
 # at orders 200 and 400 (about 20 s); an order too short to certify any period must
-# exit 2 at load, printing nothing to stdout.  The script ends through the
+# exit 2 at load, printing nothing to stdout, and so must a grid file with an
+# empty "diffs" list, its one error line naming diffs.  The script ends through the
 # CLI's hard exit (cli.run), so --help must still exit 0 with its usage, and
 # an unknown identity must exit 2 with one error line and an empty stdout.
 set -eu
@@ -123,7 +124,7 @@ from sumside.partitions import _open_rows
 grid = SearchGrid.from_json(json.load(open('configs/heavy.json')))
 for n in (200, 400):
     closed = [count_sum_side(c, n) for c in grid.cells()]
-    _open_rows(grid.smallest_options)
+    _open_rows(grid.smallest)
     assert [count_sum_side(c, n) for c in grid.cells()] == closed, n
     _open_rows(None)
 "
@@ -132,3 +133,10 @@ rc=0; $SUMSIDE search --config configs/classics.json --order 1 > "$w/o1.json" ||
 test "$rc" -eq 2
 test ! -s "$w/o1.json"
 echo "search at order 1: exit 2 at load, nothing on stdout"
+echo '{"schema_version": 1, "diffs": []}' > "$w/empty.json"
+rc=0; $SUMSIDE search --config "$w/empty.json" > "$w/e.out" 2> "$w/e.err" || rc=$?
+test "$rc" -eq 2
+test ! -s "$w/e.out"
+test "$(wc -l < "$w/e.err")" -eq 1
+grep -q "^error: .*: diffs: expected at least one option$" "$w/e.err"
+echo "search on a grid with no diffs option: exit 2, one error line naming diffs"
