@@ -35,14 +35,13 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
-def check_ints(record: Record, names) -> None:
-    """Each named field of record must be an int, or None if None is its
-    default; bool is rejected, as the JSON readers reject true."""
-    for name in names:
-        value = getattr(record, name)
-        unbounded = value is None and record._defaults.get(name, 0) is None
-        if type(value) is not int and not unbounded:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_int(name: str, value, least: int | None = None) -> None:
+    """ValueError naming name unless value is an int (bool is rejected, as
+    the JSON readers reject true) and, with least, at least least."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def replace(record: Record, **changes) -> Record:

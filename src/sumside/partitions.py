@@ -13,8 +13,10 @@ three rule kinds:
                      residue mod modulus.
 
 The three share one base, _Rule, which checks that every field is an integer
-and reads and writes the rule's JSON object, rejecting unknown keys; each
-rule adds only its fields and range checks.
+no less than the least value the rule declares for it, and reads and writes
+the rule's JSON object, rejecting unknown keys; each rule adds only its
+fields and their least values, and CongruenceRule its one check that
+residue is below modulus.
 
 Rules quantify over indices that exist; a partition too short to form a window
 satisfies that rule vacuously, and the empty partition of 0 satisfies every
@@ -48,7 +50,7 @@ from __future__ import annotations
 import json
 
 from . import series
-from ._record import Record, check_ints
+from ._record import Record, check_int
 
 
 def _json_fail(where: str, what: str, value) -> ValueError:
@@ -88,12 +90,16 @@ def _json_int(obj: dict, key: str, where: str = "", default: int | None = None) 
 
 class _Rule(Record):
     """Base of the sum-side rules.  A rule declares its integer fields (one
-    that defaults to None may be None) and its range checks, in _check; the
-    integer check and the JSON form, which rejects unknown keys, live here."""
+    that defaults to None may be None) and, in _least, the least value of
+    each bounded field; the check of both and the JSON form, which rejects
+    unknown keys, live here."""
+
+    _least = {}
 
     def __post_init__(self):
-        check_ints(self, self._fields)
-        self._check()
+        for f, v in self.__dict__.items():
+            if v is not None or self._defaults.get(f, 0) is not None:
+                check_int(f, v, self._least.get(f))
 
     def to_json(self) -> dict:
         return {f: "unbounded" if v is None else v for f, v in self.__dict__.items()}
@@ -123,12 +129,7 @@ class SmallestPartRule(_Rule):
 
     min_part: int
     max_mult: int | None = None
-
-    def _check(self):
-        if self.min_part < 1:
-            raise ValueError("min_part must be >= 1")
-        if self.max_mult is not None and self.max_mult < 1:
-            raise ValueError("max_mult must be >= 1 or None")
+    _least = {"min_part": 1, "max_mult": 1}
 
 
 class DiffDistRule(_Rule):
@@ -140,12 +141,7 @@ class DiffDistRule(_Rule):
 
     distance: int
     min_diff: int
-
-    def _check(self):
-        if self.distance < 1:
-            raise ValueError("distance must be >= 1")
-        if self.min_diff < 0:
-            raise ValueError("min_diff must be >= 0")
+    _least = {"distance": 1, "min_diff": 0}
 
 
 class CongruenceRule(_Rule):
@@ -162,13 +158,11 @@ class CongruenceRule(_Rule):
     gap: int
     residue: int
     modulus: int
+    _least = {"span": 1, "residue": 0, "modulus": 2}
 
-    def _check(self):
-        if self.span < 1:
-            raise ValueError("span must be >= 1")
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if not 0 <= self.residue < self.modulus:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.residue >= self.modulus:
             raise ValueError("residue must lie in 0..modulus-1")
 
 
@@ -295,6 +289,25 @@ def _window(conditions: ConditionSet) -> tuple[int, int]:
     return width, reach
 
 
+def _split_cap(conditions: ConditionSet, n: int) -> int:
+    """A cap K <= n above which a part joins the rest of its partition
+    freely.  In a partition of at most n, a part j > K is >= min_part, is the
+    only part above n/2, and leaves every other part <= n - j < j - reach
+    (_window), so it triggers no rule."""
+    reach = _window(conditions)[1]
+    return min(n, max(conditions.min_part - 1, (n + max(reach, 0)) // 2))
+
+
+def _add_large_parts(capped: series.TruncatedSeries, cap: int) -> series.TruncatedSeries:
+    """The sum side through capped's order from the series at a cap from
+    _split_cap: G_N = G_K + sum_(j=K+1..N) q^j G_K, one prefix sum."""
+    coeffs, total = list(capped), 0
+    for n in range(cap + 1, len(coeffs)):
+        total += capped[n - cap - 1]
+        coeffs[n] += total
+    return series.TruncatedSeries(coeffs)
+
+
 def _trim(parts: tuple[int, ...], width: int, limit: int) -> tuple[int, ...]:
     """The last parts a later part can still trigger a rule on, where limit
     is top + reach for the largest part top still to come (_window)."""
@@ -349,10 +362,9 @@ def count_sum_side(
     sweeps each row once, for every stop of the grid, and answers the row's
     other cells from it; while it is closed, each call sweeps alone.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if cap is not None and cap < 0:
-        raise ValueError("cap must be >= 0")
+    check_int("n", n, 0)
+    if cap is not None:
+        check_int("cap", cap, 0)
     stop = _stop(conditions.smallest)
     if cap is not None or _rows is None or stop not in _rows[0]:
         return _sweep(conditions, n, n if cap is None else min(cap, n), {stop})[stop]
@@ -426,8 +438,7 @@ def _listing_text(conditions: ConditionSet, n: int) -> str:
     The Python work is one step per (state, rest, edge), which grows
     polynomially in n; the rest is one copy per prefixed block, in C.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_int("n", n, 0)
     if n == 0:
         return "0\n"
     width, reach = _window(conditions)

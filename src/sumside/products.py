@@ -9,9 +9,7 @@ and tells whether a residue set is symmetric under r -> p - r.
 
 from __future__ import annotations
 
-from operator import index
-
-from ._record import Record, check_ints
+from ._record import Record, check_int
 from .series import TruncatedSeries, _period
 
 
@@ -26,10 +24,11 @@ class ProductShape(Record):
     exponent_profile: tuple[int, ...]
 
     def __post_init__(self):
-        check_ints(self, ("period",))
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-        object.__setattr__(self, "exponent_profile", tuple(map(index, self.exponent_profile)))
+        check_int("period", self.period, 1)
+        profile = tuple(self.exponent_profile)
+        for i, e in enumerate(profile):
+            check_int(f"exponent_profile[{i}]", e)
+        object.__setattr__(self, "exponent_profile", profile)
         if len(self.exponent_profile) != self.period:
             raise ValueError(
                 f"profile length {len(self.exponent_profile)} != period {self.period}"
@@ -61,8 +60,7 @@ class ProductShape(Record):
 
     @classmethod
     def from_residues(cls, period: int, residues) -> "ProductShape":
-        if type(period) is not int or period < 1:
-            cls(period, ())  # the constructor's own period check raises
+        check_int("period", period, 1)
         rs = set(residues)
         bad = [r for r in rs if type(r) is not int or not 1 <= r <= period]
         if bad:
@@ -72,8 +70,7 @@ class ProductShape(Record):
     def exponents(self, order: int) -> TruncatedSeries:
         """The profile repeated out to a_1..a_order, as the exponent series
         a_1 q + ... + a_order q^order (constant term 0), 0 at order 0."""
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        check_int("order", order, 0)
         prof, p = self.exponent_profile, self.period
         return TruncatedSeries((0,) + prof * (order // p) + prof[: order % p])
 
@@ -83,13 +80,9 @@ def _period_limit(order: int, p_max: int, min_repeats: int) -> int:
     min_repeats), so that min_repeats full copies fit in the window.  Raises
     when one of the three is not an int (bool included), a threshold is
     below 1, or order is too short for any period."""
-    for name, value in (("order", order), ("p_max", p_max), ("min_repeats", min_repeats)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    if min_repeats < 1:
-        raise ValueError("min_repeats must be >= 1")
+    check_int("order", order)
+    check_int("p_max", p_max, 1)
+    check_int("min_repeats", min_repeats, 1)
     if order < min_repeats:
         raise ValueError(
             f"order {order} is below min_repeats {min_repeats}, "

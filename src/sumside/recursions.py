@@ -29,14 +29,15 @@ from __future__ import annotations
 import hashlib
 import time
 
-from ._record import Record
+from ._record import Record, check_int
 from .partitions import (
     ConditionSet,
     CongruenceRule,
     DiffDistRule,
     SmallestPartRule,
+    _add_large_parts,
     _repeat_bound,
-    _window,
+    _split_cap,
     count_sum_side,
 )
 from .products import ProductShape
@@ -278,8 +279,7 @@ def initial_state(family: str, order: int) -> RecursionState:
     those rules' repeat bound.
     """
     fam = _family(family)
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    check_int("order", order, 0)
     bits = packed_bits(order, _repeat_bound(_FAMILY_RULES[family]))
     window = tuple(
         tuple(pack(coeffs[: order + 1], order, bits) for coeffs in regs)
@@ -303,6 +303,7 @@ def capped_polynomial(family: str, cap: int, order: int | None = None):
     polynomial padded with zeros.
     """
     fam = _family(family)
+    check_int("cap", cap)
     if cap < fam.start:
         raise ValueError(f"{family} is defined from cap {fam.start}")
     if order is None:
@@ -434,25 +435,6 @@ def _first_mismatch(*series: TruncatedSeries) -> int | None:
     return None
 
 
-def _split_cap(conditions: ConditionSet, n: int) -> int:
-    """A cap K <= n above which a part joins the rest of its partition
-    freely.  In a partition of at most n, a part j > K is >= min_part, is the
-    only part above n/2, and leaves every other part <= n - j < j - reach
-    (_window), so it triggers no rule."""
-    reach = _window(conditions)[1]
-    return min(n, max(conditions.min_part - 1, (n + max(reach, 0)) // 2))
-
-
-def _add_large_parts(capped: TruncatedSeries, cap: int) -> TruncatedSeries:
-    """The sum side through capped's order from the series at a cap from
-    _split_cap: G_N = G_K + sum_(j=K+1..N) q^j G_K, one prefix sum."""
-    coeffs, total = list(capped), 0
-    for n in range(cap + 1, len(coeffs)):
-        total += capped[n - cap - 1]
-        coeffs[n] += total
-    return TruncatedSeries(coeffs)
-
-
 def verify_identity(
     spec: IdentitySpec, order: int, method: str = "recursion"
 ) -> VerificationReport:
@@ -461,8 +443,9 @@ def verify_identity(
 
     The spec picks the sum-side route: a spec with a recursion family steps
     it to _split_cap under the family's own rules and adds the larger parts,
-    and one without counts the sum side with count_sum_side's transfer sweep
-    (the report's method is then "enumeration").  method "both" runs the
+    and one without counts with count_sum_side's transfer sweep, capped at
+    the _split_cap of its own rules, and adds them the same way (the
+    report's method is then "enumeration").  method "both" runs the
     sweep beside the family as well, requires the two to agree, and compares
     both against the product; a spec without a family has nothing to check
     the sweep against, so it raises.  The first sum side's Euler exponents
@@ -470,10 +453,7 @@ def verify_identity(
     mismatch.  A mismatch is an outcome, not an error: the report carries
     the first power at which a sum side differs from the product.
     """
-    if type(order) is not int:
-        raise ValueError(f"order must be an integer, got {order!r}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    check_int("order", order, 1)
     if method not in ("recursion", "both"):
         raise ValueError(f"unknown method {method!r}")
     family = spec.recursion_family
@@ -487,7 +467,8 @@ def verify_identity(
         k = max(FAMILIES[family].start, _split_cap(_FAMILY_RULES[family], order))
         sums.append(_add_large_parts(capped_polynomial(family, k, order=order)[-1], k))
     if family is None or method == "both":
-        sums.append(count_sum_side(spec.conditions, order))
+        k = _split_cap(spec.conditions, order)
+        sums.append(_add_large_parts(count_sum_side(spec.conditions, order, cap=k), k))
     # a_1..a_m fix b_1..b_m and back, so the exponents first differ where
     # the sum side and the product do, and on a match the two are one series
     exponents = spec.shape.exponents(order)

@@ -20,7 +20,7 @@ from functools import partial
 from itertools import product
 from math import prod
 
-from ._record import Record, replace
+from ._record import Record, check_int, replace
 from .partitions import (
     ConditionSet,
     CongruenceRule,
@@ -253,10 +253,11 @@ def run_search(
     the hit cells at refine_order and records whether the period survives.
     A failures entry, a cell whose sift raised, is a bug (see _sift_cell).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if refine_order is not None and refine_order <= grid.order:
-        raise ValueError("refine order must exceed the grid order")
+    check_int("jobs", jobs, 1)
+    if refine_order is not None:
+        check_int("refine_order", refine_order)
+        if refine_order <= grid.order:
+            raise ValueError("refine order must exceed the grid order")
     t0 = time.perf_counter()
     cells = grid.cells()
     hits: list[CandidateHit] = []

@@ -61,7 +61,7 @@ from functools import lru_cache
 from operator import add, index, mul
 from typing import Iterable, Sequence
 
-from ._record import Record
+from ._record import Record, check_int
 
 # Series divisions up to this many terms run the direct recurrence, longer
 # ones Newton steps: on partition counts the two tie from 64 to 81 terms (a
@@ -113,6 +113,7 @@ class TruncatedSeries(Record):
 
     def truncate(self, k: int) -> "TruncatedSeries":
         """The same series modulo q^(k+1)."""
+        check_int("k", k)
         if not 0 <= k <= self.order:
             raise ValueError(f"cannot truncate order-{self.order} series to {k}")
         return TruncatedSeries(self.coeffs[: k + 1])

@@ -1,12 +1,32 @@
 """The package's public names: a fixed list, so any growth is a test edit.
-Also runs the README's library example, and parses the sources at the
-oldest Python the package declares."""
+Also holds the integer contract of every public argument and record field
+that takes an integer, runs the README's library example, and parses the
+sources at the oldest Python the package declares."""
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
+import pytest
+
 import sumside
+from sumside import (
+    BUILTIN_IDENTITIES,
+    CongruenceRule,
+    DiffDistRule,
+    ProductShape,
+    SearchGrid,
+    SmallestPartRule,
+    TruncatedSeries,
+    capped_polynomial,
+    count_sum_side,
+    detect_period,
+    enumerate_sum_side,
+    initial_state,
+    run_search,
+    verify_identity,
+)
 
 PUBLIC_NAMES = [
     "BUILTIN_IDENTITIES",
@@ -85,3 +105,97 @@ def test_sources_parse_at_the_python_floor():
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+I1 = BUILTIN_IDENTITIES["I1"]
+GRID = SearchGrid((None,), ((),), ((),), order=10)
+
+# (call, valid values of its integer slots, least value of each bounded
+# slot); a least value whose text is not "<name> must be >= <least>" comes
+# with the text its least value minus one raises
+INTEGER_SLOTS = {
+    "smallest": (SmallestPartRule, dict(min_part=1, max_mult=1), dict(min_part=1, max_mult=1)),
+    "diff": (DiffDistRule, dict(distance=1, min_diff=2), dict(distance=1, min_diff=0)),
+    "congruence": (
+        CongruenceRule,
+        dict(span=1, gap=1, residue=0, modulus=3),
+        dict(span=1, residue=0, modulus=2),
+    ),
+    "count_sum_side": (
+        lambda n, cap: count_sum_side(I1.conditions, n, cap=cap),
+        dict(n=5, cap=3),
+        dict(n=0, cap=0),
+    ),
+    "enumerate_sum_side": (
+        lambda n: enumerate_sum_side(I1.conditions, n), dict(n=5), dict(n=0)
+    ),
+    "capped_polynomial": (
+        lambda cap, order: capped_polynomial("P1", cap, order=order),
+        dict(cap=3, order=10),
+        dict(cap=(0, "P1 is defined from cap 0"), order=0),
+    ),
+    "initial_state": (lambda order: initial_state("P1", order), dict(order=10), dict(order=0)),
+    "verify_identity": (lambda order: verify_identity(I1, order), dict(order=10), dict(order=1)),
+    "ProductShape": (lambda period: ProductShape(period, (1, 0)), dict(period=2), dict(period=1)),
+    "ProductShape.from_residues": (
+        lambda period: ProductShape.from_residues(period, {1}), dict(period=2), dict(period=1)
+    ),
+    "ProductShape.exponents": (
+        lambda order: ProductShape(2, (1, 0)).exponents(order), dict(order=4), dict(order=0)
+    ),
+    "detect_period": (
+        lambda p_max, min_repeats: detect_period(
+            ProductShape(2, (1, 0)).exponents(10), p_max, min_repeats
+        ),
+        dict(p_max=4, min_repeats=2),
+        dict(p_max=1, min_repeats=1),
+    ),
+    "SearchGrid": (
+        lambda order, p_max, min_repeats: SearchGrid(
+            (None,), ((),), ((),), order, p_max, min_repeats
+        ),
+        dict(order=10, p_max=4, min_repeats=2),
+        dict(
+            order=(2, "order 1 is below min_repeats 2, too short to certify any period"),
+            p_max=1,
+            min_repeats=1,
+        ),
+    ),
+    "run_search": (
+        lambda jobs, refine_order: run_search(GRID, jobs, refine_order),
+        dict(jobs=1, refine_order=12),
+        dict(jobs=1, refine_order=(11, "refine order must exceed the grid order")),
+    ),
+    "TruncatedSeries.truncate": (
+        lambda k: TruncatedSeries((1, 1, 1)).truncate(k),
+        dict(k=1),
+        dict(k=(0, "cannot truncate order-2 series to -1")),
+    ),
+}
+
+
+@pytest.mark.parametrize("call, fields, least", INTEGER_SLOTS.values(), ids=INTEGER_SLOTS)
+def test_non_integer_fields_rejected_by_name(call, fields, least):
+    # a bool would otherwise count as 0 or 1, and a rule's would serialize
+    # as true, which from_json rejects; a float or a string must not reach
+    # range() or a slice as a TypeError
+    call(**fields)
+    for name in fields:
+        for value in (True, False, 2.5, "3"):
+            text = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=text):
+                call(**{**fields, name: value})
+        if name in least:
+            low, text = least[name] if isinstance(least[name], tuple) else (
+                least[name], f"{name} must be >= {least[name]}"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                call(**{**fields, name: low - 1})
+
+
+def test_rule_json_and_none_defaults():
+    for rule, fields, _ in (INTEGER_SLOTS[k] for k in ("smallest", "diff", "congruence")):
+        assert rule(**fields).to_json() == fields
+    assert SmallestPartRule(1, None).max_mult is None
+    assert count_sum_side(I1.conditions, 5, cap=None) == count_sum_side(I1.conditions, 5)
+    assert run_search(GRID, 1, None).hits == run_search(GRID).hits

@@ -545,7 +545,7 @@ class TestSearchCommand:
             ),
             (
                 '{"schema_version": 1, "smallest": [null, {"min_part": 1, "max_mult": 0}]}',
-                "smallest[1]: max_mult must be >= 1 or None",
+                "smallest[1]: max_mult must be >= 1",
             ),
             (
                 '{"schema_version": 1, "diffs": [[{"distance": 1, "min_diff": -1}]]}',

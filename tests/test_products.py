@@ -34,11 +34,13 @@ class TestProductShape:
             ProductShape(True, (1,))
 
     def test_profile_entries_must_be_integers(self):
-        # exact arithmetic: 1.9 or "1" is never truncated or parsed to 1
-        for bad in (1.9, 1.0, "1"):
-            with pytest.raises(TypeError):
-                ProductShape(2, (bad, 0))
-        assert ProductShape(2, (True, 0)).exponent_profile == (1, 0)
+        # exact arithmetic: 1.9 or "1" is never truncated or parsed to 1,
+        # and True is not stored as 1; the entry is named by its index
+        for bad in (1.9, 1.0, "1", True):
+            message = rf"^exponent_profile\[1\] must be an integer, got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
+                ProductShape(2, (0, bad))
+        assert ProductShape(2, [1, 0]).exponent_profile == (1, 0)
 
     def test_binary_and_residues(self):
         shape = ProductShape(period=5, exponent_profile=(1, 0, 0, 1, 0))

@@ -24,15 +24,8 @@ from sumside import (
     verify_identity,
 )
 from sumside._record import replace
-from sumside.partitions import _repeat_bound
-from sumside.recursions import (
-    FAMILIES,
-    _add_large_parts,
-    _Family,
-    _first_mismatch,
-    _split_cap,
-    _Term,
-)
+from sumside.partitions import _add_large_parts, _repeat_bound, _split_cap
+from sumside.recursions import FAMILIES, _Family, _first_mismatch, _Term
 from sumside.series import _regular_count, packed_bits, unpack
 
 FAMILY_IDENTITY = {
