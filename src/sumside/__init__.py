@@ -20,14 +20,14 @@ _EXPORTS = {
         "ConditionSet", "CongruenceRule", "DiffDistRule", "SmallestPartRule",
         "count_sum_side", "enumerate_sum_side",
     ),
-    "products": ("ProductShape", "describe", "detect_period"),
     "recursions": (
         "BUILTIN_IDENTITIES", "IdentitySpec", "VerificationReport", "capped_polynomial",
         "coefficient_digest", "initial_state", "verify_identity",
     ),
     "search": ("CandidateHit", "CandidateReport", "SearchGrid", "run_search"),
     "series": (
-        "IntegralityError", "TruncatedSeries", "euler_factorize", "expand_product",
+        "IntegralityError", "ProductShape", "TruncatedSeries", "describe", "detect_period",
+        "euler_factorize", "expand_product",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -44,6 +44,21 @@ def check_int(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
+def check_ints(name: str, values) -> tuple[int, ...]:
+    """values as a tuple, with a ValueError naming name unless it is
+    iterable, or naming name[i] as check_int does at its first entry that is
+    not an int.  Good input costs one pass over the entries' types."""
+    try:
+        iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        for i, value in enumerate(values):
+            check_int(f"{name}[{i}]", value)
+    return values
+
+
 def replace(record: Record, **changes) -> Record:
     """record with changes, rebuilt through the constructor: checks run again."""
     return type(record)(**{**record.__dict__, **changes})

@@ -40,8 +40,7 @@ from .partitions import (
     _split_cap,
     count_sum_side,
 )
-from .products import ProductShape
-from .series import TruncatedSeries, check_packed, euler_factorize, expand_product
+from .series import ProductShape, TruncatedSeries, check_packed, euler_factorize, expand_product
 from .series import pack, packed_bits, unpack
 
 

@@ -32,7 +32,7 @@ from .partitions import (
     _open_rows,
     count_sum_side,
 )
-from .products import ProductShape, _period_limit, describe, detect_period
+from .series import ProductShape, _period_limit, describe, detect_period
 from .series import _MARGIN, _proposed, euler_factorize
 
 SCHEMA_VERSION = 1

@@ -1,5 +1,6 @@
-"""Exact arithmetic on truncated formal power series, plus Euler's algorithm
-for turning a series into an infinite-product representation.
+"""Exact arithmetic on truncated formal power series, Euler's algorithm for
+turning a series into an infinite-product representation, and the periodic
+shapes of those products.
 
 A series f(q) = c_0 + c_1 q + ... + c_N q^N is held as its N+1
 arbitrary-precision integers; its truncation order N is their count less one.
@@ -25,6 +26,11 @@ of a generating function pins down the leading product factors exactly.
 That makes a short prefix a proposal, as in the paper's conjecture-then-check
 loop: _proposed takes the proposal step, and states why it is sound, for
 euler_factorize's head from order 2*_SEED on and for the search's prefix.
+A sum side whose exponents are purely periodic is a candidate identity:
+binary profiles (all exponents 0 or 1) say "partitions into parts in these
+congruence classes", the classical product-side shape.  detect_period finds
+the smallest certified period as a ProductShape, which tells whether its
+residue set is symmetric under r -> p - r; describe states it in words.
 
 The general route divides: Newton steps double the precision of 1/b, seeded
 by the direct recurrence for the first few terms, and each step is a few
@@ -56,12 +62,11 @@ TruncatedSeries stays the type at every module boundary.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from operator import add, index, mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
-from ._record import Record, check_int
+from ._record import Record, check_int, check_ints
 
 # Series divisions up to this many terms run the direct recurrence, longer
 # ones Newton steps: on partition counts the two tie from 64 to 81 terms (a
@@ -94,7 +99,7 @@ class TruncatedSeries(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
+        object.__setattr__(self, "coeffs", check_ints("coeffs", self.coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
 
@@ -128,8 +133,8 @@ def packed_bits(n: int, repeat: int | None = None) -> int:
     """Bits per coefficient for packing partition counts through q^n.
 
     Every coefficient counts a set of partitions of some s <= n, so it is at
-    most p(n) < exp(pi*sqrt(2n/3)); one more bit is the margin that
-    check_packed requires to stay clear.
+    most p(s) <= p(n), and the width is p(n)'s exact bit length plus the
+    margin bit that check_packed requires to stay clear.
 
     With repeat = d, the partitions counted are ones in which no part
     appears more than d times (a diff rule of distance d and min_diff >= 1
@@ -137,19 +142,17 @@ def packed_bits(n: int, repeat: int | None = None) -> int:
     b_(d+1)(s) of those, the partitions of s with no part divisible by d + 1.
     For k >= 2, b_k is nondecreasing: adding a part 1, which k does not
     divide, maps the partitions of s one-to-one into those of s + 1.  So
-    b_(d+1)(n) bounds every coefficient through q^n, and the width is its
-    exact bit length plus the margin bit.
+    b_(d+1)(n) bounds every coefficient through q^n, and takes p(n)'s place.
     """
-    if repeat is None:
-        return int(math.pi * math.sqrt(2 * n / 3) / math.log(2)) + 2
-    return _regular_count(repeat + 1, n).bit_length() + 1
+    count = _partition_numbers(n)[n] if repeat is None else _regular_count(repeat + 1, n)
+    return count.bit_length() + 1
 
 
 @lru_cache(maxsize=4)
 def _partition_numbers(n: int) -> tuple[int, ...]:
     """p(0..n), by Euler's pentagonal recurrence
     p(m) = sum_{j>=1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
-    Cached: the bounds for two repeat values at one n share it."""
+    Cached: the widths for two repeat values at one n share it."""
     p = [1]
     for m in range(1, n + 1):
         total, j, g = 0, 1, 1
@@ -321,6 +324,117 @@ def _period(a: Sequence[int], p_max: int) -> int | None:
         if all(a[m] == a[m + p] for m in range(1, len(a) - p)):
             return p
     return None
+
+
+class ProductShape(Record):
+    """Periodic exponent pattern of a product prod (1 - q^m)^(-a_m).
+
+    exponent_profile[i] is the exponent shared by all m with m mod period equal
+    to i+1 (the last slot, index period-1, covers m divisible by period).
+    """
+
+    period: int
+    exponent_profile: tuple[int, ...]
+
+    def __post_init__(self):
+        check_int("period", self.period, 1)
+        profile = check_ints("exponent_profile", self.exponent_profile)
+        object.__setattr__(self, "exponent_profile", profile)
+        if len(self.exponent_profile) != self.period:
+            raise ValueError(
+                f"profile length {len(self.exponent_profile)} != period {self.period}"
+            )
+
+    @property
+    def binary(self) -> bool:
+        return all(e in (0, 1) for e in self.exponent_profile)
+
+    @property
+    def residues(self) -> frozenset[int]:
+        """Residue classes (1..period, with period standing for 0) whose parts
+        appear, for binary shapes.  Raises on non-binary profiles, where
+        "which parts appear" is not the right question.
+        """
+        if not self.binary:
+            raise ValueError("residue set is only defined for binary profiles")
+        return frozenset(
+            r for r in range(1, self.period + 1) if self.exponent_profile[r - 1] == 1
+        )
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether the residue set is closed under r -> period - r, the
+        residue period (class 0) being its own mirror.  Raises on non-binary
+        profiles, as residues does."""
+        p, rs = self.period, self.residues
+        return all((p - r or p) in rs for r in rs)
+
+    @classmethod
+    def from_residues(cls, period: int, residues) -> "ProductShape":
+        check_int("period", period, 1)
+        rs = set(check_ints("residues", residues))
+        bad = [r for r in rs if not 1 <= r <= period]
+        if bad:
+            raise ValueError(f"residues {sorted(bad, key=repr)} outside integers 1..{period}")
+        return cls(period, tuple(1 if r in rs else 0 for r in range(1, period + 1)))
+
+    def exponents(self, order: int) -> TruncatedSeries:
+        """The profile repeated out to a_1..a_order, as the exponent series
+        a_1 q + ... + a_order q^order (constant term 0), 0 at order 0."""
+        check_int("order", order, 0)
+        prof, p = self.exponent_profile, self.period
+        return TruncatedSeries((0,) + prof * (order // p) + prof[: order % p])
+
+
+def _period_limit(order: int, p_max: int, min_repeats: int) -> int:
+    """The largest period that order can certify: min(p_max, order //
+    min_repeats), so that min_repeats full copies fit in the window.  Raises
+    when one of the three is not an int (bool included), a threshold is
+    below 1, or order is too short for any period."""
+    check_int("order", order)
+    check_int("p_max", p_max, 1)
+    check_int("min_repeats", min_repeats, 1)
+    if order < min_repeats:
+        raise ValueError(
+            f"order {order} is below min_repeats {min_repeats}, "
+            "too short to certify any period"
+        )
+    return min(p_max, order // min_repeats)
+
+
+def detect_period(
+    a: TruncatedSeries, p_max: int = 64, min_repeats: int = 2
+) -> ProductShape | None:
+    """Smallest pure period of an exponent series a_1 q + ... + a_N q^N, as
+    euler_factorize returns it, or None; ValueError unless a[0] == 0.
+
+    A period p is certified only when the window holds min_repeats full
+    copies of the profile (p * min_repeats <= order) and a_m == a_{m+p} for
+    every m with both indices in range; no preperiod is allowed.  Candidate
+    periods therefore run up to _period_limit.  Returning the smallest such p
+    also rules out reporting a proper multiple of the true period.
+    """
+    exps = a.coeffs
+    if exps[0] != 0:
+        raise ValueError(f"constant term must be 0, got {exps[0]}")
+    p = _period(exps, _period_limit(a.order, p_max, min_repeats))
+    return None if p is None else ProductShape(p, exps[1 : p + 1])
+
+
+def describe(shape: ProductShape) -> str:
+    """Human-readable statement of what the product counts."""
+    if not shape.binary:
+        profile = ", ".join(str(e) for e in shape.exponent_profile)
+        return (
+            f"exponent profile ({profile}) repeating mod {shape.period} "
+            "[non-partition-style]"
+        )
+    rs = sorted(shape.residues)
+    if len(rs) == shape.period:
+        return "all parts allowed"
+    if not rs:
+        return "no parts allowed"
+    return f"parts ≡ {', '.join(str(r) for r in rs)} (mod {shape.period})"
 
 
 def _proposed(b: Sequence[int], head: Sequence[int], limit: int) -> TruncatedSeries | None:

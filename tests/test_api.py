@@ -112,7 +112,8 @@ GRID = SearchGrid((None,), ((),), ((),), order=10)
 
 # (call, valid values of its integer slots, least value of each bounded
 # slot); a least value whose text is not "<name> must be >= <least>" comes
-# with the text its least value minus one raises
+# with the text its least value minus one raises, and a slot whose valid
+# value is a tuple takes a sequence of integers
 INTEGER_SLOTS = {
     "smallest": (SmallestPartRule, dict(min_part=1, max_mult=1), dict(min_part=1, max_mult=1)),
     "diff": (DiffDistRule, dict(distance=1, min_diff=2), dict(distance=1, min_diff=0)),
@@ -136,9 +137,9 @@ INTEGER_SLOTS = {
     ),
     "initial_state": (lambda order: initial_state("P1", order), dict(order=10), dict(order=0)),
     "verify_identity": (lambda order: verify_identity(I1, order), dict(order=10), dict(order=1)),
-    "ProductShape": (lambda period: ProductShape(period, (1, 0)), dict(period=2), dict(period=1)),
+    "ProductShape": (ProductShape, dict(period=2, exponent_profile=(1, 0)), dict(period=1)),
     "ProductShape.from_residues": (
-        lambda period: ProductShape.from_residues(period, {1}), dict(period=2), dict(period=1)
+        ProductShape.from_residues, dict(period=2, residues=(1, 2)), dict(period=1)
     ),
     "ProductShape.exponents": (
         lambda order: ProductShape(2, (1, 0)).exponents(order), dict(order=4), dict(order=0)
@@ -166,6 +167,7 @@ INTEGER_SLOTS = {
         dict(jobs=1, refine_order=12),
         dict(jobs=1, refine_order=(11, "refine order must exceed the grid order")),
     ),
+    "TruncatedSeries": (TruncatedSeries, dict(coeffs=(1, 1)), {}),
     "TruncatedSeries.truncate": (
         lambda k: TruncatedSeries((1, 1, 1)).truncate(k),
         dict(k=1),
@@ -180,7 +182,15 @@ def test_non_integer_fields_rejected_by_name(call, fields, least):
     # as true, which from_json rejects; a float or a string must not reach
     # range() or a slice as a TypeError
     call(**fields)
-    for name in fields:
+    for name, valid in fields.items():
+        if isinstance(valid, tuple):
+            with pytest.raises(ValueError, match=f"^{name} must be a sequence of integers, got 5$"):
+                call(**{**fields, name: 5})
+            for value in (True, 1.0, "3"):
+                text = rf"^{name}\[1\] must be an integer, got {re.escape(repr(value))}$"
+                with pytest.raises(ValueError, match=text):
+                    call(**{**fields, name: (valid[0], value)})
+            continue
         for value in (True, False, 2.5, "3"):
             text = f"^{name} must be an integer, got {re.escape(repr(value))}$"
             with pytest.raises(ValueError, match=text):

@@ -821,7 +821,7 @@ class TestHardExit:
         assert (proc.stdout, proc.stderr) == (capsys.readouterr().out, "")
 
 
-SUBMODULES = ("partitions", "products", "recursions", "search", "series")
+SUBMODULES = ("partitions", "recursions", "search", "series")
 
 
 def _run_modules(code: str) -> tuple[set[str], set[str]]:

@@ -62,7 +62,8 @@ class TestProductShape:
             ProductShape.from_residues(9, {10})
         # a residue that is not an integer is named, not left out
         for bad in (1.5, "1", True):
-            with pytest.raises(ValueError, match=rf"\[{bad!r}\]"):
+            message = rf"^residues\[0\] must be an integer, got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
                 ProductShape.from_residues(9, {bad})
         # the period is checked before the residues are held against it
         with pytest.raises(ValueError, match="period must be an integer, got 9.0"):

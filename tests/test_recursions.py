@@ -404,8 +404,9 @@ class TestIdentitySpecs:
             spec(ConditionSet(), 9, frozenset({10}))
         with pytest.raises(ValueError, match="period must be >= 1"):
             spec(ConditionSet(), 0, frozenset())
-        # a residue that is not an integer is refused, not left out
-        with pytest.raises(ValueError, match=r"\[7\.5\]"):
+        # a residue that is not an integer is refused, not left out; a set's
+        # entry is named by its place in the set's iteration order
+        with pytest.raises(ValueError, match=r"^residues\[\d\] must be an integer, got 7\.5$"):
             spec(BUILTIN_IDENTITIES["I1"].conditions, 9, {1, 3, 6, 7.5})
         # a bad modulus is named as such, before any residue is checked
         with pytest.raises(ValueError, match="period must be an integer, got 9.0"):

@@ -35,11 +35,13 @@ class TestTruncatedSeries:
             TruncatedSeries([])
 
     def test_rejects_non_integral_coefficients(self):
-        # exact arithmetic: a float or a string is never converted
-        for bad in (1.9, 1.0, "3"):
-            with pytest.raises(TypeError):
+        # exact arithmetic: a float or a string is never converted, and True
+        # is not stored as 1; the coefficient is named by its index
+        for bad in (1.9, 1.0, "3", True):
+            message = rf"^coeffs\[1\] must be an integer, got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
                 TruncatedSeries([1, bad])
-        assert [type(c) for c in TruncatedSeries([True, 2]).coeffs] == [int, int]
+        assert TruncatedSeries([1, 2]).coeffs == (1, 2)
 
     def test_indexing_and_iteration(self):
         s = TruncatedSeries([3, 1, 4])
@@ -93,7 +95,7 @@ class TestPackedKernel:
 
     def test_short_series_round_trips_with_zeros_on_top(self):
         for n in (0, 1, 5, 33):
-            bits = packed_bits(n)
+            bits = (n + 1).bit_length() + 1  # fits 1..n+1, which are not partition counts
             for m in range(1, n + 2):
                 coeffs = list(range(1, m + 1))
                 x = pack(coeffs, n, bits)
@@ -110,8 +112,8 @@ class TestPackedKernel:
             assert p < 1 << (packed_bits(n) - 1)
 
     def test_width_without_a_repeat_bound_is_the_p_n_width(self):
-        widths = {0: 2, 1: 5, 2: 7, 3: 8, 10: 13, 40: 25, 100: 39, 500: 84,
-                  1000: 119, 2000: 167, 4000: 236}
+        widths = {0: 2, 1: 2, 2: 3, 3: 3, 10: 7, 40: 17, 100: 29, 500: 72,
+                  1000: 106, 2000: 153, 4000: 221}
         assert {n: packed_bits(n) for n in widths} == widths
 
     def test_width_with_a_repeat_bound(self):
